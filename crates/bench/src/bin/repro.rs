@@ -6,8 +6,6 @@
 //!       [--sample [--intervals K]] [--threads N]
 //!       [--artifacts DIR] [--checkpoints DIR [--simchk-prune BYTES]]
 //!       [--telemetry DIR] [--quiet]
-//!       [--serve ADDR [--port-file FILE]]
-//!       [--connect ADDR [--watch | --drain | --shutdown]]
 //!
 //!   --exp       table2 | table3 | table4 | fig4 | fig5 | fig6 | lru |
 //!               fig7 | fig8 | fig9 | fig10 | fig11 | restrict | orgs |
@@ -17,8 +15,8 @@
 //!               never part of `all`)
 //!   --quick     run at the reduced test scale instead of the full
 //!               reproduction scale
-//!   --huge      run at the billion-instruction scale (local only;
-//!               pair it with --sample unless you have hours to spare)
+//!   --huge      run at the billion-instruction scale (pair it with
+//!               --sample unless you have hours to spare)
 //!   --sample    estimate every run from periodic detailed windows with
 //!               functional fast-forward between them (SMARTS-style)
 //!               instead of simulating every instruction in detail;
@@ -52,20 +50,6 @@
 //!   --quiet     suppress stderr progress lines (also $SIMTEL_QUIET);
 //!               with --telemetry, the lines still land on the wall
 //!               channel
-//!   --serve     run as the resident simserve daemon on ADDR (host:port;
-//!               port 0 picks a free port) instead of sweeping once;
-//!               serves both scales, exits 0 on a client drain/shutdown
-//!   --port-file with --serve: write the bound address to FILE once
-//!               listening (for scripts using port 0)
-//!   --connect   send this invocation's sweep to a daemon at ADDR and
-//!               print the (byte-identical) report; --exp/--quick/--tsv
-//!               select the request exactly as in local mode
-//!   --watch     with --connect: stream the daemon's progress events to
-//!               stderr while the sweep computes
-//!   --drain     with --connect: ask the daemon to drain and exit
-//!               (finishes in-flight work) instead of sweeping
-//!   --shutdown  with --connect: like --drain, but abandons queued
-//!               async submissions
 //! ```
 //!
 //! Tables are always rendered in the same serial order; the thread count
@@ -75,7 +59,7 @@
 //! `--threads` value; only `wall.json` varies.
 
 use experiments::exps::Sweep;
-use experiments::repro::{prewarm_keys, render_experiment, render_experiment_tsv, EXPERIMENTS};
+use experiments::repro::{prewarm_keys, render_selection_cores, resolve_ids};
 use experiments::{Scale, WarmupMode};
 use simsched::progress::{console_observer, Counts};
 use simtel::{Console, Telemetry};
@@ -100,12 +84,6 @@ fn main() {
     let mut simchk_budget: Option<u64> =
         std::env::var("SIMCHK_MAX").ok().and_then(|v| v.parse().ok());
     let mut telemetry_dir = std::env::var("SIMTEL_DIR").ok();
-    let mut serve: Option<String> = None;
-    let mut port_file: Option<String> = None;
-    let mut connect: Option<String> = None;
-    let mut watch = false;
-    let mut drain = false;
-    let mut shutdown = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -171,26 +149,6 @@ fn main() {
                 telemetry_dir =
                     Some(args.get(i).cloned().unwrap_or_else(|| usage("missing telemetry dir")));
             }
-            "--serve" => {
-                i += 1;
-                serve =
-                    Some(args.get(i).cloned().unwrap_or_else(|| usage("missing --serve address")));
-            }
-            "--port-file" => {
-                i += 1;
-                port_file = Some(
-                    args.get(i).cloned().unwrap_or_else(|| usage("missing --port-file path")),
-                );
-            }
-            "--connect" => {
-                i += 1;
-                connect = Some(
-                    args.get(i).cloned().unwrap_or_else(|| usage("missing --connect address")),
-                );
-            }
-            "--watch" => watch = true,
-            "--drain" => drain = true,
-            "--shutdown" => shutdown = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other:?}")),
         }
@@ -206,32 +164,7 @@ fn main() {
     } else {
         Scale::full()
     };
-
-    if serve.is_some() && connect.is_some() {
-        usage("--serve and --connect are mutually exclusive");
-    }
-    if let Some(addr) = serve {
-        serve_main(
-            &addr,
-            port_file.as_deref(),
-            threads,
-            quiet,
-            artifacts,
-            checkpoints,
-            simchk_budget,
-            telemetry_dir,
-        );
-        return;
-    }
-    if let Some(addr) = connect {
-        if huge {
-            usage("--huge is local-only; the daemon serves quick and full");
-        }
-        connect_main(
-            &addr, &exp, quick, tsv, cores, l4, sample, intervals, watch, drain, shutdown, quiet,
-        );
-        return;
-    }
+    let ids = resolve_ids(&exp).unwrap_or_else(|| usage(&format!("unknown experiment {exp:?}")));
     let cores_list: Vec<u32> = match cores {
         Some(n) => vec![n],
         None => experiments::cmp::CMP_CORES.to_vec(),
@@ -279,15 +212,9 @@ fn main() {
         };
     }
 
-    let ids: Vec<&str> = if exp == "all" {
-        EXPERIMENTS.iter().map(|&(id, _)| id).collect()
-    } else {
-        vec![exp.as_str()]
-    };
-
-    // Warm the run store in parallel before rendering anything: the
-    // union of every selected experiment's configurations, in a stable
-    // order, farmed out to the worker pool.
+    // The rendering warms the run store in parallel before emitting
+    // anything: the union of every selected experiment's configurations,
+    // in a stable order, farmed out to the worker pool.
     let keys = prewarm_keys(&ids);
     if !keys.is_empty() {
         console.status(&format!(
@@ -298,12 +225,9 @@ fn main() {
             threads,
             if threads == 1 { "" } else { "s" }
         ));
-        sweep.prefetch_all(&keys);
     }
-
-    for id in ids {
-        run_one(id, &sweep, tsv, &cores_list);
-    }
+    // `print!`: the rendering already ends every experiment with a newline.
+    print!("{}", render_selection_cores(&ids, &sweep, tsv, &cores_list));
     console.status(&format!(
         "[repro] {} runs ({} simulated, {} resumed, {} shared hits), {} threads, {:.1}s",
         sweep.runs(),
@@ -348,137 +272,6 @@ fn default_threads() -> usize {
         })
 }
 
-fn run_one(id: &str, sweep: &Sweep, tsv: bool, cores: &[u32]) {
-    if id == "cmp" {
-        let table = experiments::cmp::cmp_table(sweep, cores);
-        println!("{}", if tsv { table.render_tsv() } else { table.render() });
-        return;
-    }
-    if tsv {
-        // Machine-readable output for the distribution and performance
-        // figures; other experiments fall through to text.
-        if let Some(out) = render_experiment_tsv(id, sweep) {
-            println!("{out}");
-            return;
-        }
-    }
-    match render_experiment(id, sweep) {
-        Some(out) => println!("{out}"),
-        None => usage(&format!("unknown experiment {id:?}")),
-    }
-}
-
-/// `--serve`: run as the resident daemon until a client drains it.
-#[allow(clippy::too_many_arguments)]
-fn serve_main(
-    addr: &str,
-    port_file: Option<&str>,
-    threads: usize,
-    quiet: bool,
-    artifacts: Option<String>,
-    checkpoints: Option<String>,
-    simchk_budget: Option<u64>,
-    telemetry_dir: Option<String>,
-) {
-    let cfg = simserve::ServeConfig {
-        threads,
-        quiet,
-        artifacts: artifacts.map(Into::into),
-        checkpoints: checkpoints.map(Into::into),
-        simchk_budget,
-        telemetry: telemetry_dir.map(Into::into),
-        ..simserve::ServeConfig::default()
-    };
-    let service = match simserve::Service::new(cfg) {
-        Ok(s) => s,
-        Err(e) => usage(&format!("cannot start service: {e}")),
-    };
-    let server = match simserve::Server::bind(service, addr) {
-        Ok(s) => s,
-        Err(e) => usage(&format!("cannot bind {addr:?}: {e}")),
-    };
-    let bound = server.local_addr().expect("bound socket has an address");
-    if let Some(path) = port_file {
-        if let Err(e) = std::fs::write(path, format!("{bound}\n")) {
-            usage(&format!("cannot write port file {path:?}: {e}"));
-        }
-    }
-    if let Err(e) = server.run() {
-        eprintln!("error: server failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// `--connect`: one client call against a resident daemon.
-#[allow(clippy::too_many_arguments)]
-fn connect_main(
-    addr: &str,
-    exp: &str,
-    quick: bool,
-    tsv: bool,
-    cores: Option<u32>,
-    l4: bool,
-    sample: bool,
-    intervals: u64,
-    watch: bool,
-    drain: bool,
-    shutdown: bool,
-    quiet: bool,
-) {
-    let console = Console::from_env(quiet);
-    let mut client = match simserve::Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot connect to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let outcome = if drain {
-        client.drain().map(|()| None)
-    } else if shutdown {
-        client.shutdown().map(|()| None)
-    } else {
-        let req = simserve::SweepReq {
-            exp: exp.to_string(),
-            scale: if quick { simserve::ScaleName::Quick } else { simserve::ScaleName::Full },
-            tsv,
-            cores: cores.map_or(0, u64::from),
-            watch,
-            l4,
-            sample,
-            intervals,
-        };
-        client
-            .sweep_watch(&req, |e| {
-                let label = e.field("label").and_then(simbase::json::Json::as_str).unwrap_or("?");
-                let kind = e.field("kind").and_then(simbase::json::Json::as_str).unwrap_or("?");
-                console.status(&format!("[simserve] {kind} {label}"));
-            })
-            .map(Some)
-    };
-    match outcome {
-        // `print!`, not `println!`: the report already carries the
-        // trailing newline of every experiment, so stdout stays
-        // byte-identical to local mode.
-        Ok(Some(out)) => {
-            print!("{}", out.report);
-            console.status(&format!(
-                "[simserve] report {} ({}) from {addr}",
-                out.digest,
-                if out.fresh { "computed" } else { "coalesced" }
-            ));
-        }
-        Ok(None) => console.status(&format!(
-            "[simserve] {} acknowledged by {addr}",
-            if drain { "drain" } else { "shutdown" }
-        )),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
@@ -486,8 +279,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: repro [--exp table2|table3|table4|fig4|fig5|fig6|lru|fig7|fig8|fig9|fig10|fig11|restrict|orgs|cmp|dram|sampling|all] \
          [--quick|--huge] [--tsv] [--cores N] [--l4] [--sample [--intervals K]] [--threads N] [--artifacts DIR] \
-         [--checkpoints DIR [--simchk-prune BYTES]] [--telemetry DIR] [--quiet] \
-         [--serve ADDR [--port-file FILE]] [--connect ADDR [--watch|--drain|--shutdown]]"
+         [--checkpoints DIR [--simchk-prune BYTES]] [--telemetry DIR] [--quiet]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -155,7 +155,7 @@ impl CheckpointStore {
             let sealed = snapshot::seal(CHECKPOINT_VERSION, &payload);
             // The temp name must be unique per writer: the in-process
             // store single-flights builders, but two *stores* over the
-            // same directory (two daemon processes, a sweep racing a CI
+            // same directory (two `repro` processes, a sweep racing a CI
             // job) can build the same digest concurrently, and a shared
             // `<digest>.tmp` would let their writes interleave into one
             // file — publishing a torn checkpoint through the rename.
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn two_stores_racing_the_same_digest_publish_a_valid_checkpoint() {
-        // Models two daemon/CI processes sharing one checkpoint
+        // Models two `repro`/CI processes sharing one checkpoint
         // directory: each process has its own store (so the in-process
         // single-flight does NOT serialize them) and both build the same
         // digest at the same moment. The on-disk protocol must hold:

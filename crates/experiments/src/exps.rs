@@ -127,9 +127,8 @@ impl Sweep {
         Ok(self)
     }
 
-    /// Attaches an **existing** checkpoint store (shared with other
-    /// sweeps — e.g. every per-request sweep of the serving daemon
-    /// shares one store so its hit/miss counters are daemon-wide).
+    /// Attaches an **existing** checkpoint store, e.g. one opened with a
+    /// pruning budget or shared with other sweeps in the same process.
     #[must_use]
     pub fn with_checkpoint_store(mut self, store: Arc<CheckpointStore>) -> Self {
         self.checkpoints = Some(store);

@@ -76,9 +76,9 @@ pub fn resolve_ids(exp: &str) -> Option<Vec<&'static str>> {
 /// prints them to stdout: the union of their configuration keys is
 /// prewarmed on the sweep's worker pool, then each experiment's text
 /// (or TSV, when requested and the experiment has one) is emitted
-/// followed by a newline. This is the single rendering entry point
-/// shared by the `repro` binary and the `simserve` daemon, so a served
-/// report cannot drift from the in-process one by a byte.
+/// followed by a newline. This is the single rendering entry point of
+/// the `repro` binary and the golden-snapshot tests, so the two cannot
+/// drift apart by a byte.
 ///
 /// # Panics
 ///
@@ -103,16 +103,11 @@ pub fn render_selection_cores(ids: &[&str], sweep: &Sweep, tsv: bool, cores: &[u
     }
     let mut out = String::new();
     for id in ids {
-        let text = if *id == "cmp" {
-            let table = crate::cmp::cmp_table(sweep, cores);
-            Some(if tsv { table.render_tsv() } else { table.render() })
-        } else if tsv {
-            render_experiment_tsv(id, sweep)
-        } else {
-            None
-        };
-        let text = text
-            .or_else(|| render_experiment(id, sweep))
+        // TSV where the experiment has one, text otherwise.
+        let text = tsv
+            .then(|| render_experiment_tsv(id, sweep, cores))
+            .flatten()
+            .or_else(|| render_experiment(id, sweep, cores))
             .unwrap_or_else(|| panic!("unknown experiment id {id:?}"));
         out.push_str(&text);
         out.push('\n');
@@ -120,9 +115,9 @@ pub fn render_selection_cores(ids: &[&str], sweep: &Sweep, tsv: bool, cores: &[u
     out
 }
 
-/// Renders one experiment exactly as `repro` prints it (text mode).
-/// Returns `None` for an unknown id.
-pub fn render_experiment(id: &str, sweep: &Sweep) -> Option<String> {
+/// Renders one experiment's text, `cmp` over `cores`. Returns `None` for
+/// an unknown id.
+fn render_experiment(id: &str, sweep: &Sweep, cores: &[u32]) -> Option<String> {
     Some(match id {
         "table2" => format!("Table 2: cache energies (nJ)\n{}", exps::table2().render()),
         "table3" => format!(
@@ -141,17 +136,17 @@ pub fn render_experiment(id: &str, sweep: &Sweep) -> Option<String> {
         "fig11" => exps::fig11(sweep).render(),
         "restrict" => exps::restriction_ablation(sweep).render(),
         "orgs" => exps::orgs(sweep).render(),
-        "cmp" => crate::cmp::cmp_table(sweep, crate::cmp::CMP_CORES).render(),
+        "cmp" => crate::cmp::cmp_table(sweep, cores).render(),
         "dram" => exps::dram(sweep).render(),
         "sampling" => exps::sampling(sweep).render(),
         _ => return None,
     })
 }
 
-/// Renders one experiment's machine-readable TSV, for the experiments
-/// that have one. Returns `None` when the id has no TSV form (callers
-/// fall back to [`render_experiment`]).
-pub fn render_experiment_tsv(id: &str, sweep: &Sweep) -> Option<String> {
+/// Renders one experiment's machine-readable TSV, `cmp` over `cores`.
+/// Returns `None` when the id has no TSV form (callers fall back to
+/// [`render_experiment`]).
+fn render_experiment_tsv(id: &str, sweep: &Sweep, cores: &[u32]) -> Option<String> {
     Some(match id {
         "fig4" => exps::fig4(sweep).render_tsv(),
         "fig5" => exps::fig5(sweep).render_tsv(),
@@ -159,14 +154,14 @@ pub fn render_experiment_tsv(id: &str, sweep: &Sweep) -> Option<String> {
         "fig7" => exps::fig7(sweep).render_tsv(),
         "fig8" => exps::fig8(sweep).render_tsv(),
         "fig9" => exps::fig9(sweep).render_tsv(),
-        "cmp" => crate::cmp::cmp_table(sweep, crate::cmp::CMP_CORES).render_tsv(),
+        "cmp" => crate::cmp::cmp_table(sweep, cores).render_tsv(),
         _ => return None,
     })
 }
 
 /// The complete text report — every experiment in [`EXPERIMENTS`] order,
-/// each followed by the newline `println!` appends — byte-identical to
-/// the `repro` binary's stdout for the same scale.
+/// each followed by a newline — byte-identical to the `repro` binary's
+/// stdout for the same scale.
 pub fn render_report(sweep: &Sweep) -> String {
     let ids = resolve_ids("all").expect("'all' always resolves");
     render_selection(&ids, sweep, false)

@@ -55,5 +55,5 @@ pub use simbase::json;
 
 pub use artifact::ArtifactStore;
 pub use pool::run_jobs;
-pub use progress::{Event, EventKind, Hub, Observer, Outcome};
-pub use store::{EntryState, RunStore};
+pub use progress::{Event, EventKind, Observer, Outcome};
+pub use store::RunStore;

@@ -49,73 +49,6 @@ pub struct Event {
 /// A scheduler event sink.
 pub type Observer = Arc<dyn Fn(&Event) + Send + Sync>;
 
-/// A dynamic fan-out point for scheduler events.
-///
-/// A `Sweep` accepts exactly one [`Observer`]; long-lived serving layers
-/// need to attach and detach listeners while the sweep is running (one
-/// per watching client). A `Hub` is installed once as the sweep's
-/// observer and forwards every event to the observers currently
-/// subscribed. Subscribers must be fast and non-blocking — they run on
-/// the worker threads emitting the events (bounded-queue senders that
-/// drop on overflow, not blocking writes).
-#[derive(Default)]
-pub struct Hub {
-    subs: std::sync::Mutex<Vec<(u64, Observer)>>,
-    next: AtomicU64,
-}
-
-impl Hub {
-    /// An empty hub.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Hub::default())
-    }
-
-    /// The [`Observer`] to install on the sweep: forwards each event to
-    /// every currently subscribed observer, in subscription order.
-    pub fn observer(self: &Arc<Self>) -> Observer {
-        let me = Arc::clone(self);
-        Arc::new(move |e: &Event| {
-            // Clone the roster out of the lock so a slow subscriber (or
-            // one that re-enters subscribe/unsubscribe) cannot deadlock
-            // or serialize the worker threads.
-            let subs: Vec<Observer> = me
-                .subs
-                .lock()
-                .expect("hub poisoned")
-                .iter()
-                .map(|(_, o)| Arc::clone(o))
-                .collect();
-            for obs in subs {
-                obs(e);
-            }
-        })
-    }
-
-    /// Adds an observer; returns a token for [`Hub::unsubscribe`].
-    pub fn subscribe(&self, obs: Observer) -> u64 {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.subs.lock().expect("hub poisoned").push((id, obs));
-        id
-    }
-
-    /// Removes a previously subscribed observer. Unknown tokens are
-    /// ignored (the subscriber may already have been dropped).
-    pub fn unsubscribe(&self, token: u64) {
-        self.subs.lock().expect("hub poisoned").retain(|(id, _)| *id != token);
-    }
-
-    /// Number of live subscribers.
-    pub fn subscribers(&self) -> usize {
-        self.subs.lock().expect("hub poisoned").len()
-    }
-}
-
-impl std::fmt::Debug for Hub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Hub({} subscribers)", self.subscribers())
-    }
-}
-
 /// A lock-free counting observer for tests and summaries.
 #[derive(Debug, Default)]
 pub struct Counts {
@@ -230,34 +163,6 @@ mod tests {
         assert_eq!(counts.resumed.load(Ordering::Relaxed), 1);
         assert_eq!(counts.shared.load(Ordering::Relaxed), 1);
         assert_eq!(counts.finished(), 3);
-    }
-
-    #[test]
-    fn hub_fans_out_to_current_subscribers_only() {
-        let hub = Hub::new();
-        let fanned = hub.observer();
-        let a = Counts::new();
-        let b = Counts::new();
-        let event = Event {
-            label: "nf4/galgel".into(),
-            kind: EventKind::Queued,
-        };
-
-        // No subscribers: events are dropped, not buffered.
-        fanned(&event);
-        let tok_a = hub.subscribe(a.observer());
-        fanned(&event);
-        let _tok_b = hub.subscribe(b.observer());
-        fanned(&event);
-        hub.unsubscribe(tok_a);
-        fanned(&event);
-
-        assert_eq!(a.queued.load(Ordering::Relaxed), 2);
-        assert_eq!(b.queued.load(Ordering::Relaxed), 2);
-        assert_eq!(hub.subscribers(), 1);
-        // Unknown tokens are a no-op.
-        hub.unsubscribe(999);
-        assert_eq!(hub.subscribers(), 1);
     }
 
     #[test]

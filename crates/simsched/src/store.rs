@@ -23,15 +23,6 @@ enum Entry<V> {
     Done(Arc<V>),
 }
 
-/// Observable lifecycle state of a key (see [`RunStore::status`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryState {
-    /// A computation for the key is in flight.
-    Running,
-    /// The key has a completed value.
-    Done,
-}
-
 /// A concurrent, memoizing, single-flight map.
 pub struct RunStore<K, V> {
     inner: Mutex<HashMap<K, Entry<V>>>,
@@ -99,19 +90,6 @@ impl<K: Eq + Hash + Clone, V> RunStore<K, V> {
         match self.inner.lock().expect("run store poisoned").get(key) {
             Some(Entry::Done(v)) => Some(Arc::clone(v)),
             _ => None,
-        }
-    }
-
-    /// Non-blocking state probe for `key`: `None` when the store has
-    /// never seen the key, `Some(Running)` while a computation is in
-    /// flight, `Some(Done)` once a value is available. Serving layers use
-    /// this to answer status queries without joining the single-flight
-    /// wait.
-    pub fn status(&self, key: &K) -> Option<EntryState> {
-        match self.inner.lock().expect("run store poisoned").get(key) {
-            Some(Entry::Done(_)) => Some(EntryState::Done),
-            Some(Entry::Running) => Some(EntryState::Running),
-            None => None,
         }
     }
 
@@ -190,26 +168,6 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1, "single-flight violated");
         assert_eq!(store.completed(), 1);
-    }
-
-    #[test]
-    fn status_reports_unknown_running_done() {
-        let store: RunStore<u32, u64> = RunStore::new();
-        assert_eq!(store.status(&7), None);
-        let barrier = Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                store.get_or_compute(7, || {
-                    barrier.wait();
-                    // Keep the key Running until the probe below has run.
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    77
-                });
-            });
-            barrier.wait();
-            assert_eq!(store.status(&7), Some(EntryState::Running));
-        });
-        assert_eq!(store.status(&7), Some(EntryState::Done));
     }
 
     #[test]

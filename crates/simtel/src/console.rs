@@ -13,7 +13,6 @@ use std::sync::Arc;
 pub struct Console {
     quiet: bool,
     mirror: Option<Arc<Telemetry>>,
-    tag: Option<Arc<str>>,
 }
 
 impl std::fmt::Debug for Console {
@@ -30,16 +29,12 @@ impl Console {
     /// `SIMTEL_QUIET` environment variable is truthy (anything except
     /// empty, `0`, or `false`).
     pub fn from_env(quiet: bool) -> Self {
-        Console {
-            quiet: quiet || env_quiet(),
-            mirror: None,
-            tag: None,
-        }
+        Console { quiet: quiet || env_quiet(), mirror: None }
     }
 
     /// An explicitly-configured console (tests).
     pub fn new(quiet: bool) -> Self {
-        Console { quiet, mirror: None, tag: None }
+        Console { quiet, mirror: None }
     }
 
     /// Mirrors every status line onto `telemetry`'s wall channel as an
@@ -47,16 +42,6 @@ impl Console {
     #[must_use]
     pub fn with_mirror(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.mirror = Some(telemetry);
-        self
-    }
-
-    /// Prefixes every status line with `tag` — e.g. a serving daemon
-    /// hands each connection a clone tagged `[conn 3]` so interleaved
-    /// per-connection lines stay attributable. The tag is applied to the
-    /// wall-channel mirror too.
-    #[must_use]
-    pub fn with_tag(mut self, tag: &str) -> Self {
-        self.tag = Some(Arc::from(tag));
         self
     }
 
@@ -68,14 +53,6 @@ impl Console {
     /// Emits one status line to stderr (unless quiet) and to the wall
     /// channel mirror (always, when attached).
     pub fn status(&self, line: &str) {
-        let tagged;
-        let line = match &self.tag {
-            Some(tag) => {
-                tagged = format!("{tag} {line}");
-                tagged.as_str()
-            }
-            None => line,
-        };
         if let Some(t) = &self.mirror {
             t.wall_mark("status", line);
         }
@@ -100,16 +77,6 @@ mod tests {
     fn quiet_flag_is_respected() {
         assert!(Console::new(true).quiet());
         assert!(!Console::new(false).quiet());
-    }
-
-    #[test]
-    fn tagged_console_prefixes_mirrored_lines() {
-        let t = Arc::new(Telemetry::with_params(8, 0));
-        let c = Console::new(true).with_mirror(Arc::clone(&t)).with_tag("[conn 3]");
-        c.status("sweep accepted");
-        assert_eq!(t.wall_events(), 1);
-        let wall = t.render_wall();
-        assert!(wall.contains("[conn 3] sweep accepted"), "{wall}");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! End-to-end checks of the simsched execution subsystem through the
 //! experiment harness: deterministic results regardless of worker-thread
-//! count, and bit-exact resume from on-disk run artifacts.
+//! count, run reuse across renderings, and bit-exact resume from on-disk
+//! run artifacts.
 
 use experiments::exps::{self, Sweep};
+use experiments::repro::render_selection;
 use experiments::Scale;
 use std::path::PathBuf;
 use workloads::profiles::by_name;
@@ -121,6 +123,30 @@ fn sweep_resumes_from_partial_artifacts() {
     cold.prefetch_all(&KEYS);
     assert_eq!(cold.simulated(), 0, "fully-artifacted sweep must not re-simulate");
     assert_eq!(cold.resumed() as usize, total);
+}
+
+#[test]
+fn distinct_renderings_share_underlying_runs() {
+    // Two renderings of one selection (text, then TSV) and two selections
+    // over overlapping configurations reuse each other's runs through the
+    // sweep's single-flight store instead of re-simulating them.
+    let sweep = Sweep::with_apps(tiny(), apps()).with_threads(2);
+    let text = render_selection(&["fig4"], &sweep, false);
+    let after_text = sweep.simulated();
+    assert_eq!(after_text as usize, apps().len() * 2, "fig4 simulates sa4 and nf4");
+    let tsv = render_selection(&["fig4"], &sweep, true);
+    assert_ne!(text, tsv, "the TSV rendering must differ from the text one");
+    assert_eq!(sweep.simulated(), after_text, "the TSV rendering must reuse the text one's runs");
+
+    // fig9 shares base, nf4 and nf8 with fig8; only dn-perf is new.
+    render_selection(&["fig8"], &sweep, false);
+    let after_fig8 = sweep.simulated();
+    render_selection(&["fig9"], &sweep, false);
+    assert_eq!(
+        (sweep.simulated() - after_fig8) as usize,
+        apps().len(),
+        "fig9 after fig8 may simulate only its dn-perf runs"
+    );
 }
 
 #[test]
