@@ -32,6 +32,7 @@
 use cpu::uop::TraceSource;
 use cpu::{CoreParams, CoreResult, OooCore};
 use memsys::bankq::{BankQueueParams, BankQueues};
+use memsys::dramcache::L4Stats;
 use memsys::l1::CoreMemSystem;
 use memsys::lower::{LowerCache, LowerOutcome};
 use memsys::org::{OrgReport, Organization};
@@ -305,16 +306,12 @@ impl CmpSystem {
         }
         sink.reset();
         self.shared.borrow_mut().org.set_telemetry(sink, snap_every);
-        let old: Vec<OooCore<SharedL2>> = std::mem::take(&mut self.cores);
-        for core in old {
-            let (mut mem, mut pred) = core.into_parts();
-            mem.drain_timing();
-            mem.reset_stats();
-            pred.reset_counters();
-            let mut fresh = OooCore::new(CoreParams::micro2003(), mem);
-            fresh.set_predictor(pred);
-            self.cores.push(fresh);
-        }
+        // The shared organization was drained once above; each core's
+        // handle onto it has nothing of its own to clear.
+        self.cores = std::mem::take(&mut self.cores)
+            .into_iter()
+            .map(|core| core.drain_barrier(|_| {}))
+            .collect();
         self.inv_lines.iter_mut().for_each(|v| *v = 0);
     }
 
@@ -353,6 +350,20 @@ impl CmpSystem {
             per_core_bank_stalls: s.bank_stalls[..n].to_vec(),
             invalidations: self.inv_lines.clone(),
         }
+    }
+
+    /// L1 (I + D) accesses per core, in core order.
+    pub fn l1_accesses(&self) -> Vec<u64> {
+        self.cores.iter().map(|c| c.mem().l1_accesses()).collect()
+    }
+
+    /// The shared organization's L4 counters, when an L4 tier is attached.
+    pub fn l4_stats(&self) -> Option<L4Stats> {
+        self.shared
+            .borrow()
+            .org
+            .main_memory()
+            .and_then(|m| m.l4_stats())
     }
 
     /// Emits the per-core counters (`cmp.coreN.*`) and the shared bank /
@@ -478,14 +489,10 @@ mod tests {
         let mut gen = TraceGenerator::new(profile, SEED);
         let mut core = OooCore::new(CoreParams::micro2003(), CoreMemSystem::micro2003(org));
         core.warm_run(&mut gen, warm);
-        let (mut mem, mut pred) = core.into_parts();
-        mem.drain_timing();
-        mem.lower_mut().drain_timing();
-        mem.reset_stats();
-        mem.lower_mut().reset_stats();
-        pred.reset_counters();
-        let mut core = OooCore::new(CoreParams::micro2003(), mem);
-        core.set_predictor(pred);
+        let mut core = core.drain_barrier(|org| {
+            org.drain_timing();
+            org.reset_stats();
+        });
         for _ in 0..measure {
             let op = gen.next_op();
             core.execute(op);

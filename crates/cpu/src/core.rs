@@ -95,7 +95,7 @@ impl FuPool {
 }
 
 /// Aggregate results of a simulation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreResult {
     /// Committed instructions.
     pub instructions: u64,
@@ -125,27 +125,38 @@ impl CoreResult {
         }
     }
 
-    /// The delta between this result and an `earlier` snapshot of the same
-    /// run — the steady-state measurement after a warm-up phase.
+    /// Field-wise `self - earlier`: the events between an `earlier`
+    /// snapshot of the same run and this one.
     ///
     /// # Panics
     ///
     /// Panics if `earlier` is not actually earlier.
     #[must_use]
-    pub fn since(&self, earlier: &CoreResult) -> CoreResult {
+    pub fn minus(&self, earlier: &CoreResult) -> CoreResult {
         assert!(
             self.instructions >= earlier.instructions && self.cycles >= earlier.cycles,
             "snapshot order reversed"
         );
+        self.zip(earlier, |a, b| a - b)
+    }
+
+    /// Field-wise `self + other`: the events of two disjoint windows.
+    #[must_use]
+    pub fn plus(&self, other: &CoreResult) -> CoreResult {
+        self.zip(other, |a, b| a + b)
+    }
+
+    /// Applies `f` field by field.
+    fn zip(&self, o: &CoreResult, f: impl Fn(u64, u64) -> u64) -> CoreResult {
         CoreResult {
-            instructions: self.instructions - earlier.instructions,
-            cycles: self.cycles - earlier.cycles,
-            loads: self.loads - earlier.loads,
-            stores: self.stores - earlier.stores,
-            branches: self.branches - earlier.branches,
-            mispredicts: self.mispredicts - earlier.mispredicts,
-            int_ops: self.int_ops - earlier.int_ops,
-            fp_ops: self.fp_ops - earlier.fp_ops,
+            instructions: f(self.instructions, o.instructions),
+            cycles: f(self.cycles, o.cycles),
+            loads: f(self.loads, o.loads),
+            stores: f(self.stores, o.stores),
+            branches: f(self.branches, o.branches),
+            mispredicts: f(self.mispredicts, o.mispredicts),
+            int_ops: f(self.int_ops, o.int_ops),
+            fp_ops: f(self.fp_ops, o.fp_ops),
         }
     }
 }
@@ -505,6 +516,25 @@ impl<L: LowerCache> OooCore<L> {
         (self.mem, self.predictor)
     }
 
+    /// The drain barrier at the stats boundary (DESIGN.md §11): clears the
+    /// L1s' timing state, zeroes the L1 and predictor counters, hands the
+    /// lower level to `lower` (which drains and resets whatever it owns),
+    /// and rebuilds the core at cycle zero over the preserved
+    /// architectural state. Every measured phase — single-core, sampled
+    /// interval, and each CMP core — crosses this one function.
+    #[must_use]
+    pub fn drain_barrier(self, lower: impl FnOnce(&mut L)) -> Self {
+        let params = self.params;
+        let (mut mem, mut pred) = self.into_parts();
+        mem.drain_timing();
+        mem.reset_stats();
+        lower(mem.lower_mut());
+        pred.reset_counters();
+        let mut core = OooCore::new(params, mem);
+        core.set_predictor(pred);
+        core
+    }
+
     /// Replaces the predictor (transplanting trained tables across the
     /// warm-up/measure boundary).
     pub fn set_predictor(&mut self, predictor: HybridPredictor) {
@@ -782,17 +812,12 @@ mod tests {
             timed.execute(*op);
             fast.warm_execute(*op);
         }
-        // The drain barrier + fresh-core rebuild both modes share.
+        // The drain barrier both modes share.
         let rebuild = |c: OooCore<BaseHierarchy>| {
-            let (mut mem, mut pred) = c.into_parts();
-            mem.drain_timing();
-            mem.lower_mut().drain_timing();
-            mem.reset_stats();
-            mem.lower_mut().reset_stats();
-            pred.reset_counters();
-            let mut fresh = OooCore::new(CoreParams::micro2003(), mem);
-            fresh.set_predictor(pred);
-            fresh
+            c.drain_barrier(|lower| {
+                lower.drain_timing();
+                lower.reset_stats();
+            })
         };
         let mut timed = rebuild(timed);
         let mut fast = rebuild(fast);

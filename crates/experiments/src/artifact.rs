@@ -16,6 +16,7 @@
 //! domain separation anyway) could never decode the wrong type.
 
 use crate::cmp::CmpRun;
+use crate::engine::Counters;
 use crate::exps::DramRun;
 use crate::runner::{AppRun, TransientWindow};
 use crate::sampling::{SampleSpec, SampledRun, WindowObs};
@@ -34,24 +35,23 @@ fn bits_f64(j: &Json) -> Option<f64> {
     j.as_u64().map(f64::from_bits)
 }
 
+/// Decodes an energy from its bit pattern, rejecting the negative and
+/// non-finite patterns [`EnergyNj::new`] would panic on.
+fn bits_energy(j: &Json) -> Option<EnergyNj> {
+    let nj = bits_f64(j)?;
+    (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))
+}
+
+fn u64s(j: &Json) -> Option<Vec<u64>> {
+    j.as_arr()?.iter().map(Json::as_u64).collect()
+}
+
 /// Encodes a run as a JSON object (the artifact payload).
 pub fn encode(run: &AppRun) -> Json {
     Json::obj(vec![
         ("app", Json::Str(run.name.to_string())),
         ("ipc", Json::F64((run.ipc() * 1e4).round() / 1e4)),
-        (
-            "core",
-            Json::obj(vec![
-                ("instructions", Json::U64(run.core.instructions)),
-                ("cycles", Json::U64(run.core.cycles)),
-                ("loads", Json::U64(run.core.loads)),
-                ("stores", Json::U64(run.core.stores)),
-                ("branches", Json::U64(run.core.branches)),
-                ("mispredicts", Json::U64(run.core.mispredicts)),
-                ("int_ops", Json::U64(run.core.int_ops)),
-                ("fp_ops", Json::U64(run.core.fp_ops)),
-            ]),
-        ),
+        ("core", encode_core(&run.core)),
         ("l2_accesses", Json::U64(run.l2_accesses)),
         ("l2_misses", Json::U64(run.l2_misses)),
         (
@@ -62,15 +62,7 @@ pub fn encode(run: &AppRun) -> Json {
         ("dgroup_accesses", Json::U64(run.dgroup_accesses)),
         ("swaps", Json::U64(run.swaps)),
         ("l2_energy_bits", f64_bits(run.l2_energy.nj())),
-        (
-            "energy_bits",
-            Json::obj(vec![
-                ("core", f64_bits(run.energy.core.nj())),
-                ("l1", f64_bits(run.energy.l1.nj())),
-                ("l2", f64_bits(run.energy.l2.nj())),
-                ("memory", f64_bits(run.energy.memory.nj())),
-            ]),
-        ),
+        ("energy_bits", encode_energy(&run.energy)),
     ])
 }
 
@@ -79,27 +71,12 @@ pub fn encode(run: &AppRun) -> Json {
 /// application name is not in the roster.
 pub fn decode(j: &Json) -> Option<AppRun> {
     let name = workloads::profiles::by_name(j.field("app")?.as_str()?)?.name;
-    let core = j.field("core")?;
-    let u = |obj: &Json, k: &str| obj.field(k)?.as_u64();
-    let energy = j.field("energy_bits")?;
-    let e = |k: &str| -> Option<EnergyNj> {
-        let nj = bits_f64(energy.field(k)?)?;
-        (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))
-    };
+    let u = |k: &str| j.field(k)?.as_u64();
     Some(AppRun {
         name,
-        core: CoreResult {
-            instructions: u(core, "instructions")?,
-            cycles: u(core, "cycles")?,
-            loads: u(core, "loads")?,
-            stores: u(core, "stores")?,
-            branches: u(core, "branches")?,
-            mispredicts: u(core, "mispredicts")?,
-            int_ops: u(core, "int_ops")?,
-            fp_ops: u(core, "fp_ops")?,
-        },
-        l2_accesses: u(j, "l2_accesses")?,
-        l2_misses: u(j, "l2_misses")?,
+        core: decode_core(j.field("core")?)?,
+        l2_accesses: u("l2_accesses")?,
+        l2_misses: u("l2_misses")?,
         group_fracs: j
             .field("group_frac_bits")?
             .as_arr()?
@@ -107,18 +84,10 @@ pub fn decode(j: &Json) -> Option<AppRun> {
             .map(bits_f64)
             .collect::<Option<Vec<f64>>>()?,
         miss_frac: bits_f64(j.field("miss_frac_bits")?)?,
-        dgroup_accesses: u(j, "dgroup_accesses")?,
-        swaps: u(j, "swaps")?,
-        l2_energy: {
-            let nj = bits_f64(j.field("l2_energy_bits")?)?;
-            (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))?
-        },
-        energy: EnergyTally {
-            core: e("core")?,
-            l1: e("l1")?,
-            l2: e("l2")?,
-            memory: e("memory")?,
-        },
+        dgroup_accesses: u("dgroup_accesses")?,
+        swaps: u("swaps")?,
+        l2_energy: bits_energy(j.field("l2_energy_bits")?)?,
+        energy: decode_energy(j.field("energy_bits")?)?,
     })
 }
 
@@ -149,6 +118,39 @@ fn decode_core(j: &Json) -> Option<CoreResult> {
     })
 }
 
+/// Encodes an organization report: integer counts, d-group hits
+/// included, plus the energy's bit pattern. Nested under its own key
+/// (`"report"` in a CMP payload, `"org"` in a window's counters), so a
+/// payload written before the hits became counts — flat, with
+/// `group_frac_bits` — can never decode as one.
+fn encode_org(r: &OrgReport) -> Json {
+    Json::obj(vec![
+        ("l2_accesses", Json::U64(r.l2_accesses)),
+        ("l2_misses", Json::U64(r.l2_misses)),
+        (
+            "group_hits",
+            Json::Arr(r.group_hits.iter().map(|&h| Json::U64(h)).collect()),
+        ),
+        ("dgroup_accesses", Json::U64(r.dgroup_accesses)),
+        ("swaps", Json::U64(r.swaps)),
+        ("memory_accesses", Json::U64(r.memory_accesses)),
+        ("l2_energy_bits", f64_bits(r.l2_energy.nj())),
+    ])
+}
+
+fn decode_org(j: &Json) -> Option<OrgReport> {
+    let u = |k: &str| j.field(k)?.as_u64();
+    Some(OrgReport {
+        l2_accesses: u("l2_accesses")?,
+        l2_misses: u("l2_misses")?,
+        group_hits: u64s(j.field("group_hits")?)?,
+        dgroup_accesses: u("dgroup_accesses")?,
+        swaps: u("swaps")?,
+        memory_accesses: u("memory_accesses")?,
+        l2_energy: bits_energy(j.field("l2_energy_bits")?)?,
+    })
+}
+
 /// Encodes a CMP run as a JSON object (the artifact payload). The
 /// `cmp_cores` field discriminates the family: [`decode`] requires an
 /// `"app"` field this payload never has, and [`decode_cmp`] requires
@@ -164,17 +166,7 @@ pub fn encode_cmp(run: &CmpRun) -> Json {
         ),
         ("mean_ipc", Json::F64((run.mean_ipc() * 1e4).round() / 1e4)),
         ("per_core", Json::Arr(r.per_core.iter().map(encode_core).collect())),
-        ("l2_accesses", Json::U64(r.report.l2_accesses)),
-        ("l2_misses", Json::U64(r.report.l2_misses)),
-        (
-            "group_frac_bits",
-            Json::Arr(r.report.group_fracs.iter().map(|&f| f64_bits(f)).collect()),
-        ),
-        ("miss_frac_bits", f64_bits(r.report.miss_frac)),
-        ("dgroup_accesses", Json::U64(r.report.dgroup_accesses)),
-        ("swaps", Json::U64(r.report.swaps)),
-        ("memory_accesses", Json::U64(r.report.memory_accesses)),
-        ("l2_energy_bits", f64_bits(r.report.l2_energy.nj())),
+        ("report", encode_org(&r.report)),
         ("bank_conflicts", Json::U64(r.bank_conflicts)),
         ("bank_stall_cycles", Json::U64(r.bank_stall_cycles)),
         (
@@ -207,11 +199,8 @@ pub fn decode_cmp(j: &Json) -> Option<CmpRun> {
         .iter()
         .map(decode_core)
         .collect::<Option<Vec<CoreResult>>>()?;
-    let u64s = |k: &str| -> Option<Vec<u64>> {
-        j.field(k)?.as_arr()?.iter().map(Json::as_u64).collect()
-    };
-    let per_core_bank_stalls = u64s("per_core_bank_stalls")?;
-    let invalidations = u64s("invalidations")?;
+    let per_core_bank_stalls = u64s(j.field("per_core_bank_stalls")?)?;
+    let invalidations = u64s(j.field("invalidations")?)?;
     let n = cores as usize;
     if apps.len() != n
         || per_core.len() != n
@@ -227,24 +216,7 @@ pub fn decode_cmp(j: &Json) -> Option<CmpRun> {
         apps,
         result: ::cmp::CmpResult {
             per_core,
-            report: OrgReport {
-                l2_accesses: u("l2_accesses")?,
-                l2_misses: u("l2_misses")?,
-                group_fracs: j
-                    .field("group_frac_bits")?
-                    .as_arr()?
-                    .iter()
-                    .map(bits_f64)
-                    .collect::<Option<Vec<f64>>>()?,
-                miss_frac: bits_f64(j.field("miss_frac_bits")?)?,
-                dgroup_accesses: u("dgroup_accesses")?,
-                swaps: u("swaps")?,
-                memory_accesses: u("memory_accesses")?,
-                l2_energy: {
-                    let nj = bits_f64(j.field("l2_energy_bits")?)?;
-                    (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))?
-                },
-            },
+            report: decode_org(j.field("report")?)?,
             bank_conflicts: u("bank_conflicts")?,
             bank_stall_cycles: u("bank_stall_cycles")?,
             per_core_bank_stalls,
@@ -254,47 +226,16 @@ pub fn decode_cmp(j: &Json) -> Option<CmpRun> {
 }
 
 fn encode_window(w: &TransientWindow) -> Json {
-    let s = &w.l4;
     Json::obj(vec![
-        ("instructions", Json::U64(w.instructions)),
-        ("cycles", Json::U64(w.cycles)),
         ("n_banks", Json::U64(u64::from(w.n_banks))),
-        ("accesses", Json::U64(s.accesses)),
-        ("hits", Json::U64(s.hits)),
-        ("misses", Json::U64(s.misses)),
-        ("fills", Json::U64(s.fills)),
-        ("dirty_fills", Json::U64(s.dirty_fills)),
-        ("writebacks", Json::U64(s.writebacks)),
-        ("tag_probes", Json::U64(s.tag_probes)),
-        ("tag_cache_hits", Json::U64(s.tag_cache_hits)),
-        ("resize_writebacks", Json::U64(s.resize_writebacks)),
-        ("resizes", Json::U64(s.resizes)),
-        ("memory_energy_bits", f64_bits(w.memory_energy.nj())),
+        ("counters", encode_counters(&w.counters)),
     ])
 }
 
 fn decode_window(j: &Json) -> Option<TransientWindow> {
-    let u = |k: &str| j.field(k)?.as_u64();
     Some(TransientWindow {
-        instructions: u("instructions")?,
-        cycles: u("cycles")?,
-        n_banks: u32::try_from(u("n_banks")?).ok()?,
-        l4: L4Stats {
-            accesses: u("accesses")?,
-            hits: u("hits")?,
-            misses: u("misses")?,
-            fills: u("fills")?,
-            dirty_fills: u("dirty_fills")?,
-            writebacks: u("writebacks")?,
-            tag_probes: u("tag_probes")?,
-            tag_cache_hits: u("tag_cache_hits")?,
-            resize_writebacks: u("resize_writebacks")?,
-            resizes: u("resizes")?,
-        },
-        memory_energy: {
-            let nj = bits_f64(j.field("memory_energy_bits")?)?;
-            (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))?
-        },
+        n_banks: u32::try_from(j.field("n_banks")?.as_u64()?).ok()?,
+        counters: decode_counters(j.field("counters")?)?,
     })
 }
 
@@ -378,64 +319,51 @@ fn encode_energy(e: &EnergyTally) -> Json {
 }
 
 fn decode_energy(j: &Json) -> Option<EnergyTally> {
-    let e = |k: &str| -> Option<EnergyNj> {
-        let nj = bits_f64(j.field(k)?)?;
-        (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))
-    };
     Some(EnergyTally {
-        core: e("core")?,
-        l1: e("l1")?,
-        l2: e("l2")?,
-        memory: e("memory")?,
+        core: bits_energy(j.field("core")?)?,
+        l1: bits_energy(j.field("l1")?)?,
+        l2: bits_energy(j.field("l2")?)?,
+        memory: bits_energy(j.field("memory")?)?,
     })
 }
 
-fn encode_obs(w: &WindowObs) -> Json {
+fn encode_counters(c: &Counters) -> Json {
     let mut pairs = vec![
-        ("index", Json::U64(w.index)),
-        ("start", Json::U64(w.start)),
-        ("core", encode_core(&w.core)),
-        ("l1_accesses", Json::U64(w.l1_accesses)),
-        ("l2_accesses", Json::U64(w.l2_accesses)),
-        ("l2_misses", Json::U64(w.l2_misses)),
-        ("dgroup_accesses", Json::U64(w.dgroup_accesses)),
-        ("swaps", Json::U64(w.swaps)),
-        (
-            "group_hit_bits",
-            Json::Arr(w.group_hits.iter().map(|&h| f64_bits(h)).collect()),
-        ),
-        ("memory_accesses", Json::U64(w.memory_accesses)),
-        ("energy_bits", encode_energy(&w.energy)),
+        ("core", encode_core(&c.core)),
+        ("l1_accesses", Json::U64(c.l1_accesses)),
+        ("org", encode_org(&c.org)),
     ];
-    if let Some(s) = &w.l4 {
+    if let Some(s) = &c.l4 {
         pairs.push(("l4", encode_l4(s)));
     }
     Json::obj(pairs)
 }
 
-fn decode_obs(j: &Json) -> Option<WindowObs> {
-    let u = |k: &str| j.field(k)?.as_u64();
-    Some(WindowObs {
-        index: u("index")?,
-        start: u("start")?,
+fn decode_counters(j: &Json) -> Option<Counters> {
+    Some(Counters {
         core: decode_core(j.field("core")?)?,
-        l1_accesses: u("l1_accesses")?,
-        l2_accesses: u("l2_accesses")?,
-        l2_misses: u("l2_misses")?,
-        dgroup_accesses: u("dgroup_accesses")?,
-        swaps: u("swaps")?,
-        group_hits: j
-            .field("group_hit_bits")?
-            .as_arr()?
-            .iter()
-            .map(bits_f64)
-            .collect::<Option<Vec<f64>>>()?,
-        memory_accesses: u("memory_accesses")?,
+        l1_accesses: j.field("l1_accesses")?.as_u64()?,
+        org: decode_org(j.field("org")?)?,
         l4: match j.field("l4") {
             Some(l4) => Some(decode_l4(l4)?),
             None => None,
         },
-        energy: decode_energy(j.field("energy_bits")?)?,
+    })
+}
+
+fn encode_obs(w: &WindowObs) -> Json {
+    Json::obj(vec![
+        ("index", Json::U64(w.index)),
+        ("start", Json::U64(w.start)),
+        ("counters", encode_counters(&w.counters)),
+    ])
+}
+
+fn decode_obs(j: &Json) -> Option<WindowObs> {
+    Some(WindowObs {
+        index: j.field("index")?.as_u64()?,
+        start: j.field("start")?.as_u64()?,
+        counters: decode_counters(j.field("counters")?)?,
     })
 }
 
@@ -443,7 +371,7 @@ fn decode_obs(j: &Json) -> Option<WindowObs> {
 /// `sampled_app` field discriminates the family from the `"app"`,
 /// `"cmp_cores"`, and `"dram_app"` payloads; the estimated [`AppRun`]
 /// nests under `"run"` using the plain codec and the per-window
-/// observations under `"windows"`, so a resumed sampling study
+/// [`Counters`] under `"windows"`, so a resumed sampling study
 /// reproduces both the estimate and its confidence intervals
 /// bit-identically.
 pub fn encode_sampled(run: &SampledRun) -> Json {
@@ -554,13 +482,7 @@ mod tests {
         assert!(decode(&j).is_none());
         // Negative energy bit pattern must not panic EnergyNj::new.
         let mut j = encode(&run);
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "l2_energy_bits" {
-                    *v = Json::U64((-1.0f64).to_bits());
-                }
-            }
-        }
+        *field_mut(&mut j, "l2_energy_bits") = Json::U64((-1.0f64).to_bits());
         assert!(decode(&j).is_none());
     }
 
@@ -601,23 +523,11 @@ mod tests {
         let run = cmp_sample();
         // Core-count / vector-length mismatch.
         let mut j = encode_cmp(&run);
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "cmp_cores" {
-                    *v = Json::U64(4);
-                }
-            }
-        }
+        *field_mut(&mut j, "cmp_cores") = Json::U64(4);
         assert!(decode_cmp(&j).is_none());
         // Unknown configuration key.
         let mut j = encode_cmp(&run);
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "config" {
-                    *v = Json::Str("not-a-config".into());
-                }
-            }
-        }
+        *field_mut(&mut j, "config") = Json::Str("not-a-config".into());
         assert!(decode_cmp(&j).is_none());
         // Missing field.
         let mut j = encode_cmp(&run);
@@ -714,28 +624,117 @@ mod tests {
         assert!(decode_sampled(&j).is_none());
         // Empty window list.
         let mut j = encode_sampled(&run);
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "windows" {
-                    *v = Json::Arr(vec![]);
-                }
-            }
-        }
+        *field_mut(&mut j, "windows") = Json::Arr(vec![]);
         assert!(decode_sampled(&j).is_none());
         // A window missing a field.
         let mut j = encode_sampled(&run);
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "windows" {
-                    if let Json::Arr(ws) = v {
-                        if let Json::Obj(w) = &mut ws[0] {
-                            w.retain(|(k, _)| k != "memory_accesses");
-                        }
-                    }
-                }
+        if let Json::Arr(ws) = field_mut(&mut j, "windows") {
+            if let Json::Obj(org) = field_mut(field_mut(&mut ws[0], "counters"), "org") {
+                org.retain(|(k, _)| k != "memory_accesses");
             }
         }
         assert!(decode_sampled(&j).is_none());
+    }
+
+    /// The value under `key` in a JSON object.
+    fn field_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+        match j {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            _ => panic!("not an object"),
+        }
+    }
+
+    /// A report in the flat shape artifacts had before d-group hits
+    /// became counts: fractions as f64 bit patterns.
+    fn pre_count_report(r: &OrgReport) -> Vec<(String, Json)> {
+        let pairs = vec![
+            ("l2_accesses", Json::U64(r.l2_accesses)),
+            ("l2_misses", Json::U64(r.l2_misses)),
+            (
+                "group_frac_bits",
+                Json::Arr(r.group_fracs().into_iter().map(f64_bits).collect()),
+            ),
+            ("miss_frac_bits", f64_bits(r.miss_frac())),
+            ("dgroup_accesses", Json::U64(r.dgroup_accesses)),
+            ("swaps", Json::U64(r.swaps)),
+            ("memory_accesses", Json::U64(r.memory_accesses)),
+            ("l2_energy_bits", f64_bits(r.l2_energy.nj())),
+        ];
+        pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+    }
+
+    /// Artifacts written before d-group hits became counts held the CMP
+    /// report and every sampled window flat, with the hits (and the CMP
+    /// miss fraction) as f64 bit patterns. Neither shape may decode as
+    /// counts, and a sweep facing one re-simulates instead of resuming.
+    #[test]
+    fn pre_count_payloads_never_decode_as_counts() {
+        let cmp = cmp_sample();
+        let mut old = encode_cmp(&cmp);
+        if let Json::Obj(pairs) = &mut old {
+            pairs.retain(|(k, _)| k != "report");
+            pairs.extend(pre_count_report(&cmp.result.report));
+        }
+        assert!(
+            decode_cmp(&old).is_none(),
+            "a pre-count CMP payload decoded"
+        );
+
+        let sampled = sampled_sample();
+        let mut old_sampled = encode_sampled(&sampled);
+        let old_windows = sampled.windows.iter().map(|w| {
+            let c = &w.counters;
+            let hit_bits = c
+                .org
+                .group_hits
+                .iter()
+                .map(|&h| f64_bits(h as f64))
+                .collect();
+            let mut pairs = vec![
+                ("index".to_string(), Json::U64(w.index)),
+                ("start".to_string(), Json::U64(w.start)),
+                ("core".to_string(), encode_core(&c.core)),
+                ("l1_accesses".to_string(), Json::U64(c.l1_accesses)),
+                ("group_hit_bits".to_string(), Json::Arr(hit_bits)),
+                ("energy_bits".to_string(), encode_energy(&c.price())),
+            ];
+            pairs.extend(pre_count_report(&c.org));
+            Json::Obj(pairs)
+        });
+        *field_mut(&mut old_sampled, "windows") = Json::Arr(old_windows.collect());
+        assert!(
+            decode_sampled(&old_sampled).is_none(),
+            "a pre-count sampled payload decoded"
+        );
+
+        let dir = std::env::temp_dir().join(format!("simart-pre-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scale = Scale {
+            warmup: 10_000,
+            measure: 16_000,
+        };
+        let digest = crate::cmp::cmp_run_digest(
+            &::cmp::CmpConfig::micro2003(2),
+            &crate::cmp::cmp_profiles(2),
+            &kind_of("nf4"),
+            scale,
+        );
+        let store = simsched::ArtifactStore::open(&dir).expect("open artifacts");
+        store.append(&digest.hex(), old).expect("append");
+        let sweep = crate::exps::Sweep::new(scale)
+            .with_artifacts(&dir)
+            .expect("reopen");
+        assert_eq!(
+            *sweep.run_cmp(2, "nf4"),
+            cmp,
+            "re-simulation reproduces the run"
+        );
+        assert_eq!(
+            (sweep.simulated(), sweep.resumed()),
+            (1, 0),
+            "the stale payload resumed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -749,25 +748,13 @@ mod tests {
         assert!(decode_dram(&j).is_none());
         // Empty window list.
         let mut j = encode_dram(&run);
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "windows" {
-                    *v = Json::Arr(vec![]);
-                }
-            }
-        }
+        *field_mut(&mut j, "windows") = Json::Arr(vec![]);
         assert!(decode_dram(&j).is_none());
         // A window missing one stats field.
         let mut j = encode_dram(&run);
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "windows" {
-                    if let Json::Arr(ws) = v {
-                        if let Json::Obj(w) = &mut ws[0] {
-                            w.retain(|(k, _)| k != "resize_writebacks");
-                        }
-                    }
-                }
+        if let Json::Arr(ws) = field_mut(&mut j, "windows") {
+            if let Json::Obj(l4) = field_mut(field_mut(&mut ws[0], "counters"), "l4") {
+                l4.retain(|(k, _)| k != "resize_writebacks");
             }
         }
         assert!(decode_dram(&j).is_none());

@@ -12,6 +12,7 @@
 //! multi-core front-end; the sharing model is architectural on both
 //! paths by construction, see `crates/cmp`).
 
+use crate::engine;
 use crate::report::{f2, pct, rel, TextTable};
 use crate::runner::{
     digest_kind_architectural, digest_profile, L2Kind, RunOptions, Scale, TRACE_SEED,
@@ -38,12 +39,6 @@ pub const CMP_KEYS: &[&str] = &["base", "nf4", "dn-perf", "cnuca"];
 pub fn cmp_profiles(cores: u32) -> Vec<BenchProfile> {
     let hl: Vec<BenchProfile> = profiles::high_load().collect();
     (0..cores as usize).map(|i| hl[i % hl.len()]).collect()
-}
-
-/// Resolves an application name back to its `'static` roster name (the
-/// artifact decoder's counterpart of [`BenchProfile::name`]).
-fn static_key(name: &str) -> Option<&'static str> {
-    CMP_KEYS.iter().copied().find(|&k| k == name)
 }
 
 /// The measured results of one CMP scenario: `cores` cores, each running
@@ -85,7 +80,12 @@ impl CmpRun {
     /// Fraction of shared-cache accesses hitting the fastest d-group
     /// (0 for organizations without distance groups).
     pub fn fastest_frac(&self) -> f64 {
-        self.result.report.group_fracs.first().copied().unwrap_or(0.0)
+        self.result
+            .report
+            .group_fracs()
+            .first()
+            .copied()
+            .unwrap_or(0.0)
     }
 }
 
@@ -179,7 +179,7 @@ pub fn cmp_sampled_digest(
 /// runner — the regime is scaled to the per-core budget (period, window
 /// warm-up, and window measure all divide by the core count), the
 /// per-window pipeline warm-up runs detailed and stays in the counters
-/// (the CMP result has no per-window delta seam to subtract it through;
+/// (subtracting it would change every sampled-CMP result, so it stays;
 /// ratio metrics are unaffected beyond the sampling error the regime
 /// already carries), and the checkpoint digest is unchanged — sampled
 /// and unsampled CMP runs share warm-up checkpoints.
@@ -201,22 +201,17 @@ pub fn run_cmp_opts(
     let label = format!("cmp{cores}x/{key}");
 
     let t_warm = Instant::now();
-    match opts.checkpoints {
-        Some(store) => {
-            let chk = cmp_warmup_digest(&cfg, &apps, kind, scale);
-            let (blob, hit) = store.get_or_build(chk, || {
-                sys.warm_run(per_core_warm);
-                let mut e = Encoder::new();
-                sys.save_state(&mut e);
-                e.into_bytes()
-            });
+    let chk = cmp_warmup_digest(&cfg, &apps, kind, scale);
+    match engine::checkpoint(&opts, chk, &label, || {
+        sys.warm_run(per_core_warm);
+        let mut e = Encoder::new();
+        sys.save_state(&mut e);
+        e.into_bytes()
+    }) {
+        Some(blob) => {
             let mut d = Decoder::new(&blob);
             sys.load_state(&mut d).expect("cmp checkpoint: state");
             d.finish().expect("cmp checkpoint: trailing bytes");
-            if let Some(w) = opts.wall {
-                let outcome = if hit { "hit" } else { "miss" };
-                w.wall_mark("simchk", &format!("{outcome}/{label}"));
-            }
         }
         None => sys.warm_run(per_core_warm),
     }
@@ -306,7 +301,7 @@ impl CmpTable {
                 rel(r.mean_ipc()),
                 rel(r.fairness()),
                 pct(r.fastest_frac()),
-                pct(r.result.report.miss_frac),
+                pct(r.result.report.miss_frac()),
                 f2(r.bank_stalls_per_ki()),
                 f2(r.invalidations_per_ki()),
             ]);
@@ -332,7 +327,7 @@ impl CmpTable {
                 r.mean_ipc(),
                 r.fairness(),
                 r.fastest_frac(),
-                r.result.report.miss_frac,
+                r.result.report.miss_frac(),
                 r.bank_stalls_per_ki(),
                 r.invalidations_per_ki(),
             ));
@@ -345,7 +340,7 @@ impl CmpTable {
 /// `'static` key, or `None` for a name outside [`CMP_KEYS`] (the caller
 /// then re-simulates).
 pub(crate) fn key_of(name: &str) -> Option<&'static str> {
-    static_key(name)
+    CMP_KEYS.iter().copied().find(|&k| k == name)
 }
 
 #[cfg(test)]

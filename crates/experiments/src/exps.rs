@@ -22,6 +22,7 @@ use nurapid::{DistanceVictimPolicy, NuRapidConfig, PromotionPolicy};
 use simbase::digest::{Digest, Hasher128};
 use simbase::stats::GeoMean;
 use simbase::Capacity;
+use simsched::json::Json;
 use simsched::progress::{Event, EventKind, Observer, Outcome};
 use simsched::store::RunStore;
 use simsched::{pool, ArtifactStore};
@@ -31,6 +32,41 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::profiles::{BenchProfile, LoadClass, ROSTER};
+
+/// How the sweep stores one run family as artifacts, and the telemetry
+/// summary a resumed run of it records (for families that export one).
+struct Family<T: 'static> {
+    decode: fn(&Json) -> Option<T>,
+    encode: fn(&T) -> Json,
+    fields: Option<Fields<T>>,
+}
+
+/// A run's telemetry summary fields.
+type Fields<T> = fn(&T) -> Vec<(&'static str, Value)>;
+
+const APP_RUNS: Family<AppRun> = Family {
+    decode: artifact::decode,
+    encode: artifact::encode,
+    fields: Some(run_fields),
+};
+
+const CMP_RUNS: Family<CmpRun> = Family {
+    decode: artifact::decode_cmp,
+    encode: artifact::encode_cmp,
+    fields: Some(cmp_run_fields),
+};
+
+const DRAM_RUNS: Family<DramRun> = Family {
+    decode: artifact::decode_dram,
+    encode: artifact::encode_dram,
+    fields: None,
+};
+
+const SAMPLED_RUNS: Family<SampledRun> = Family {
+    decode: artifact::decode_sampled,
+    encode: artifact::encode_sampled,
+    fields: None,
+};
 
 /// A store of full-system runs keyed by the **digest of the full
 /// configuration** (application profile + organization + scale + seed),
@@ -244,6 +280,86 @@ impl Sweep {
         }
     }
 
+    /// One keyed job through the sweep: single-flight on `digest` in
+    /// `store`, resumed from a digest-matching artifact of `family` when
+    /// one decodes, otherwise simulated by `simulate` and appended to the
+    /// artifact manifest. Progress events bracket the job under `label`
+    /// either way.
+    fn keyed<T>(
+        &self,
+        store: &RunStore<u128, T>,
+        family: &Family<T>,
+        digest: Digest,
+        label: &str,
+        simulate: impl FnOnce(RunOptions<'_>) -> T,
+    ) -> Arc<T> {
+        self.emit(label, EventKind::Started);
+        let t0 = Instant::now();
+
+        // `outcome` stays `None` when the single-flight store satisfies
+        // the request from another requester's completed computation.
+        let mut outcome = None;
+        let run = store.get_or_compute(digest.raw(), || {
+            let artifact = self
+                .artifacts
+                .as_ref()
+                .and_then(|a| a.lookup(&digest.hex()));
+            if let Some(run) = artifact.as_ref().and_then(family.decode) {
+                self.resumed.fetch_add(1, Ordering::Relaxed);
+                if let (Some(tel), Some(fields)) = (&self.telemetry, family.fields) {
+                    let sink = TelemetrySink::disabled();
+                    tel.record_run(label, &digest.hex(), fields(&run), &sink);
+                }
+                outcome = Some(Outcome::Resumed);
+                return run;
+            }
+            let run = simulate(RunOptions {
+                mode: self.warmup,
+                checkpoints: self.checkpoints.as_deref(),
+                wall: self.telemetry.as_deref(),
+            });
+            self.simulated.fetch_add(1, Ordering::Relaxed);
+            if let Some(store) = &self.artifacts {
+                // Best-effort: an unwritable artifact dir degrades to a
+                // plain in-memory sweep rather than failing the run.
+                let _ = store.append(&digest.hex(), (family.encode)(&run));
+            }
+            outcome = Some(Outcome::Simulated);
+            run
+        });
+
+        self.emit(
+            label,
+            EventKind::Finished {
+                outcome: outcome.unwrap_or(Outcome::Shared),
+                wall_ns: t0.elapsed().as_nanos() as u64,
+            },
+        );
+        run
+    }
+
+    /// Runs `simulate` against a fresh per-run telemetry sink (and the
+    /// collector's snapshot period) and records the run's metrics, spans,
+    /// and `fields` under `label`; without a collector, against a disabled
+    /// sink with snapshots off.
+    fn traced<T>(
+        &self,
+        label: &str,
+        digest: Digest,
+        fields: Fields<T>,
+        simulate: impl FnOnce(&TelemetrySink, u64) -> T,
+    ) -> T {
+        match &self.telemetry {
+            Some(tel) => {
+                let sink = tel.run_sink();
+                let run = simulate(&sink, tel.snap_cycles());
+                tel.record_run(label, &digest.hex(), fields(&run), &sink);
+                run
+            }
+            None => simulate(&TelemetrySink::disabled(), 0),
+        }
+    }
+
     /// Runs (or returns the stored run of) `app` on the configuration
     /// named `key`.
     pub fn run(&self, app: BenchProfile, key: &'static str) -> Arc<AppRun> {
@@ -270,70 +386,12 @@ impl Sweep {
 
     fn run_kind_full(&self, app: BenchProfile, label: &str, kind: &L2Kind) -> Arc<AppRun> {
         let digest = run_digest(&app, kind, self.scale);
-        let event_label = format!("{label}/{}", app.name);
-        self.emit(&event_label, EventKind::Started);
-        let t0 = Instant::now();
-
-        // `outcome` stays `None` when the single-flight store satisfies
-        // the request from another requester's completed computation.
-        let mut outcome = None;
-        let run = self.store.get_or_compute(digest.raw(), || {
-            if let Some(store) = &self.artifacts {
-                if let Some(run) = store.lookup(&digest.hex()).as_ref().and_then(artifact::decode)
-                {
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = &self.telemetry {
-                        tel.record_run(
-                            &event_label,
-                            &digest.hex(),
-                            run_fields(&run),
-                            &TelemetrySink::disabled(),
-                        );
-                    }
-                    outcome = Some(Outcome::Resumed);
-                    return run;
-                }
-            }
-            let opts = RunOptions {
-                mode: self.warmup,
-                checkpoints: self.checkpoints.as_deref(),
-                wall: self.telemetry.as_deref(),
-            };
-            let run = match &self.telemetry {
-                Some(tel) => {
-                    let sink = tel.run_sink();
-                    let run =
-                        run_app_opts(app, kind, self.scale, &sink, tel.snap_cycles(), opts);
-                    tel.record_run(&event_label, &digest.hex(), run_fields(&run), &sink);
-                    run
-                }
-                None => run_app_opts(
-                    app,
-                    kind,
-                    self.scale,
-                    &TelemetrySink::disabled(),
-                    0,
-                    opts,
-                ),
-            };
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(store) = &self.artifacts {
-                // Best-effort: an unwritable artifact dir degrades to a
-                // plain in-memory sweep rather than failing the run.
-                let _ = store.append(&digest.hex(), artifact::encode(&run));
-            }
-            outcome = Some(Outcome::Simulated);
-            run
-        });
-
-        self.emit(
-            &event_label,
-            EventKind::Finished {
-                outcome: outcome.unwrap_or(Outcome::Shared),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
-        run
+        let label = format!("{label}/{}", app.name);
+        self.keyed(&self.store, &APP_RUNS, digest, &label, |opts| {
+            self.traced(&label, digest, run_fields, |sink, snap_every| {
+                run_app_opts(app, kind, self.scale, sink, snap_every, opts)
+            })
+        })
     }
 
     /// The sampled twin of [`Sweep::run_kind_full`]: same single-flight
@@ -350,67 +408,17 @@ impl Sweep {
         spec: SampleSpec,
     ) -> Arc<AppRun> {
         let digest = sampling::sampled_digest(&app, kind, self.scale, spec, self.intervals);
-        let event_label = format!("{label}/{}", app.name);
-        self.emit(&event_label, EventKind::Started);
-        let t0 = Instant::now();
-
-        let mut outcome = None;
-        let run = self.store.get_or_compute(digest.raw(), || {
-            if let Some(store) = &self.artifacts {
-                if let Some(run) = store.lookup(&digest.hex()).as_ref().and_then(artifact::decode)
-                {
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = &self.telemetry {
-                        tel.record_run(
-                            &event_label,
-                            &digest.hex(),
-                            run_fields(&run),
-                            &TelemetrySink::disabled(),
-                        );
-                    }
-                    outcome = Some(Outcome::Resumed);
-                    return run;
-                }
-            }
-            let opts = RunOptions {
-                mode: self.warmup,
-                checkpoints: self.checkpoints.as_deref(),
-                wall: self.telemetry.as_deref(),
-            };
-            let sampled = sampling::run_app_sampled(
-                app,
-                kind,
-                self.scale,
-                spec,
-                self.intervals,
-                self.threads,
-                opts,
-            );
-            let run = sampled.run;
+        let label = format!("{label}/{}", app.name);
+        self.keyed(&self.store, &APP_RUNS, digest, &label, |opts| {
+            let (scale, intervals, threads) = (self.scale, self.intervals, self.threads);
+            let run =
+                sampling::run_app_sampled(app, kind, scale, spec, intervals, threads, opts).run;
             if let Some(tel) = &self.telemetry {
-                tel.record_run(
-                    &event_label,
-                    &digest.hex(),
-                    run_fields(&run),
-                    &TelemetrySink::disabled(),
-                );
+                let sink = TelemetrySink::disabled();
+                tel.record_run(&label, &digest.hex(), run_fields(&run), &sink);
             }
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(store) = &self.artifacts {
-                let _ = store.append(&digest.hex(), artifact::encode(&run));
-            }
-            outcome = Some(Outcome::Simulated);
             run
-        });
-
-        self.emit(
-            &event_label,
-            EventKind::Finished {
-                outcome: outcome.unwrap_or(Outcome::Shared),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
-        run
+        })
     }
 
     /// Runs (or returns the stored run of) the CMP scenario with `cores`
@@ -429,77 +437,13 @@ impl Sweep {
             }
             None => crate::cmp::cmp_run_digest(&cfg, &apps, &kind, self.scale),
         };
-        let event_label = format!("cmp{cores}x/{key}");
-        self.emit(&event_label, EventKind::Started);
-        let t0 = Instant::now();
-
-        let mut outcome = None;
-        let run = self.cmp_store.get_or_compute(digest.raw(), || {
-            if let Some(store) = &self.artifacts {
-                if let Some(run) =
-                    store.lookup(&digest.hex()).as_ref().and_then(artifact::decode_cmp)
-                {
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = &self.telemetry {
-                        tel.record_run(
-                            &event_label,
-                            &digest.hex(),
-                            cmp_run_fields(&run),
-                            &TelemetrySink::disabled(),
-                        );
-                    }
-                    outcome = Some(Outcome::Resumed);
-                    return run;
-                }
-            }
-            let opts = RunOptions {
-                mode: self.warmup,
-                checkpoints: self.checkpoints.as_deref(),
-                wall: self.telemetry.as_deref(),
-            };
-            let run = match &self.telemetry {
-                Some(tel) => {
-                    let sink = tel.run_sink();
-                    let run = crate::cmp::run_cmp_opts(
-                        key,
-                        cores,
-                        &kind,
-                        self.scale,
-                        &sink,
-                        tel.snap_cycles(),
-                        opts,
-                        self.sample,
-                    );
-                    tel.record_run(&event_label, &digest.hex(), cmp_run_fields(&run), &sink);
-                    run
-                }
-                None => crate::cmp::run_cmp_opts(
-                    key,
-                    cores,
-                    &kind,
-                    self.scale,
-                    &TelemetrySink::disabled(),
-                    0,
-                    opts,
-                    self.sample,
-                ),
-            };
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(store) = &self.artifacts {
-                let _ = store.append(&digest.hex(), artifact::encode_cmp(&run));
-            }
-            outcome = Some(Outcome::Simulated);
-            run
-        });
-
-        self.emit(
-            &event_label,
-            EventKind::Finished {
-                outcome: outcome.unwrap_or(Outcome::Shared),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
-        run
+        let label = format!("cmp{cores}x/{key}");
+        self.keyed(&self.cmp_store, &CMP_RUNS, digest, &label, |opts| {
+            self.traced(&label, digest, cmp_run_fields, |sink, snap| {
+                let (scale, sample) = (self.scale, self.sample);
+                crate::cmp::run_cmp_opts(key, cores, &kind, scale, sink, snap, opts, sample)
+            })
+        })
     }
 
     /// Executes the given (cores, configuration-key) CMP jobs on the
@@ -524,44 +468,11 @@ impl Sweep {
     pub fn run_dram(&self, app: BenchProfile) -> Arc<DramRun> {
         let kind = dram_kind(self.scale);
         let digest = dram_digest(&app, &kind, self.scale, DRAM_WINDOWS);
-        let event_label = format!("dram/{}", app.name);
-        self.emit(&event_label, EventKind::Started);
-        let t0 = Instant::now();
-
-        let mut outcome = None;
-        let run = self.dram_store.get_or_compute(digest.raw(), || {
-            if let Some(store) = &self.artifacts {
-                if let Some(run) =
-                    store.lookup(&digest.hex()).as_ref().and_then(artifact::decode_dram)
-                {
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                    outcome = Some(Outcome::Resumed);
-                    return run;
-                }
-            }
-            let opts = RunOptions {
-                mode: self.warmup,
-                checkpoints: self.checkpoints.as_deref(),
-                wall: self.telemetry.as_deref(),
-            };
+        let label = format!("dram/{}", app.name);
+        self.keyed(&self.dram_store, &DRAM_RUNS, digest, &label, |opts| {
             let (run, windows) = run_app_transient(app, &kind, self.scale, DRAM_WINDOWS, opts);
-            let run = DramRun { run, windows };
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(store) = &self.artifacts {
-                let _ = store.append(&digest.hex(), artifact::encode_dram(&run));
-            }
-            outcome = Some(Outcome::Simulated);
-            run
-        });
-
-        self.emit(
-            &event_label,
-            EventKind::Finished {
-                outcome: outcome.unwrap_or(Outcome::Shared),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
-        run
+            DramRun { run, windows }
+        })
     }
 
     /// Executes the `dram` transient scenario for every application in
@@ -592,51 +503,11 @@ impl Sweep {
     ) -> Arc<SampledRun> {
         let kind = self.wrap_l4(kind_of(key));
         let digest = sampled_study_digest(&app, &kind, self.scale, spec, self.intervals);
-        let event_label = format!("sampled-{key}/{}", app.name);
-        self.emit(&event_label, EventKind::Started);
-        let t0 = Instant::now();
-
-        let mut outcome = None;
-        let run = self.sampled_store.get_or_compute(digest.raw(), || {
-            if let Some(store) = &self.artifacts {
-                if let Some(run) =
-                    store.lookup(&digest.hex()).as_ref().and_then(artifact::decode_sampled)
-                {
-                    self.resumed.fetch_add(1, Ordering::Relaxed);
-                    outcome = Some(Outcome::Resumed);
-                    return run;
-                }
-            }
-            let opts = RunOptions {
-                mode: self.warmup,
-                checkpoints: self.checkpoints.as_deref(),
-                wall: self.telemetry.as_deref(),
-            };
-            let run = sampling::run_app_sampled(
-                app,
-                &kind,
-                self.scale,
-                spec,
-                self.intervals,
-                self.threads,
-                opts,
-            );
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(store) = &self.artifacts {
-                let _ = store.append(&digest.hex(), artifact::encode_sampled(&run));
-            }
-            outcome = Some(Outcome::Simulated);
-            run
-        });
-
-        self.emit(
-            &event_label,
-            EventKind::Finished {
-                outcome: outcome.unwrap_or(Outcome::Shared),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
-        run
+        let label = format!("sampled-{key}/{}", app.name);
+        self.keyed(&self.sampled_store, &SAMPLED_RUNS, digest, &label, |opts| {
+            let (scale, intervals, threads) = (self.scale, self.intervals, self.threads);
+            sampling::run_app_sampled(app, &kind, scale, spec, intervals, threads, opts)
+        })
     }
 
     /// Executes the given (application, configuration-key) jobs on the
@@ -727,8 +598,8 @@ fn cmp_run_fields(run: &CmpRun) -> Vec<(&'static str, Value)> {
         ("fairness", Value::F64(run.fairness())),
         ("l2_accesses", Value::U64(run.result.report.l2_accesses)),
         ("l2_misses", Value::U64(run.result.report.l2_misses)),
-        ("miss_frac", Value::F64(run.result.report.miss_frac)),
-        ("group_fracs", Value::F64s(run.result.report.group_fracs.clone())),
+        ("miss_frac", Value::F64(run.result.report.miss_frac())),
+        ("group_fracs", Value::F64s(run.result.report.group_fracs())),
         ("bank_conflicts", Value::U64(run.result.bank_conflicts)),
         ("bank_stall_cycles", Value::U64(run.result.bank_stall_cycles)),
         ("invalidations", Value::U64(run.result.invalidations.iter().sum())),
@@ -1710,11 +1581,7 @@ impl DramStudy {
 
     /// Mean L4 hit rate of window `w` across applications.
     pub fn avg_hit_rate(&self, w: usize) -> f64 {
-        let sum: f64 = self
-            .rows
-            .iter()
-            .map(|(_, ws)| ws[w].l4.hits as f64 / ws[w].l4.accesses.max(1) as f64)
-            .sum();
+        let sum: f64 = self.rows.iter().map(|(_, ws)| ws[w].l4_hit_rate()).sum();
         sum / self.rows.len() as f64
     }
 
@@ -1723,7 +1590,7 @@ impl DramStudy {
         let sum: f64 = self
             .rows
             .iter()
-            .map(|(_, ws)| ws[w].memory_energy.nj() * 1000.0 / ws[w].instructions as f64)
+            .map(|(_, ws)| ws[w].memory_nj_per_ki())
             .sum();
         sum / self.rows.len() as f64
     }
@@ -1757,22 +1624,20 @@ impl DramStudy {
         header.push("rsz-wb".to_string());
         header.push("nJ/KI w2/w3/w7".to_string());
         let mut t = TextTable::new(header);
-        let per_ki =
-            |w: &TransientWindow| w.memory_energy.nj() * 1000.0 / w.instructions as f64;
         for (name, ws) in &self.rows {
             let mut row = vec![name.to_string()];
             for w in ws {
                 row.push(f2(w.ipc()));
             }
             let last = &ws[n - 1];
-            row.push(pct(last.l4.hits as f64 / last.l4.accesses.max(1) as f64));
-            let rsz_wb: u64 = ws.iter().map(|w| w.l4.resize_writebacks).sum();
+            row.push(pct(last.l4_hit_rate()));
+            let rsz_wb: u64 = ws.iter().map(|w| w.l4().resize_writebacks).sum();
             row.push(rsz_wb.to_string());
             row.push(format!(
                 "{}/{}/{}",
-                f2(per_ki(&ws[DRAM_SHRINK_WINDOW - 1])),
-                f2(per_ki(&ws[DRAM_SHRINK_WINDOW])),
-                f2(per_ki(&ws[n - 1])),
+                f2(ws[DRAM_SHRINK_WINDOW - 1].memory_nj_per_ki()),
+                f2(ws[DRAM_SHRINK_WINDOW].memory_nj_per_ki()),
+                f2(ws[n - 1].memory_nj_per_ki()),
             ));
             t.row(row);
         }
@@ -2296,9 +2161,9 @@ mod tests {
             let banks: Vec<u32> = ws.iter().map(|w| w.n_banks).collect();
             assert_eq!(banks, vec![8, 8, 8, 4, 4, 4, 12, 12], "{name}");
             // Each resize lands exactly in the first window of its regime.
-            let resizes: Vec<u64> = ws.iter().map(|w| w.l4.resizes).collect();
+            let resizes: Vec<u64> = ws.iter().map(|w| w.l4().resizes).collect();
             assert_eq!(resizes, vec![0, 0, 0, 1, 0, 0, 1, 0], "{name}");
-            let instructions: u64 = ws.iter().map(|w| w.instructions).sum();
+            let instructions: u64 = ws.iter().map(|w| w.counters.core.instructions).sum();
             assert_eq!(instructions, 60_000, "{name}: windows tile the measured phase");
         }
         // The shrink transient costs memory energy: retired banks flush

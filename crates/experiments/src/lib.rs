@@ -30,6 +30,7 @@
 pub mod artifact;
 pub mod checkpoint;
 pub mod cmp;
+pub mod engine;
 pub mod exps;
 pub mod report;
 pub mod repro;

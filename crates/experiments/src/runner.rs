@@ -10,25 +10,28 @@
 //! identically, which makes the measured phase bit-identical between
 //! them and lets warm architectural state be checkpointed to disk
 //! ([`crate::checkpoint::CheckpointStore`]) keyed by [`warmup_digest`].
+//!
+//! The phase machinery itself lives in [`crate::engine`]: this module
+//! names the configurations and their digests, and drives the engine as
+//! one window ([`run_app_opts`]) or as equal resize-transient windows
+//! ([`run_app_transient`]). Either way the result is a [`Counters`]
+//! reading priced once into an [`AppRun`] ([`AppRun::from_counters`]).
 
 use crate::checkpoint::CheckpointStore;
-use cpu::uop::TraceSource;
-use cpu::{CoreParams, CoreResult, OooCore};
-use energy::core::CoreEnergyModel;
+use crate::engine::{Counters, Phase};
+use cpu::CoreResult;
 use energy::EnergyTally;
 use memsys::dramcache::{L4Config, L4DramCache, L4Stats};
 use memsys::hierarchy::BaseHierarchy;
-use memsys::l1::CoreMemSystem;
-use memsys::org::{OrgReport, Organization};
+use memsys::org::Organization;
 use nuca::{CnucaConfig, CompressedNucaCache, DnucaCache, DnucaConfig, SearchPolicy};
 use nurapid::coupled::CoupledCache;
 use nurapid::{DistanceVictimPolicy, NuRapidCache, NuRapidConfig, PromotionPolicy};
 use simbase::digest::{Digest, Hasher128};
-use simbase::snapshot::{Decoder, Encoder};
 use simbase::EnergyNj;
 use simtel::{Telemetry, TelemetrySink};
 use std::time::Instant;
-use workloads::{BenchProfile, TraceGenerator};
+use workloads::BenchProfile;
 
 /// Seed of every run's trace generator (fixed: experiments vary the
 /// cache organization, not the workload stream).
@@ -423,7 +426,9 @@ pub fn run_app_telemetry(
 }
 
 /// The full-fat entry point: [`run_app_telemetry`] plus the warm-up mode,
-/// checkpoint store, and wall-clock channel of [`RunOptions`].
+/// checkpoint store, and wall-clock channel of [`RunOptions`]. One
+/// measured-phase window through the engine ([`Phase`]), identical for
+/// every plugin.
 pub fn run_app_opts(
     profile: BenchProfile,
     kind: &L2Kind,
@@ -432,172 +437,13 @@ pub fn run_app_opts(
     snap_every: u64,
     opts: RunOptions<'_>,
 ) -> AppRun {
-    let chk = warmup_digest(&profile, kind, scale);
-    let (core, mem) = drive(
-        profile,
-        kind.build(),
-        scale,
-        sink,
-        snap_every,
-        chk,
-        opts,
-        kind.resize_schedule(),
-    );
-    let report = mem.lower().report();
-    let l4 = mem.lower().main_memory().and_then(|m| m.l4_stats());
-    finish_run(profile.name, core, mem.l1_accesses(), report, l4)
-}
-
-/// Runs the warm-up instructions on `core` in the requested mode.
-fn warm_up(
-    core: &mut OooCore<Box<dyn Organization>>,
-    gen: &mut TraceGenerator,
-    n: u64,
-    mode: WarmupMode,
-) {
-    match mode {
-        WarmupMode::FastForward => core.warm_run(gen, n),
-        WarmupMode::Timed => core.run(gen, n),
-    }
-}
-
-/// Runs prefill, warm-up (optionally restored from a checkpoint), and
-/// the drain barrier, returning a core parked at measured-phase cycle
-/// zero plus the trace generator positioned at the first measured op.
-/// Shared by [`drive`] and [`run_app_transient`], so the windowed
-/// transient runs cross the identical barrier as everything else.
-fn prepare(
-    profile: BenchProfile,
-    mut lower: Box<dyn Organization>,
-    scale: Scale,
-    sink: &TelemetrySink,
-    snap_every: u64,
-    chk_digest: Digest,
-    opts: RunOptions<'_>,
-) -> (OooCore<Box<dyn Organization>>, TraceGenerator) {
-    let mut gen = TraceGenerator::new(profile, TRACE_SEED);
-    lower.prefill();
-    let mem = CoreMemSystem::micro2003(lower);
-    let mut core = OooCore::new(CoreParams::micro2003(), mem);
-
-    // Phase 1 — warm-up. Telemetry stays detached: warm-up produces
-    // architectural state only. With a checkpoint store, the state comes
-    // out of a decoded blob on both the build and the reuse path, so the
-    // cold and warm runs are structurally identical by construction.
-    let t_warm = Instant::now();
-    match opts.checkpoints {
-        Some(store) => {
-            let (blob, hit) = store.get_or_build(chk_digest, || {
-                warm_up(&mut core, &mut gen, scale.warmup, opts.mode);
-                let mut e = Encoder::new();
-                gen.save_state(&mut e);
-                core.predictor().save_state(&mut e);
-                core.mem().save_l1_state(&mut e);
-                core.mem().lower().save_state(&mut e);
-                e.into_bytes()
-            });
-            let mut d = Decoder::new(&blob);
-            gen.load_state(&mut d).expect("checkpoint: generator state");
-            core.predictor_mut()
-                .load_state(&mut d)
-                .expect("checkpoint: predictor state");
-            core.mem_mut()
-                .load_l1_state(&mut d)
-                .expect("checkpoint: L1 state");
-            core.mem_mut()
-                .lower_mut()
-                .load_state(&mut d)
-                .expect("checkpoint: lower-cache state");
-            d.finish().expect("checkpoint: trailing bytes");
-            if let Some(w) = opts.wall {
-                let outcome = if hit { "hit" } else { "miss" };
-                w.wall_mark("simchk", &format!("{outcome}/{}", profile.name));
-            }
-        }
-        None => warm_up(&mut core, &mut gen, scale.warmup, opts.mode),
-    }
-    if let Some(w) = opts.wall {
-        let cat = match opts.mode {
-            WarmupMode::FastForward => "warmup-ff",
-            WarmupMode::Timed => "warmup-timed",
-        };
-        let name = format!("{}/{}-ops", profile.name, scale.warmup);
-        w.wall_span(cat, &name, t_warm.elapsed().as_nanos() as u64);
-    }
-
-    // Drain barrier at the stats boundary (DESIGN.md §11): clear every
-    // piece of timing state, zero the statistics, and rebuild the core
-    // at cycle zero over the preserved architectural state. Both warm-up
-    // modes cross this identical barrier, which is what makes the
-    // measured phase bit-identical between them.
-    let (mut mem, mut pred) = core.into_parts();
-    mem.drain_timing();
-    mem.lower_mut().drain_timing();
-    mem.reset_stats();
-    mem.lower_mut().reset_stats();
-    pred.reset_counters();
-    // Telemetry attaches only after the barrier, so the exported metrics
-    // and spans cover exactly the measured window.
-    sink.reset();
-    mem.lower_mut().set_telemetry(sink, snap_every);
-    mem.set_telemetry(sink.clone());
-    let mut core = OooCore::new(CoreParams::micro2003(), mem);
-    core.set_predictor(pred);
-    core.set_telemetry(sink.clone(), snap_every);
-    (core, gen)
-}
-
-/// Applies every resize scheduled at op index `i`, advancing the cursor.
-#[inline]
-fn apply_resizes(
-    core: &mut OooCore<Box<dyn Organization>>,
-    resizes: &[(u64, u32)],
-    next: &mut usize,
-    i: u64,
-) {
-    while *next < resizes.len() && resizes[*next].0 == i {
-        let target = resizes[*next].1;
-        let now = simbase::Cycle::new(core.cycles());
-        core.mem_mut()
-            .lower_mut()
-            .main_memory_mut()
-            .expect("a resize schedule needs a DRAM-backed organization")
-            .resize_l4(target, now);
-        *next += 1;
-    }
-}
-
-/// Runs the trace through the core: [`prepare`], then the measured
-/// phase, applying any L4 resize schedule at its op indices. Dispatches
-/// through the [`Organization`] trait only — this function is identical
-/// for every plugin.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    profile: BenchProfile,
-    lower: Box<dyn Organization>,
-    scale: Scale,
-    sink: &TelemetrySink,
-    snap_every: u64,
-    chk_digest: Digest,
-    opts: RunOptions<'_>,
-    resizes: &[(u64, u32)],
-) -> (CoreResult, CoreMemSystem<Box<dyn Organization>>) {
-    let wall = opts.wall;
-    let (mut core, mut gen) = prepare(profile, lower, scale, sink, snap_every, chk_digest, opts);
-
-    // Phase 2 — the measured run.
+    let mut phase = Phase::warmed(profile, kind, scale, sink, snap_every, opts);
     let t_measure = Instant::now();
-    let mut next_resize = 0usize;
-    for i in 0..scale.measure {
-        apply_resizes(&mut core, resizes, &mut next_resize, i);
-        let op = gen.next_op();
-        core.execute(op);
-    }
-    if let Some(w) = wall {
+    phase.run_to(scale.measure);
+    if let Some(w) = opts.wall {
         w.wall_span("measure", profile.name, t_measure.elapsed().as_nanos() as u64);
     }
-    let result = core.finish();
-    (result, core.into_mem())
+    AppRun::from_counters(profile.name, &phase.counters())
 }
 
 /// One window of a resize-transient run: the measured phase is split
@@ -605,22 +451,33 @@ fn drive(
 /// IPC/energy dip at each resize event and the recovery after it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientWindow {
-    /// Instructions committed in this window.
-    pub instructions: u64,
-    /// Cycles elapsed in this window.
-    pub cycles: u64,
-    /// L4 event deltas over this window.
-    pub l4: L4Stats,
+    /// Counters over this window.
+    pub counters: Counters,
     /// Live L4 bank count at the end of the window.
     pub n_banks: u32,
-    /// Memory-tier (L4 + DRAM) energy of this window.
-    pub memory_energy: EnergyNj,
 }
 
 impl TransientWindow {
     /// Window IPC.
     pub fn ipc(&self) -> f64 {
-        self.instructions as f64 / self.cycles.max(1) as f64
+        self.counters.core.ipc()
+    }
+
+    /// L4 events over this window.
+    pub fn l4(&self) -> L4Stats {
+        self.counters.l4.unwrap_or_default()
+    }
+
+    /// L4 hit rate over this window.
+    pub fn l4_hit_rate(&self) -> f64 {
+        let l4 = self.l4();
+        l4.hits as f64 / l4.accesses.max(1) as f64
+    }
+
+    /// Memory-tier (L4 + DRAM) energy per kilo-instruction (nJ/KI).
+    pub fn memory_nj_per_ki(&self) -> f64 {
+        let nj = self.counters.price().memory.nj();
+        nj * 1000.0 / self.counters.core.instructions as f64
     }
 }
 
@@ -629,7 +486,7 @@ impl TransientWindow {
 /// records per-window IPC, L4 traffic, bank count, and memory energy —
 /// the `dram` experiment's resize-transient data. The access stream,
 /// resize application, and final [`AppRun`] are bit-identical to an
-/// unwindowed run of the same configuration (windowing only samples
+/// unwindowed run of the same configuration (windowing only reads
 /// counters between instructions).
 pub fn run_app_transient(
     profile: BenchProfile,
@@ -638,91 +495,47 @@ pub fn run_app_transient(
     n_windows: usize,
     opts: RunOptions<'_>,
 ) -> (AppRun, Vec<TransientWindow>) {
-    assert!(n_windows > 0, "a transient run needs at least one window");
-    let chk = warmup_digest(&profile, kind, scale);
-    let sink = TelemetrySink::disabled();
-    let (mut core, mut gen) = prepare(profile, kind.build(), scale, &sink, 0, chk, opts);
-    let resizes = kind.resize_schedule();
-
-    let mut windows = Vec::with_capacity(n_windows);
-    let mut next_resize = 0usize;
-    let mut done = 0u64;
-    let mut window_start = 0u64;
-    let mut prev_cycles = 0u64;
-    let mut prev_l4 = L4Stats::default();
-    let mut prev_mem = 0u64;
-    let energy_model = CoreEnergyModel::micro2003();
-    for w in 0..n_windows {
-        let end = scale.measure * (w as u64 + 1) / n_windows as u64;
-        while done < end {
-            apply_resizes(&mut core, resizes, &mut next_resize, done);
-            let op = gen.next_op();
-            core.execute(op);
-            done += 1;
-        }
-        let main = core.mem().lower().main_memory();
-        let l4_now = main.and_then(|m| m.l4_stats());
-        let mem_now = main.map_or(0, |m| m.accesses());
-        let wl4 = l4_now.unwrap_or_default().minus(&prev_l4);
-        let memory_energy = match l4_now {
-            Some(_) => energy::l4::memory_energy(wl4.dram_blocks(), wl4.tag_probes, wl4.accesses),
-            None => energy_model.memory_energy(mem_now - prev_mem),
-        };
-        windows.push(TransientWindow {
-            instructions: end - window_start,
-            cycles: core.cycles() - prev_cycles,
-            l4: wl4,
-            n_banks: main.and_then(|m| m.l4()).map_or(0, |l| l.n_banks()),
-            memory_energy,
-        });
-        window_start = end;
-        prev_cycles = core.cycles();
-        prev_l4 = l4_now.unwrap_or_default();
-        prev_mem = mem_now;
-    }
-    let result = core.finish();
-    let mem = core.into_mem();
-    let report = mem.lower().report();
-    let l4 = mem.lower().main_memory().and_then(|m| m.l4_stats());
-    let run = finish_run(profile.name, result, mem.l1_accesses(), report, l4);
-    (run, windows)
+    let (total, windows) = transient_counters(profile, kind, scale, n_windows, opts);
+    (AppRun::from_counters(profile.name, &total), windows)
 }
 
-/// Prices the full-system energy tally and assembles the [`AppRun`] from
-/// the organization's common [`OrgReport`]. With an L4 attached, the
-/// memory tier is priced by [`energy::l4::memory_energy`] — only the
-/// traffic that really crossed the DRAM channel costs the off-chip rate,
-/// plus the L4's own access and tag-probe energy; without one, every
-/// lower-cache miss is a full off-chip transfer, exactly as before.
-fn finish_run(
-    name: &'static str,
-    core: CoreResult,
-    l1_accesses: u64,
-    r: OrgReport,
-    l4: Option<L4Stats>,
-) -> AppRun {
-    let m = CoreEnergyModel::micro2003();
-    let memory = match l4 {
-        Some(s) => energy::l4::memory_energy(s.dram_blocks(), s.tag_probes, s.accesses),
-        None => m.memory_energy(r.memory_accesses),
-    };
-    let energy = EnergyTally {
-        core: m.core_energy(&core),
-        l1: m.l1_energy(l1_accesses),
-        l2: r.l2_energy,
-        memory,
-    };
-    AppRun {
-        name,
-        core,
-        l2_accesses: r.l2_accesses,
-        l2_misses: r.l2_misses,
-        group_fracs: r.group_fracs,
-        miss_frac: r.miss_frac,
-        dgroup_accesses: r.dgroup_accesses,
-        swaps: r.swaps,
-        l2_energy: r.l2_energy,
-        energy,
+/// The windows of [`run_app_transient`] plus the whole measured phase's
+/// [`Counters`].
+pub(crate) fn transient_counters(
+    profile: BenchProfile,
+    kind: &L2Kind,
+    scale: Scale,
+    n_windows: usize,
+    opts: RunOptions<'_>,
+) -> (Counters, Vec<TransientWindow>) {
+    assert!(n_windows > 0, "a transient run needs at least one window");
+    let mut phase = Phase::warmed(profile, kind, scale, &TelemetrySink::disabled(), 0, opts);
+    let n = n_windows as u64;
+    let windows = (1..=n)
+        .map(|w| TransientWindow {
+            counters: phase.window(scale.measure * w / n - phase.done()),
+            n_banks: phase.l4_banks(),
+        })
+        .collect();
+    (phase.counters(), windows)
+}
+
+impl AppRun {
+    /// Assembles the run from a measured phase's counters, priced once by
+    /// [`Counters::price`]; the fractions are derived from the counts.
+    pub fn from_counters(name: &'static str, c: &Counters) -> AppRun {
+        AppRun {
+            name,
+            core: c.core.clone(),
+            l2_accesses: c.org.l2_accesses,
+            l2_misses: c.org.l2_misses,
+            group_fracs: c.org.group_fracs(),
+            miss_frac: c.org.miss_frac(),
+            dgroup_accesses: c.org.dgroup_accesses,
+            swaps: c.org.swaps,
+            l2_energy: c.org.l2_energy,
+            energy: c.price(),
+        }
     }
 }
 

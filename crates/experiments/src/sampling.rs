@@ -10,7 +10,10 @@
 //!    telemetry — the same machinery as warm-up) except for a short
 //!    detailed window at its head. The window's first `warmup` ops
 //!    refill the out-of-order pipeline and are discarded; the next
-//!    `measure` ops are observed as one [`WindowObs`]. Ratio metrics
+//!    `measure` ops are observed as one [`WindowObs`]: the engine's
+//!    exact [`Counters`] delta (DESIGN.md §11), integer d-group hits
+//!    included. The estimated [`AppRun`] is the trace-ordered sum of the
+//!    deltas, priced once by [`Counters::price`]. Ratio metrics
 //!    (IPC, miss rate, energy per kilo-instruction) estimated from the
 //!    windows converge on the full run's values, with the spread
 //!    reported as a 95% confidence interval by the [`Estimator`].
@@ -20,7 +23,7 @@
 //!    state at its first window's trace offset — produced by one
 //!    sequential functional prefix pass (interval k's snapshot continues
 //!    from where interval k−1's left off) and keyed by
-//!    [`interval_digest`] in the [`CheckpointStore`], so a warm store
+//!    [`interval_digest`] in the [`crate::CheckpointStore`], so a warm store
 //!    skips the prefix entirely. The detailed intervals then run as
 //!    independent jobs on [`simsched::pool`], whose results come back in
 //!    job order for any thread count; stitching is therefore plain
@@ -29,6 +32,8 @@
 //!
 //! Interval 0's snapshot *is* the ordinary warm-up checkpoint (same
 //! digest, same payload layout), so sampled and unsampled runs share it.
+//! Every interval is seeded, drained, and stepped by the same
+//! [`crate::engine::Phase`] as a full-detail run.
 //!
 //! Both warm-up modes were proven architecturally bit-identical by the
 //! PR-5 differentials, which is what licenses the functional prefix: the
@@ -37,16 +42,9 @@
 //! it. The estimator trades that for timing fidelity inside the windows
 //! only — the documented, quantified sampling error (`--exp sampling`).
 
-use crate::runner::{warmup_digest, AppRun, L2Kind, RunOptions, Scale, TRACE_SEED};
-use cpu::{CoreParams, CoreResult, OooCore};
-use energy::core::CoreEnergyModel;
-use energy::EnergyTally;
-use memsys::dramcache::L4Stats;
-use memsys::l1::CoreMemSystem;
-use memsys::org::Organization;
+use crate::engine::{self, Counters, Phase, System};
+use crate::runner::{warmup_digest, AppRun, L2Kind, RunOptions, Scale};
 use simbase::digest::{Digest, Hasher128};
-use simbase::snapshot::{Decoder, Encoder};
-use simbase::EnergyNj;
 use simsched::pool;
 use simtel::Telemetry;
 use std::sync::Arc;
@@ -187,53 +185,36 @@ impl Summary {
     }
 }
 
-/// One sampled measurement window: core and organization deltas over
-/// exactly `spec.measure` observed instructions. Functional fast-forward
-/// touches no counter (the warm paths elide them by design), and the
-/// window's own detailed warm-up is excluded by delta bracketing, so
-/// every field covers the observed ops alone.
+/// One sampled measurement window: the [`Counters`] delta over exactly
+/// `spec.measure` observed instructions. Functional fast-forward touches
+/// no counter (the warm paths elide them by design), and the window's own
+/// detailed warm-up is excluded by taking the delta after it, so every
+/// count covers the observed ops alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowObs {
     /// Window index in trace order.
     pub index: u64,
     /// Measured-phase op offset of the window's period start.
     pub start: u64,
-    /// Core counters over the observed ops.
-    pub core: CoreResult,
-    /// L1 accesses (I + D) over the observed ops.
-    pub l1_accesses: u64,
-    /// Lower-organization demand accesses.
-    pub l2_accesses: u64,
-    /// Lower-organization demand misses.
-    pub l2_misses: u64,
-    /// Data-array accesses including swap/search traffic.
-    pub dgroup_accesses: u64,
-    /// Block movements.
-    pub swaps: u64,
-    /// Demand hits per d-group (weighted counts; empty without groups).
-    pub group_hits: Vec<f64>,
-    /// Off-chip accesses.
-    pub memory_accesses: u64,
-    /// L4 event deltas, when an L4 tier is attached.
-    pub l4: Option<L4Stats>,
-    /// Full-system energy over the observed ops.
-    pub energy: EnergyTally,
+    /// Counters over the observed ops.
+    pub counters: Counters,
 }
 
 impl WindowObs {
     /// Window IPC.
     pub fn ipc(&self) -> f64 {
-        self.core.ipc()
+        self.counters.core.ipc()
     }
 
     /// Window miss fraction of lower-organization accesses.
     pub fn miss_frac(&self) -> f64 {
-        self.l2_misses as f64 / self.l2_accesses.max(1) as f64
+        self.counters.org.miss_frac()
     }
 
     /// Window energy per kilo-instruction (nJ/KI).
     pub fn energy_per_ki(&self) -> f64 {
-        self.energy.total().nj() * 1000.0 / self.core.instructions.max(1) as f64
+        let instructions = self.counters.core.instructions.max(1) as f64;
+        self.counters.price().total().nj() * 1000.0 / instructions
     }
 }
 
@@ -333,30 +314,6 @@ pub fn sampled_digest(
     h.digest()
 }
 
-type FunctionalState = (OooCore<Box<dyn Organization>>, TraceGenerator);
-
-/// A fresh system for the functional prefix pass.
-fn fresh_functional(profile: BenchProfile, kind: &L2Kind) -> FunctionalState {
-    let mut lower = kind.build();
-    lower.prefill();
-    let mem = CoreMemSystem::micro2003(lower);
-    let core = OooCore::new(CoreParams::micro2003(), mem);
-    let gen = TraceGenerator::new(profile, TRACE_SEED);
-    (core, gen)
-}
-
-/// Serialises the architectural state in the warm-up-checkpoint payload
-/// order (generator, predictor, L1, lower organization) — interval-0
-/// snapshots are byte-compatible with ordinary warm-up checkpoints.
-fn save_arch(core: &OooCore<Box<dyn Organization>>, gen: &TraceGenerator) -> Vec<u8> {
-    let mut e = Encoder::new();
-    gen.save_state(&mut e);
-    core.predictor().save_state(&mut e);
-    core.mem().save_l1_state(&mut e);
-    core.mem().lower().save_state(&mut e);
-    e.into_bytes()
-}
-
 /// Runs `profile` on `kind` at `scale` under the sampling regime `spec`,
 /// split into `intervals` interval jobs executed on up to `threads`
 /// worker threads. The result is **bit-identical for any thread count
@@ -406,7 +363,7 @@ pub fn run_app_sampled(
     // prefix, exactly.
     let t_prefix = Instant::now();
     let mut blobs: Vec<Arc<Vec<u8>>> = Vec::with_capacity(k as usize);
-    let mut cur: Option<FunctionalState> = None;
+    let mut cur: Option<(System, TraceGenerator)> = None;
     for i in 0..k {
         let abs = scale.warmup + w0(i) * spec.period;
         let digest = if abs == scale.warmup {
@@ -415,21 +372,13 @@ pub fn run_app_sampled(
             interval_digest(&profile, kind, scale, abs)
         };
         let mut build = || {
-            let (core, gen) = cur.get_or_insert_with(|| fresh_functional(profile, kind));
+            let (core, gen) = cur.get_or_insert_with(|| engine::build(profile, kind));
             core.warm_run_to(gen, abs);
-            save_arch(core, gen)
+            engine::save_arch(core, gen)
         };
-        let blob = match opts.checkpoints {
-            Some(store) => {
-                let (blob, hit) = store.get_or_build(digest, build);
-                if let Some(w) = opts.wall {
-                    let outcome = if hit { "hit" } else { "miss" };
-                    w.wall_mark("simchk", &format!("{outcome}/{}@{abs}", profile.name));
-                }
-                blob
-            }
-            None => Arc::new(build()),
-        };
+        let label = format!("{}@{abs}", profile.name);
+        let blob = engine::checkpoint(&opts, digest, &label, &mut build)
+            .unwrap_or_else(|| Arc::new(build()));
         blobs.push(blob);
     }
     drop(cur);
@@ -464,7 +413,14 @@ pub fn run_app_sampled(
         );
     }
 
-    let run = assemble_run(profile.name, &observations);
+    // Summed in trace order over the stitched list, so the one f64 (the
+    // organization's energy) is bit-identical for any thread count.
+    let total = observations
+        .iter()
+        .map(|w| w.counters.clone())
+        .reduce(|a, b| a.plus(&b))
+        .expect("a sampled run observes at least one window");
+    let run = AppRun::from_counters(profile.name, &total);
     SampledRun {
         run,
         spec,
@@ -478,8 +434,7 @@ pub fn run_app_sampled(
 /// Seeds one interval from its snapshot bytes, crosses the same drain
 /// barrier as every unsampled run (DESIGN.md §11), and executes its
 /// windows: functional fast-forward to each period start, a discarded
-/// detailed pipeline warm-up, then the observed ops bracketed by counter
-/// snapshots.
+/// detailed pipeline warm-up, then the observed ops as one window delta.
 #[allow(clippy::too_many_arguments)]
 fn run_interval(
     profile: BenchProfile,
@@ -491,174 +446,23 @@ fn run_interval(
     last: u64,
     wall: Option<&Telemetry>,
 ) -> Vec<WindowObs> {
-    let mut lower = kind.build();
-    lower.prefill();
-    let mem = CoreMemSystem::micro2003(lower);
-    let mut core = OooCore::new(CoreParams::micro2003(), mem);
-    let mut gen = TraceGenerator::new(profile, TRACE_SEED);
-    let mut d = Decoder::new(blob);
-    gen.load_state(&mut d).expect("interval snapshot: generator state");
-    core.predictor_mut().load_state(&mut d).expect("interval snapshot: predictor state");
-    core.mem_mut().load_l1_state(&mut d).expect("interval snapshot: L1 state");
-    core.mem_mut()
-        .lower_mut()
-        .load_state(&mut d)
-        .expect("interval snapshot: lower-cache state");
-    d.finish().expect("interval snapshot: trailing bytes");
-
-    // Drain barrier: zero the statistics and rebuild the core at cycle 0
-    // over the restored architectural state — identical to the barrier an
-    // unsampled run crosses, so a window's counters start clean.
-    let (mut mem, mut pred) = core.into_parts();
-    mem.drain_timing();
-    mem.lower_mut().drain_timing();
-    mem.reset_stats();
-    mem.lower_mut().reset_stats();
-    pred.reset_counters();
-    let mut core = OooCore::new(CoreParams::micro2003(), mem);
-    core.set_predictor(pred);
-
-    let model = CoreEnergyModel::micro2003();
-    let mut out = Vec::with_capacity((last - first) as usize);
-    for w in first..last {
-        let start = w * spec.period;
-        core.warm_run_to(&mut gen, scale.warmup + start);
-        core.run(&mut gen, spec.warmup);
-
-        let c0 = core.finish();
-        let r0 = core.mem().lower().report();
-        let l1_0 = core.mem().l1_accesses();
-        let l4_0 = core.mem().lower().main_memory().and_then(|m| m.l4_stats());
-        core.run(&mut gen, spec.measure);
-        let c1 = core.finish();
-        let r1 = core.mem().lower().report();
-        let l1_1 = core.mem().l1_accesses();
-        let l4_1 = core.mem().lower().main_memory().and_then(|m| m.l4_stats());
-
-        let cd = c1.since(&c0);
-        let l4 = l4_1.map(|s| s.minus(&l4_0.unwrap_or_default()));
-        let memory_accesses = r1.memory_accesses - r0.memory_accesses;
-        let memory = match &l4 {
-            Some(s) => energy::l4::memory_energy(s.dram_blocks(), s.tag_probes, s.accesses),
-            None => model.memory_energy(memory_accesses),
-        };
-        let group_hits = r1
-            .group_fracs
-            .iter()
-            .zip(&r0.group_fracs)
-            .map(|(f1, f0)| f1 * r1.l2_accesses as f64 - f0 * r0.l2_accesses as f64)
-            .collect();
-        let l1_accesses = l1_1 - l1_0;
-        let energy = EnergyTally {
-            core: model.core_energy(&cd),
-            l1: model.l1_energy(l1_accesses),
-            l2: EnergyNj::new((r1.l2_energy.nj() - r0.l2_energy.nj()).max(0.0)),
-            memory,
-        };
-        if let Some(t) = wall {
-            t.wall_mark("sample-window", &format!("{}/w{w}", profile.name));
-        }
-        out.push(WindowObs {
-            index: w,
-            start,
-            core: cd,
-            l1_accesses,
-            l2_accesses: r1.l2_accesses - r0.l2_accesses,
-            l2_misses: r1.l2_misses - r0.l2_misses,
-            dgroup_accesses: r1.dgroup_accesses - r0.dgroup_accesses,
-            swaps: r1.swaps - r0.swaps,
-            group_hits,
-            memory_accesses,
-            l4,
-            energy,
-        });
-    }
-    out
-}
-
-/// Assembles the estimated [`AppRun`] from the summed window deltas.
-/// Every sum runs in trace order over the stitched window list, so the
-/// f64 fields are bit-identical for any thread count.
-fn assemble_run(name: &'static str, windows: &[WindowObs]) -> AppRun {
-    let mut core = CoreResult {
-        instructions: 0,
-        cycles: 0,
-        loads: 0,
-        stores: 0,
-        branches: 0,
-        mispredicts: 0,
-        int_ops: 0,
-        fp_ops: 0,
-    };
-    let mut l1_accesses = 0u64;
-    let mut l2_accesses = 0u64;
-    let mut l2_misses = 0u64;
-    let mut dgroup_accesses = 0u64;
-    let mut swaps = 0u64;
-    let mut memory_accesses = 0u64;
-    let mut l2_energy_nj = 0.0f64;
-    let n_groups = windows.first().map_or(0, |w| w.group_hits.len());
-    let mut group_hits = vec![0.0f64; n_groups];
-    let mut l4: Option<L4Stats> = None;
-    for w in windows {
-        core.instructions += w.core.instructions;
-        core.cycles += w.core.cycles;
-        core.loads += w.core.loads;
-        core.stores += w.core.stores;
-        core.branches += w.core.branches;
-        core.mispredicts += w.core.mispredicts;
-        core.int_ops += w.core.int_ops;
-        core.fp_ops += w.core.fp_ops;
-        l1_accesses += w.l1_accesses;
-        l2_accesses += w.l2_accesses;
-        l2_misses += w.l2_misses;
-        dgroup_accesses += w.dgroup_accesses;
-        swaps += w.swaps;
-        memory_accesses += w.memory_accesses;
-        l2_energy_nj += w.energy.l2.nj();
-        for (g, h) in group_hits.iter_mut().zip(&w.group_hits) {
-            *g += h;
-        }
-        if let Some(d) = &w.l4 {
-            let mut agg = l4.take().unwrap_or_default();
-            agg.accesses += d.accesses;
-            agg.hits += d.hits;
-            agg.misses += d.misses;
-            agg.fills += d.fills;
-            agg.dirty_fills += d.dirty_fills;
-            agg.writebacks += d.writebacks;
-            agg.tag_probes += d.tag_probes;
-            agg.tag_cache_hits += d.tag_cache_hits;
-            agg.resize_writebacks += d.resize_writebacks;
-            agg.resizes += d.resizes;
-            l4 = Some(agg);
-        }
-    }
-    let model = CoreEnergyModel::micro2003();
-    let memory = match &l4 {
-        Some(s) => energy::l4::memory_energy(s.dram_blocks(), s.tag_probes, s.accesses),
-        None => model.memory_energy(memory_accesses),
-    };
-    let l2_energy = EnergyNj::new(l2_energy_nj.max(0.0));
-    let energy = EnergyTally {
-        core: model.core_energy(&core),
-        l1: model.l1_energy(l1_accesses),
-        l2: l2_energy,
-        memory,
-    };
-    let acc = l2_accesses.max(1) as f64;
-    AppRun {
-        name,
-        core,
-        l2_accesses,
-        l2_misses,
-        group_fracs: group_hits.iter().map(|h| h / acc).collect(),
-        miss_frac: l2_misses as f64 / acc,
-        dgroup_accesses,
-        swaps,
-        l2_energy,
-        energy,
-    }
+    let mut phase = Phase::seeded(profile, kind, blob);
+    (first..last)
+        .map(|w| {
+            let start = w * spec.period;
+            phase.fast_forward_to(scale.warmup + start);
+            phase.run_to(phase.done() + spec.warmup);
+            let counters = phase.window(spec.measure);
+            if let Some(t) = wall {
+                t.wall_mark("sample-window", &format!("{}/w{w}", profile.name));
+            }
+            WindowObs {
+                index: w,
+                start,
+                counters,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

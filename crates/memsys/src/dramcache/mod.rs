@@ -163,17 +163,27 @@ impl L4Stats {
     /// Field-wise `self - earlier`: the events of a window given
     /// cumulative counters sampled at its two ends.
     pub fn minus(&self, earlier: &L4Stats) -> L4Stats {
+        self.zip(earlier, |a, b| a - b)
+    }
+
+    /// Field-wise `self + other`: the events of two disjoint windows.
+    pub fn plus(&self, other: &L4Stats) -> L4Stats {
+        self.zip(other, |a, b| a + b)
+    }
+
+    /// Applies `f` field by field.
+    fn zip(&self, o: &L4Stats, f: impl Fn(u64, u64) -> u64) -> L4Stats {
         L4Stats {
-            accesses: self.accesses - earlier.accesses,
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            fills: self.fills - earlier.fills,
-            dirty_fills: self.dirty_fills - earlier.dirty_fills,
-            writebacks: self.writebacks - earlier.writebacks,
-            tag_probes: self.tag_probes - earlier.tag_probes,
-            tag_cache_hits: self.tag_cache_hits - earlier.tag_cache_hits,
-            resize_writebacks: self.resize_writebacks - earlier.resize_writebacks,
-            resizes: self.resizes - earlier.resizes,
+            accesses: f(self.accesses, o.accesses),
+            hits: f(self.hits, o.hits),
+            misses: f(self.misses, o.misses),
+            fills: f(self.fills, o.fills),
+            dirty_fills: f(self.dirty_fills, o.dirty_fills),
+            writebacks: f(self.writebacks, o.writebacks),
+            tag_probes: f(self.tag_probes, o.tag_probes),
+            tag_cache_hits: f(self.tag_cache_hits, o.tag_cache_hits),
+            resize_writebacks: f(self.resize_writebacks, o.resize_writebacks),
+            resizes: f(self.resizes, o.resizes),
         }
     }
 }

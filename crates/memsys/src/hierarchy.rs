@@ -378,8 +378,7 @@ impl Organization for BaseHierarchy {
         OrgReport {
             l2_accesses: self.l2_accesses(),
             l2_misses: self.l2_accesses() - self.l2_hits(),
-            group_fracs: Vec::new(),
-            miss_frac: 1.0 - self.l2_hits() as f64 / self.l2_accesses().max(1) as f64,
+            group_hits: Vec::new(),
             dgroup_accesses: 0,
             swaps: 0,
             memory_accesses: self.memory_accesses(),

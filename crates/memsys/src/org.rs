@@ -22,20 +22,22 @@ use simbase::{AccessKind, BlockAddr, Cycle, EnergyNj};
 use simtel::TelemetrySink;
 
 /// The measured-phase summary every organization reduces to: the common
-/// denominator of the report tables. Quantities an organization does not
-/// have are zero/empty (the base hierarchy has no d-groups, so its
-/// `group_fracs` is empty and `dgroup_accesses`/`swaps` are 0).
+/// denominator of the report tables. Every field is an exact counter
+/// (the energy is priced from the organization's own counters), so two
+/// reports subtract and add without loss; fractions are derived from the
+/// counts only where a table needs them ([`OrgReport::group_fracs`],
+/// [`OrgReport::miss_frac`]). Quantities an organization does not have
+/// are zero/empty (the base hierarchy has no d-groups, so its
+/// `group_hits` is empty and `dgroup_accesses`/`swaps` are 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrgReport {
     /// Demand accesses presented to the organization.
     pub l2_accesses: u64,
     /// Demand accesses that missed on chip.
     pub l2_misses: u64,
-    /// Fraction of demand accesses hitting each d-group / bank position
-    /// (fastest first; empty for organizations without distance groups).
-    pub group_fracs: Vec<f64>,
-    /// Fraction of demand accesses that missed.
-    pub miss_frac: f64,
+    /// Demand hits in each d-group / bank position (fastest first; empty
+    /// for organizations without distance groups).
+    pub group_hits: Vec<u64>,
     /// Total data-array (d-group or bank) accesses including swap and
     /// search traffic.
     pub dgroup_accesses: u64,
@@ -45,6 +47,69 @@ pub struct OrgReport {
     pub memory_accesses: u64,
     /// Dynamic energy of the organization over the measured phase.
     pub l2_energy: EnergyNj,
+}
+
+impl OrgReport {
+    /// Fraction of demand accesses hitting each d-group (the stacked bars
+    /// of Figures 4, 5, and 7): `hits / accesses`, 0 with no accesses.
+    pub fn group_fracs(&self) -> Vec<f64> {
+        self.group_hits
+            .iter()
+            .map(|&h| frac(h, self.l2_accesses))
+            .collect()
+    }
+
+    /// Fraction of demand accesses that missed.
+    pub fn miss_frac(&self) -> f64 {
+        frac(self.l2_misses, self.l2_accesses)
+    }
+
+    /// Field-wise `self - earlier`: the events of a window given reports
+    /// taken at its two ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two reports have different d-group counts.
+    #[must_use]
+    pub fn minus(&self, earlier: &OrgReport) -> OrgReport {
+        let nj = (self.l2_energy.nj() - earlier.l2_energy.nj()).max(0.0);
+        self.zip(earlier, |a, b| a - b, EnergyNj::new(nj))
+    }
+
+    /// Field-wise `self + other`: the events of two disjoint windows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two reports have different d-group counts.
+    #[must_use]
+    pub fn plus(&self, other: &OrgReport) -> OrgReport {
+        self.zip(other, |a, b| a + b, self.l2_energy + other.l2_energy)
+    }
+
+    /// Applies `f` to every count, d-group hits included, and takes the
+    /// already-combined `l2_energy`.
+    fn zip(&self, o: &OrgReport, f: impl Fn(u64, u64) -> u64, l2_energy: EnergyNj) -> OrgReport {
+        assert_eq!(self.group_hits.len(), o.group_hits.len(), "d-group count");
+        OrgReport {
+            l2_accesses: f(self.l2_accesses, o.l2_accesses),
+            l2_misses: f(self.l2_misses, o.l2_misses),
+            group_hits: self
+                .group_hits
+                .iter()
+                .zip(&o.group_hits)
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
+            dgroup_accesses: f(self.dgroup_accesses, o.dgroup_accesses),
+            swaps: f(self.swaps, o.swaps),
+            memory_accesses: f(self.memory_accesses, o.memory_accesses),
+            l2_energy,
+        }
+    }
+}
+
+/// `count / total` as an f64, 0 when `total` is 0.
+fn frac(count: u64, total: u64) -> f64 {
+    count as f64 / total.max(1) as f64
 }
 
 /// A pluggable lower-level cache organization: the per-access
@@ -214,8 +279,7 @@ mod tests {
             OrgReport {
                 l2_accesses: self.accesses,
                 l2_misses: self.misses,
-                group_fracs: Vec::new(),
-                miss_frac: self.misses as f64 / self.accesses.max(1) as f64,
+                group_hits: Vec::new(),
                 dgroup_accesses: 0,
                 swaps: 0,
                 memory_accesses: self.misses,
@@ -237,6 +301,30 @@ mod tests {
         assert_eq!(boxed.block_bytes(), 128);
         let rep = boxed.report();
         assert_eq!((rep.l2_accesses, rep.l2_misses), (2, 1));
+        assert_eq!(rep.miss_frac(), 0.5);
+    }
+
+    #[test]
+    fn reports_subtract_and_add_exactly() {
+        let r = |a: u64, g: [u64; 2], nj: f64| OrgReport {
+            l2_accesses: a,
+            l2_misses: a - g[0] - g[1],
+            group_hits: g.to_vec(),
+            dgroup_accesses: 2 * a,
+            swaps: g[1],
+            memory_accesses: a - g[0] - g[1],
+            l2_energy: EnergyNj::new(nj),
+        };
+        let (early, late) = (r(10, [6, 3], 1.5), r(25, [15, 7], 4.0));
+        let window = late.minus(&early);
+        assert_eq!(window, r(15, [9, 4], 2.5));
+        assert_eq!(window.plus(&early), late);
+        assert_eq!(window.group_fracs(), vec![9.0 / 15.0, 4.0 / 15.0]);
+        assert_eq!(
+            r(0, [0, 0], 0.0).group_fracs(),
+            vec![0.0, 0.0],
+            "no accesses, no NaN"
+        );
     }
 
     #[test]

@@ -753,10 +753,9 @@ impl memsys::org::Organization for DnucaCache {
         memsys::org::OrgReport {
             l2_accesses: s.accesses.get(),
             l2_misses: s.misses.get(),
-            group_fracs: (0..self.geometry().n_bank_positions())
-                .map(|p| s.position_access_frac(p))
+            group_hits: (0..self.geometry().n_bank_positions())
+                .map(|p| s.position_hits.count(p))
                 .collect(),
-            miss_frac: s.miss_frac(),
             dgroup_accesses: s.total_bank_accesses(),
             swaps: s.swaps.get(),
             memory_accesses: s.memory_reads.get() + s.writebacks.get(),

@@ -462,8 +462,7 @@ impl memsys::org::Organization for CoupledCache {
         memsys::org::OrgReport {
             l2_accesses: s.accesses.get(),
             l2_misses: s.misses.get(),
-            group_fracs: (0..s.n_dgroups()).map(|g| s.group_access_frac(g)).collect(),
-            miss_frac: s.miss_frac(),
+            group_hits: (0..s.n_dgroups()).map(|g| s.group_hits.count(g)).collect(),
             dgroup_accesses: s.total_dgroup_accesses(),
             swaps: s.total_moves(),
             memory_accesses: s.memory_reads.get() + s.writebacks.get(),

@@ -192,16 +192,19 @@ fn stats_are_monotone_and_reports_coherent() {
         assert_eq!(rep.l2_accesses, last_accesses, "{name}");
         assert_eq!(rep.l2_misses, last_misses, "{name}");
         assert!(
-            (rep.miss_frac - last_misses as f64 / last_accesses as f64).abs() < 1e-12,
+            (rep.miss_frac() - last_misses as f64 / last_accesses as f64).abs() < 1e-12,
             "{name}: miss_frac inconsistent with counters"
         );
-        let frac_sum: f64 = rep.group_fracs.iter().sum();
+        let frac_sum: f64 = rep.group_fracs().iter().sum();
         assert!(
-            frac_sum + rep.miss_frac <= 1.0 + 1e-9,
+            frac_sum + rep.miss_frac() <= 1.0 + 1e-9,
             "{name}: group fractions + miss fraction exceed 1 ({frac_sum} + {})",
-            rep.miss_frac
+            rep.miss_frac()
         );
-        assert!(rep.group_fracs.iter().all(|f| (0.0..=1.0).contains(f)), "{name}");
+        assert!(
+            rep.group_fracs().iter().all(|f| (0.0..=1.0).contains(f)),
+            "{name}"
+        );
         assert!(rep.l2_energy.nj() >= 0.0, "{name}: negative energy");
     }
 }
@@ -303,6 +306,87 @@ fn l4_roster() -> Vec<(String, L2Kind)> {
         .into_iter()
         .map(|(name, kind)| (format!("{name}+l4"), L2Kind::L4(Box::new(kind), cfg.clone())))
         .collect()
+}
+
+/// The drain barrier (DESIGN.md §11) zeroes every counter in each mode
+/// that crosses it — the single-core engine (after a timed warm-up),
+/// every core of the CMP front-end (after a timed stretch), and a
+/// sampled interval seeded from snapshot bytes — for the full roster plus
+/// NuRAPID over the L4 tier: every `OrgReport` count, the d-group hits,
+/// the L4 events, the L1 accesses, and the core's commit counters.
+#[test]
+fn the_drain_barrier_zeroes_every_counter_in_every_mode() {
+    use cmp::{CmpConfig, CmpSystem};
+    use experiments::engine::{self, Counters, Phase};
+    use experiments::{RunOptions, Scale, WarmupMode};
+    use memsys::dramcache::L4Stats;
+    use simtel::TelemetrySink;
+
+    let zero = |c: &Counters| Counters {
+        core: cpu::CoreResult::default(),
+        l1_accesses: 0,
+        org: zero_report(&c.org),
+        l4: c.l4.map(|_| L4Stats::default()),
+    };
+    let app = workloads::profiles::by_name("galgel").expect("in roster");
+    let profiles = [
+        app,
+        workloads::profiles::by_name("wupwise").expect("in roster"),
+    ];
+    let mut kinds: Vec<(String, L2Kind)> = roster()
+        .into_iter()
+        .map(|(n, k)| (n.to_string(), k))
+        .collect();
+    kinds.extend(l4_roster().into_iter().filter(|(n, _)| n == "nurapid+l4"));
+    assert_eq!(kinds.len(), 8);
+    for (name, kind) in &kinds {
+        let timed = RunOptions {
+            mode: WarmupMode::Timed,
+            ..Default::default()
+        };
+        let scale = Scale {
+            warmup: 3_000,
+            measure: 0,
+        };
+        let c = Phase::warmed(app, kind, scale, &TelemetrySink::disabled(), 0, timed).counters();
+        assert_eq!(c, zero(&c), "{name}: single-core engine");
+
+        let (mut core, mut gen) = engine::build(app, kind);
+        core.warm_run(&mut gen, 3_000);
+        let c = Phase::seeded(app, kind, &engine::save_arch(&core, &gen)).counters();
+        assert_eq!(c, zero(&c), "{name}: sampled-interval seed");
+
+        let mut sys = CmpSystem::new(CmpConfig::micro2003(2), kind.build(), &profiles, 0x5eed);
+        sys.warm_run(1_000);
+        sys.run(2_000);
+        sys.drain_barrier(&TelemetrySink::disabled(), 0);
+        let r = sys.finish();
+        assert_eq!(
+            r.per_core,
+            vec![cpu::CoreResult::default(); 2],
+            "{name}: CMP cores"
+        );
+        assert_eq!(r.report, zero_report(&r.report), "{name}: CMP report");
+        assert_eq!(sys.l1_accesses(), vec![0, 0], "{name}: CMP L1s");
+        assert_eq!(
+            sys.l4_stats(),
+            sys.l4_stats().map(|_| L4Stats::default()),
+            "{name}: CMP L4"
+        );
+    }
+}
+
+/// An all-zero report with `r`'s d-group count.
+fn zero_report(r: &OrgReport) -> OrgReport {
+    OrgReport {
+        l2_accesses: 0,
+        l2_misses: 0,
+        group_hits: vec![0; r.group_hits.len()],
+        dgroup_accesses: 0,
+        swaps: 0,
+        memory_accesses: 0,
+        l2_energy: simbase::EnergyNj::ZERO,
+    }
 }
 
 /// Shrinks or grows the organization's L4 to `target` banks at `now`.
@@ -451,9 +535,9 @@ fn l4_reset_stats_clears_counters_but_keeps_the_resized_tier() {
 #[test]
 fn report_shapes_match_the_organization() {
     let expected_groups = |rep: &OrgReport, name: &str| match name {
-        "base" => assert!(rep.group_fracs.is_empty(), "base has no d-groups"),
-        "nurapid" | "coupled" => assert_eq!(rep.group_fracs.len(), 4, "{name}"),
-        _ => assert_eq!(rep.group_fracs.len(), 8, "{name}"),
+        "base" => assert!(rep.group_hits.is_empty(), "base has no d-groups"),
+        "nurapid" | "coupled" => assert_eq!(rep.group_hits.len(), 4, "{name}"),
+        _ => assert_eq!(rep.group_hits.len(), 8, "{name}"),
     };
     for (name, kind) in roster() {
         let mut org = kind.build();

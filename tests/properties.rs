@@ -532,3 +532,66 @@ fn way_memo_eviction_invalidates_cleanly() {
         );
     });
 }
+
+/// 20. Counter algebra: for every organization in the factory roster
+/// (plus NuRAPID over an L4 tier), the measured-phase counters read at
+/// any two points of a run satisfy `after.minus(&before).plus(&before)
+/// == after`, field by field. A counter added to a result struct but
+/// missed in `minus` or `plus` fails here. The organization's energy is
+/// the one f64 among the counts; it must agree to rounding.
+#[test]
+fn counter_deltas_add_back_onto_their_base() {
+    use experiments::engine::{Counters, Phase};
+    use experiments::{L2Kind, L4Config, RunOptions, Scale};
+    use nuca::CnucaConfig;
+    use simtel::TelemetrySink;
+
+    let mut l4 = L4Config::tdram();
+    (l4.n_banks, l4.bank_blocks, l4.assoc) = (4, 256, 4);
+    let kinds = [
+        L2Kind::Base,
+        L2Kind::NuRapid(NuRapidConfig::micro2003(4)),
+        L2Kind::Coupled(4),
+        L2Kind::Dnuca(SearchPolicy::SsPerformance),
+        L2Kind::Dnuca(SearchPolicy::SsEnergy),
+        L2Kind::Dnuca(SearchPolicy::WayMemo),
+        L2Kind::Cnuca(CnucaConfig::micro2003()),
+        L2Kind::L4(Box::new(L2Kind::NuRapid(NuRapidConfig::micro2003(4))), l4),
+    ];
+    let app = workloads::profiles::by_name("galgel").expect("in roster");
+    let gen = (
+        select((0..kinds.len()).collect()),
+        range_u64(0, 2_000),
+        range_u64(0, 2_000),
+    );
+    prop("counter_deltas_add_back_onto_their_base")
+        .cases(16)
+        .check(&gen, |&(k, a, b)| {
+            let scale = Scale {
+                warmup: 2_000,
+                measure: 0,
+            };
+            let sink = TelemetrySink::disabled();
+            let mut phase = Phase::warmed(app, &kinds[k], scale, &sink, 0, RunOptions::default());
+            phase.run_to(a);
+            let before = phase.counters();
+            phase.run_to(a + b);
+            let after = phase.counters();
+            let back = after.minus(&before).plus(&before);
+            let (e_back, e_after) = (back.org.l2_energy.nj(), after.org.l2_energy.nj());
+            assert!(
+                (e_back - e_after).abs() <= 1e-9 * e_after,
+                "{k}: energy {e_back} vs {e_after}"
+            );
+            let counts = |c: &Counters| {
+                let mut c = c.clone();
+                c.org.l2_energy = simbase::EnergyNj::ZERO;
+                c
+            };
+            assert_eq!(
+                counts(&back),
+                counts(&after),
+                "{k}: a counter is missing from minus/plus"
+            );
+        });
+}

@@ -44,7 +44,11 @@ fn billion_instruction_sampled_run_completes_in_minutes() {
     // slice of the 1B instructions), at a detailed-instruction reduction
     // far past the ≥20× target, with a sane, tight estimate.
     assert_eq!(run.windows.len() as u64, spec.windows(scale));
-    let measured: u64 = run.windows.iter().map(|w| w.core.instructions).sum();
+    let measured: u64 = run
+        .windows
+        .iter()
+        .map(|w| w.counters.core.instructions)
+        .sum();
     assert_eq!(measured, spec.windows(scale) * spec.measure);
     assert!(run.speedup() >= 20.0, "speedup {:.1}x below the 20x target", run.speedup());
     let ipc = run.ipc();
