@@ -31,11 +31,12 @@
 
 use cpu::uop::TraceSource;
 use cpu::{CoreParams, CoreResult, OooCore};
-use memsys::bankq::{BankQueueParams, BankQueues};
+use memsys::bankq::{BankQueueParams, BankQueues, BANK_QUEUE_TIMING};
 use memsys::dramcache::L4Stats;
 use memsys::l1::CoreMemSystem;
 use memsys::lower::{LowerCache, LowerOutcome};
 use memsys::org::{OrgReport, Organization};
+use simbase::digest::{KnobVisitor, Knobs, Tag};
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::{AccessKind, BlockAddr, Cycle};
 use simtel::{percore, TelemetrySink};
@@ -72,6 +73,21 @@ impl CmpConfig {
             n_banks: 32,
             bank: BankQueueParams::micro2003(128),
         }
+    }
+}
+
+impl Knobs for CmpConfig {
+    fn visit_knobs(&mut self, v: &mut KnobVisitor<'_>) {
+        let CmpConfig {
+            cores,
+            shared_milli,
+            n_banks,
+            bank,
+        } = self;
+        v(Tag::Arch, cores);
+        v(Tag::Arch, shared_milli);
+        v(BANK_QUEUE_TIMING, n_banks);
+        bank.visit_knobs(v);
     }
 }
 

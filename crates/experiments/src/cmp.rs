@@ -14,9 +14,7 @@
 
 use crate::engine;
 use crate::report::{f2, pct, rel, TextTable};
-use crate::runner::{
-    digest_kind_architectural, digest_profile, L2Kind, RunOptions, Scale, TRACE_SEED,
-};
+use crate::runner::{L2Kind, RunOptions, Scale, TRACE_SEED};
 use crate::sampling::SampleSpec;
 use ::cmp::{CmpConfig, CmpResult, CmpSystem};
 use simbase::digest::{Digest, Hasher128};
@@ -89,10 +87,9 @@ impl CmpRun {
     }
 }
 
-/// Digest of one CMP job: the full scenario configuration, every
-/// per-core profile in core order, the full organization configuration,
-/// the budget, and the seed — everything that determines a [`CmpRun`]
-/// bit-for-bit. Keys the CMP run store and the on-disk artifacts.
+/// Digest of one CMP job: every knob of the scenario, the per-core
+/// profiles in core order, the organization, and the budget, plus the
+/// seed. Keys the CMP run store and the on-disk artifacts.
 pub fn cmp_run_digest(
     cfg: &CmpConfig,
     apps: &[BenchProfile],
@@ -101,28 +98,19 @@ pub fn cmp_run_digest(
 ) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-cmp-run-v1");
-    h.write_u32(cfg.cores);
-    h.write_u32(cfg.shared_milli);
-    h.write_u64(cfg.n_banks as u64);
-    h.write_u64(cfg.bank.service_cycles);
-    h.write_u64(cfg.bank.max_delay);
+    h.write_knobs(cfg);
     h.write_u64(apps.len() as u64);
-    for p in apps {
-        digest_profile(&mut h, p);
-    }
-    kind.digest_into(&mut h);
-    h.write_u64(scale.warmup);
-    h.write_u64(scale.measure);
+    apps.iter().for_each(|p| h.write_knobs(p));
+    h.write_knobs(kind);
+    h.write_knobs(&scale);
     h.write_u64(TRACE_SEED);
     h.digest()
 }
 
-/// Digest of the warm-up-relevant slice of a CMP job. Core count and
-/// the shared-region knob are architectural (they shape the per-core
-/// address streams and the sharer map); the bank queue model is
-/// timing-only state that never runs on the warm path, so bank count
-/// and bandwidth are deliberately excluded — exactly as the single-core
-/// digest excludes `ideal` and the D-NUCA search policy.
+/// Digest of the warm-up-relevant slice of a CMP job: the `Arch` knobs of
+/// the same configurations. Core count and the shared-region knob shape
+/// the per-core address streams and the sharer map; the bank queues are
+/// timing-only, so their variants share one checkpoint.
 pub fn cmp_warmup_digest(
     cfg: &CmpConfig,
     apps: &[BenchProfile],
@@ -131,25 +119,19 @@ pub fn cmp_warmup_digest(
 ) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-cmp-warmup-v1");
-    h.write_u32(cfg.cores);
-    h.write_u32(cfg.shared_milli);
+    h.write_arch_knobs(cfg);
     h.write_u64(apps.len() as u64);
-    for p in apps {
-        digest_profile(&mut h, p);
-    }
-    digest_kind_architectural(&mut h, kind);
-    h.write_u64(scale.warmup);
+    apps.iter().for_each(|p| h.write_arch_knobs(p));
+    h.write_arch_knobs(kind);
+    h.write_arch_knobs(&scale);
     h.write_u64(TRACE_SEED);
     h.write_u32(crate::checkpoint::CHECKPOINT_VERSION);
     h.digest()
 }
 
 /// Digest of one **sampled** CMP job: the plain [`cmp_run_digest`]
-/// under a distinct domain tag plus the sampling regime, so a sampled
-/// scenario can never alias its unsampled twin (or a different regime)
-/// in the run store or on disk. Sampled CMP runs are never split into
-/// intervals (the multi-core trace interleaving is resolved inside one
-/// [`CmpSystem`]), so no interval count is folded.
+/// under a distinct domain tag plus the sampling regime. Sampled CMP runs
+/// are never split into intervals, so no interval count is folded.
 pub fn cmp_sampled_digest(
     cfg: &CmpConfig,
     apps: &[BenchProfile],
@@ -159,10 +141,8 @@ pub fn cmp_sampled_digest(
 ) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-cmp-sampled-v1");
-    let raw = cmp_run_digest(cfg, apps, kind, scale).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
-    spec.digest_into(&mut h);
+    h.write_digest(cmp_run_digest(cfg, apps, kind, scale));
+    h.write_knobs(&spec);
     h.digest()
 }
 
@@ -372,84 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn run_digest_separates_every_cmp_knob() {
-        let kind = kind_of("nf4");
-        let cfg = CmpConfig::micro2003(4);
-        let apps = cmp_profiles(4);
-        let base = cmp_run_digest(&cfg, &apps, &kind, tiny());
-        assert_eq!(base, cmp_run_digest(&cfg, &apps, &kind, tiny()), "stable");
-
-        let mut shared = cfg;
-        shared.shared_milli = 200;
-        let mut banks = cfg;
-        banks.n_banks = 16;
-        let mut bw = cfg;
-        bw.bank.service_cycles += 1;
-        let mut bound = cfg;
-        bound.bank.max_delay += 1;
-        let variants = [
-            cmp_run_digest(&CmpConfig::micro2003(8), &cmp_profiles(8), &kind, tiny()),
-            cmp_run_digest(&shared, &apps, &kind, tiny()),
-            cmp_run_digest(&banks, &apps, &kind, tiny()),
-            cmp_run_digest(&bw, &apps, &kind, tiny()),
-            cmp_run_digest(&bound, &apps, &kind, tiny()),
-            cmp_run_digest(&cfg, &apps, &kind_of("base"), tiny()),
-            cmp_run_digest(
-                &cfg,
-                &apps,
-                &kind,
-                Scale {
-                    warmup: tiny().warmup,
-                    measure: tiny().measure + 1,
-                },
-            ),
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base, *v, "variant {i} aliased the CMP run digest");
-        }
-    }
-
-    #[test]
-    fn warmup_digest_shares_timing_only_knobs_and_separates_the_rest() {
-        let kind = kind_of("nf4");
-        let cfg = CmpConfig::micro2003(4);
-        let apps = cmp_profiles(4);
-        let base = cmp_warmup_digest(&cfg, &apps, &kind, tiny());
-
-        // Bank count and bandwidth are timing-only: one warm checkpoint.
-        let mut banks = cfg;
-        banks.n_banks = 16;
-        banks.bank.max_delay = 8;
-        assert_eq!(base, cmp_warmup_digest(&banks, &apps, &kind, tiny()));
-        // The `ideal` twin and the D-NUCA policies share too, exactly as
-        // in the single-core digest.
-        assert_eq!(base, cmp_warmup_digest(&cfg, &apps, &kind_of("id4"), tiny()));
-        assert_eq!(
-            cmp_warmup_digest(&cfg, &apps, &kind_of("dn-perf"), tiny()),
-            cmp_warmup_digest(&cfg, &apps, &kind_of("dn-memo"), tiny()),
-        );
-        // Measured budget is warm-up-irrelevant.
-        let longer = Scale {
-            warmup: tiny().warmup,
-            measure: tiny().measure + 1,
-        };
-        assert_eq!(base, cmp_warmup_digest(&cfg, &apps, &kind, longer));
-
-        // Core count and the shared-region knob are architectural.
-        let mut shared = cfg;
-        shared.shared_milli = 0;
-        let variants = [
-            cmp_warmup_digest(&CmpConfig::micro2003(2), &cmp_profiles(2), &kind, tiny()),
-            cmp_warmup_digest(&shared, &apps, &kind, tiny()),
-            cmp_warmup_digest(&cfg, &apps, &kind_of("base"), tiny()),
-            crate::runner::warmup_digest(&apps[0], &kind, tiny()),
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base, *v, "variant {i} aliased the CMP warm-up digest");
-        }
-    }
-
-    #[test]
     fn cmp_runs_are_deterministic_and_contend_at_eight_cores() {
         let kind = kind_of("nf4");
         let sink = TelemetrySink::disabled();
@@ -481,28 +383,6 @@ mod tests {
             "sampling must cut detailed ops: {detailed} vs {full_ops}"
         );
         assert_ne!(a, full);
-    }
-
-    #[test]
-    fn sampled_cmp_digest_separates_regimes() {
-        let kind = kind_of("nf4");
-        let cfg = CmpConfig::micro2003(4);
-        let apps = cmp_profiles(4);
-        let spec = SampleSpec {
-            period: 8_000,
-            warmup: 400,
-            measure: 1_600,
-        };
-        let base = cmp_sampled_digest(&cfg, &apps, &kind, tiny(), spec);
-        assert_eq!(base, cmp_sampled_digest(&cfg, &apps, &kind, tiny(), spec), "stable");
-        assert_ne!(
-            base,
-            cmp_run_digest(&cfg, &apps, &kind, tiny()),
-            "sampled and unsampled CMP digests must never alias"
-        );
-        let mut other = spec;
-        other.measure += 1;
-        assert_ne!(base, cmp_sampled_digest(&cfg, &apps, &kind, tiny(), other));
     }
 
     #[test]

@@ -1535,9 +1535,7 @@ pub fn dram_digest(
 ) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-dram-v1");
-    let raw = run_digest(profile, kind, scale).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
+    h.write_digest(run_digest(profile, kind, scale));
     h.write_u64(n_windows as u64);
     h.digest()
 }
@@ -1710,9 +1708,8 @@ fn sampled_study_digest(
 ) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-sampling-study-v1");
-    let raw = sampling::sampled_digest(profile, kind, scale, spec, intervals).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
+    let sampled = sampling::sampled_digest(profile, kind, scale, spec, intervals);
+    h.write_digest(sampled);
     h.digest()
 }
 
@@ -1878,6 +1875,7 @@ impl SamplingStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::tests::tiny_spec;
     use workloads::profiles::by_name;
 
     fn tiny_sweep() -> Sweep {
@@ -1996,6 +1994,54 @@ mod tests {
         let c = s.run_kind(app, "other-label", &L2Kind::NuRapid(NuRapidConfig::micro2003(4)));
         assert_eq!(s.runs(), 2);
         assert_eq!(*a, *c);
+    }
+
+    /// Every digest family, pinned byte for byte (galgel, [`Scale::quick`]):
+    /// stored checkpoints and artifacts stay servable only while these
+    /// hold. Only the designed warm-up twins (ideal NuRAPID, the D-NUCA
+    /// policies) agree; the interval count keys sampled runs apart.
+    #[test]
+    #[rustfmt::skip]
+    fn digests_are_pinned_and_pairwise_distinct() {
+        use crate::cmp::{cmp_profiles, cmp_run_digest, cmp_sampled_digest, cmp_warmup_digest};
+        use crate::sampling::{interval_digest, sampled_digest};
+        let (app, s) = (by_name("galgel").unwrap(), Scale::quick());
+        let (spec, nf4, sa4) = (SampleSpec::for_scale(s), kind_of("nf4"), kind_of("sa4"));
+        let (cfg, apps) = (::cmp::CmpConfig::micro2003(4), cmp_profiles(4));
+        let mut got = Vec::new();
+        for (key, run, warmup) in [
+            ("base", "ad60dedd8a6cdaec59283ecea6e469a7", "db1f9e4b4dff359ff3c2190933643ae2"),
+            ("nf4", "7dd6d890c3fc1538b7139fa373b70615", "92c23196172b5607415e91b69f2c5818"),
+            ("id4", "cb6ed0c2e85f6162f6c169fe62484ad4", "92c23196172b5607415e91b69f2c5818"),
+            ("dm4", "190507c668182eb4b3b575e58f16066c", "3162d5b4246f9aa2c3b8c11c84f2abbf"),
+            ("lru-nf", "c8cd0b7a657adb67fab5c164d176c9aa", "8498e22977e6485f4c50e864fb781319"),
+            ("nf4-r64", "683f0da89969c1bda6300b3a4664431a", "7ba77cede689d8f0b9f93ab352398447"),
+            ("sa4", "49237f508df83f2cb89017498b1f0899", "4cd2058ef72d6c9d73c23a0150b326d4"),
+            ("dn-perf", "4d98fee0998e72d84688574c7d754514", "8e23d0238fd524dc8697733901a92267"),
+            ("dn-memo", "052fc69a428cb02b4c1a636729831482", "8e23d0238fd524dc8697733901a92267"),
+            ("cnuca", "fd819d181e32045f61b0e8f85073e22a", "ddf3af0cbde16c6ef77706874ada08b9"),
+            ("dram", "b549330f0eb78c53f4728e6c1722a92e", "01fd7f062aec665718f4e3698ea347ba"),
+        ] {
+            let kind = if key == "dram" { dram_kind(s) } else { kind_of(key) };
+            got.push((run_digest(&app, &kind, s), run));
+            got.push((crate::runner::warmup_digest(&app, &kind, s), warmup));
+        }
+        got.extend([
+            (cmp_run_digest(&cfg, &apps, &nf4, s), "12be64c21d564e7f0cfc45e824044b68"),
+            (cmp_warmup_digest(&cfg, &apps, &nf4, s), "92d50e6f0970d89dfd266146bc12cfc9"),
+            (cmp_sampled_digest(&cfg, &apps, &nf4, s, spec), "359714be9c6f2426d01fea35ce66c2ba"),
+            (sampled_digest(&app, &nf4, s, spec, 4), "241d61872c4fa91a61f112462826a163"),
+            (sampled_digest(&app, &nf4, s, spec, 2), "ab0fbe605c4fa924e473b947af2e8925"),
+            (interval_digest(&app, &nf4, s, 162_500), "83ad32a6ccbca9e3fc674d2f695bf865"),
+            (dram_digest(&app, &dram_kind(s), s, 8), "430853f867fc71171cd793fe79221340"),
+            (sampled_study_digest(&app, &sa4, s, sampling_spec(s, 10), 4), "c084bafb2695a5db27ee8b12663438bd"),
+        ]);
+        for (i, (a, want)) in got.iter().enumerate() {
+            assert_eq!(a.hex(), *want, "digest {i} moved");
+            for (j, (b, _)) in got.iter().enumerate().skip(i + 1) {
+                assert_eq!(a == b, [(3, 5), (15, 17)].contains(&(i, j)), "digests {i}, {j}");
+            }
+        }
     }
 
     #[test]
@@ -2217,14 +2263,6 @@ mod tests {
         assert_eq!((second.simulated(), second.resumed()), (0, 1));
         assert_eq!(*a, *b, "artifact resume must be bit-identical");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn tiny_spec() -> SampleSpec {
-        SampleSpec {
-            period: 5_000,
-            warmup: 200,
-            measure: 800,
-        }
     }
 
     #[test]

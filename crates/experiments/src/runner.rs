@@ -26,8 +26,8 @@ use memsys::hierarchy::BaseHierarchy;
 use memsys::org::Organization;
 use nuca::{CnucaConfig, CompressedNucaCache, DnucaCache, DnucaConfig, SearchPolicy};
 use nurapid::coupled::CoupledCache;
-use nurapid::{DistanceVictimPolicy, NuRapidCache, NuRapidConfig, PromotionPolicy};
-use simbase::digest::{Digest, Hasher128};
+use nurapid::{NuRapidCache, NuRapidConfig};
+use simbase::digest::{Digest, Hasher128, Knob, KnobVisitor, Knobs, Tag};
 use simbase::EnergyNj;
 use simtel::{Telemetry, TelemetrySink};
 use std::time::Instant;
@@ -134,8 +134,8 @@ impl L2Kind {
     /// the concrete organization behind a `Box<dyn Organization>`. The
     /// rest of the runner — warm-up, checkpointing, the drain barrier,
     /// the measured loop, and the report — never names a concrete cache
-    /// type, so a new organization only needs a variant here plus the
-    /// two digest arms (DESIGN.md §12).
+    /// type, so a new organization only needs a variant here plus one
+    /// arm in the [`Knobs`] declaration below (DESIGN.md §12).
     pub fn build(&self) -> Box<dyn Organization> {
         match self {
             L2Kind::Base => {
@@ -160,203 +160,91 @@ impl L2Kind {
 
     /// The measured-phase resize schedule of the L4 tier (empty for
     /// every other kind). Applied by the measured loop at the scheduled
-    /// op indices; part of [`run_digest`] but never [`warmup_digest`]
-    /// (resizes happen strictly after the warm-up barrier).
+    /// op indices.
     pub fn resize_schedule(&self) -> &[(u64, u32)] {
         match self {
             L2Kind::L4(_, cfg) => &cfg.resizes,
             _ => &[],
         }
     }
+}
 
-    /// Feeds every field of the configuration into `h`, discriminant
-    /// first, so two organizations digest equal iff they simulate
-    /// identically. This — not a label string — keys the run store and
-    /// the on-disk artifacts.
-    pub fn digest_into(&self, h: &mut Hasher128) {
+/// The discriminant first, then the variant's own configuration, so two
+/// organizations digest equal iff they simulate identically.
+impl Knobs for L2Kind {
+    fn visit_knobs(&mut self, v: &mut KnobVisitor<'_>) {
+        v(Tag::Arch, &mut Discriminant(self));
         match self {
-            L2Kind::Base => h.write_u8(0),
-            L2Kind::NuRapid(c) => {
-                h.write_u8(1);
-                h.write_u64(c.capacity.bytes());
-                h.write_u32(c.assoc);
-                h.write_u64(c.n_dgroups as u64);
-                h.write_u8(match c.promotion {
-                    PromotionPolicy::DemotionOnly => 0,
-                    PromotionPolicy::NextFastest => 1,
-                    PromotionPolicy::Fastest => 2,
-                });
-                h.write_u8(match c.distance_victim {
-                    DistanceVictimPolicy::Random => 0,
-                    DistanceVictimPolicy::Lru => 1,
-                    DistanceVictimPolicy::ClockApprox => 2,
-                });
-                h.write_u64(c.seed);
-                h.write_bool(c.ideal);
-                h.write_opt_u32(c.frames_per_region);
-            }
-            L2Kind::Coupled(n) => {
-                h.write_u8(2);
-                h.write_u64(*n as u64);
-            }
-            L2Kind::Dnuca(policy) => {
-                h.write_u8(3);
-                h.write_u8(match policy {
-                    SearchPolicy::SsPerformance => 0,
-                    SearchPolicy::SsEnergy => 1,
-                    SearchPolicy::WayMemo => 2,
-                });
-            }
-            L2Kind::Cnuca(c) => {
-                h.write_u8(4);
-                h.write_u64(c.capacity.bytes());
-                h.write_u32(c.assoc);
-                h.write_u64(c.n_banks as u64);
-                h.write_u64(c.n_positions as u64);
-                h.write_u64(c.comp_seed);
-                h.write_u64(c.decomp_cycles);
-            }
+            L2Kind::Base => {}
+            L2Kind::NuRapid(c) => c.visit_knobs(v),
+            L2Kind::Coupled(n_dgroups) => v(Tag::Arch, n_dgroups),
+            L2Kind::Dnuca(policy) => policy.visit_knobs(v),
+            L2Kind::Cnuca(c) => c.visit_knobs(v),
             L2Kind::L4(inner, c) => {
-                h.write_u8(5);
-                inner.digest_into(h);
-                h.write_u32(c.n_banks);
-                h.write_u64(c.bank_blocks);
-                h.write_u32(c.assoc);
-                h.write_u32(c.vnodes_per_bank);
-                h.write_u64(c.hash_seed);
-                h.write_u64(c.block_bytes);
-                h.write_u64(c.tag_sram_latency);
-                h.write_u64(c.tag_probe_latency);
-                h.write_u64(c.base_latency);
-                h.write_u64(c.cycles_per_8b);
-                h.write_u32(c.tag_cache_entries);
-                h.write_u64(c.resizes.len() as u64);
-                for &(at, target) in &c.resizes {
-                    h.write_u64(at);
-                    h.write_u32(target);
-                }
+                inner.visit_knobs(v);
+                c.visit_knobs(v);
             }
         }
     }
 }
 
-/// Feeds every field of an application profile into `h`. Shared by the
-/// single-core digests below and the CMP digests in [`crate::cmp`], so
-/// the two families can never disagree about what identifies a workload.
-pub(crate) fn digest_profile(h: &mut Hasher128, profile: &BenchProfile) {
-    h.write_str(profile.name);
-    h.write_u8(profile.class as u8);
-    h.write_bool(profile.fp);
-    h.write_f64(profile.load_frac);
-    h.write_f64(profile.store_frac);
-    h.write_u32(profile.branch_every);
-    h.write_f64(profile.branch_bias);
-    h.write_f64(profile.l1_reuse);
-    h.write_u64(profile.hot_footprint.bytes());
-    h.write_f64(profile.hot_frac);
-    h.write_u64(profile.stream_footprint.bytes());
-    h.write_u32(profile.spatial_run);
-    h.write_f64(profile.dep_load_frac);
-    h.write_u64(profile.code_footprint.bytes());
+/// The variant as a knob, perturbed to the next variant's evaluated config.
+struct Discriminant<'a>(&'a mut L2Kind);
+
+impl Knob for Discriminant<'_> {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_u8(match self.0 {
+            L2Kind::Base => 0,
+            L2Kind::NuRapid(_) => 1,
+            L2Kind::Coupled(_) => 2,
+            L2Kind::Dnuca(_) => 3,
+            L2Kind::Cnuca(_) => 4,
+            L2Kind::L4(..) => 5,
+        });
+    }
+
+    fn perturb(&mut self) {
+        *self.0 = match self.0 {
+            L2Kind::Base => L2Kind::NuRapid(NuRapidConfig::micro2003(4)),
+            L2Kind::NuRapid(_) => L2Kind::Coupled(4),
+            L2Kind::Coupled(_) => L2Kind::Dnuca(SearchPolicy::SsPerformance),
+            L2Kind::Dnuca(_) => L2Kind::Cnuca(CnucaConfig::micro2003()),
+            L2Kind::Cnuca(_) => L2Kind::L4(Box::new(L2Kind::Base), L4Config::tdram()),
+            L2Kind::L4(..) => L2Kind::Base,
+        };
+    }
 }
 
-/// Digest of one schedulable job: the full application profile, the full
-/// cache configuration, the instruction budget, and the trace seed.
-/// Everything that determines an [`AppRun`] bit-for-bit is included, so
-/// equal digests ⇒ interchangeable results (in-process or on disk).
+simbase::knobs!(Scale {
+    warmup: Tag::Arch,
+    measure: Tag::Timing("the measured phase starts after the barrier"),
+});
+
+/// Digest of one schedulable job: every knob of the profile, the
+/// organization, and the budget, plus the trace seed — everything that
+/// determines an [`AppRun`] bit-for-bit.
 pub fn run_digest(profile: &BenchProfile, kind: &L2Kind, scale: Scale) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-run-v1");
-    digest_profile(&mut h, profile);
-    kind.digest_into(&mut h);
-    h.write_u64(scale.warmup);
-    h.write_u64(scale.measure);
+    h.write_knobs(profile);
+    h.write_knobs(kind);
+    h.write_knobs(&scale);
     h.write_u64(TRACE_SEED);
     h.digest()
 }
 
-/// Digest of the warm-up-relevant slice of a job: everything that shapes
-/// the architectural state at the end of warm-up, and nothing else. This
-/// keys the on-disk checkpoint store, so two configurations that differ
-/// only in timing knobs — NuRAPID's `ideal` latency mode, D-NUCA's search
-/// policy — or in the measured-instruction budget share one checkpoint.
+/// Digest keying a job's warm-up checkpoint: the [`Tag::Arch`] knobs of
+/// the same configurations, the trace seed, and the checkpoint version,
+/// so configurations that differ only in [`Tag::Timing`] knobs share it.
 pub fn warmup_digest(profile: &BenchProfile, kind: &L2Kind, scale: Scale) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-warmup-v1");
-    digest_profile(&mut h, profile);
-    digest_kind_architectural(&mut h, kind);
-    h.write_u64(scale.warmup);
+    h.write_arch_knobs(profile);
+    h.write_arch_knobs(kind);
+    h.write_arch_knobs(&scale);
     h.write_u64(TRACE_SEED);
     h.write_u32(crate::checkpoint::CHECKPOINT_VERSION);
     h.digest()
-}
-
-/// Feeds the **architectural** slice of a configuration into `h`:
-/// everything that shapes warm-up state, with timing-only knobs
-/// deliberately excluded so their variants share one checkpoint. Shared
-/// by [`warmup_digest`] and the CMP warm-up digest in [`crate::cmp`].
-pub(crate) fn digest_kind_architectural(h: &mut Hasher128, kind: &L2Kind) {
-    match kind {
-        L2Kind::Base => h.write_u8(0),
-        L2Kind::NuRapid(c) => {
-            h.write_u8(1);
-            h.write_u64(c.capacity.bytes());
-            h.write_u32(c.assoc);
-            h.write_u64(c.n_dgroups as u64);
-            h.write_u8(match c.promotion {
-                PromotionPolicy::DemotionOnly => 0,
-                PromotionPolicy::NextFastest => 1,
-                PromotionPolicy::Fastest => 2,
-            });
-            h.write_u8(match c.distance_victim {
-                DistanceVictimPolicy::Random => 0,
-                DistanceVictimPolicy::Lru => 1,
-                DistanceVictimPolicy::ClockApprox => 2,
-            });
-            h.write_u64(c.seed);
-            // `ideal` deliberately excluded: it changes only hit latency
-            // and port occupancy, never an architectural transition.
-            h.write_opt_u32(c.frames_per_region);
-        }
-        L2Kind::Coupled(n) => {
-            h.write_u8(2);
-            h.write_u64(*n as u64);
-        }
-        // The search policy is deliberately excluded: all three policies
-        // take identical architectural transitions (hits, fills, bubble
-        // swaps, memo-table updates) — only when timing starts differs.
-        // The way memo is maintained under every policy precisely so this
-        // sharing stays valid.
-        L2Kind::Dnuca(_) => h.write_u8(3),
-        L2Kind::Cnuca(c) => {
-            h.write_u8(4);
-            h.write_u64(c.capacity.bytes());
-            h.write_u32(c.assoc);
-            h.write_u64(c.n_banks as u64);
-            h.write_u64(c.n_positions as u64);
-            // The compressibility seed is architectural — it decides which
-            // blocks may occupy the fast compressed ways, so warm-up state
-            // depends on it. `decomp_cycles` is deliberately excluded: it
-            // only delays hit completion, never an architectural
-            // transition.
-            h.write_u64(c.comp_seed);
-        }
-        L2Kind::L4(inner, c) => {
-            h.write_u8(5);
-            digest_kind_architectural(h, inner);
-            // Geometry and hashing shape the warm resident set; the
-            // latency knobs, the SRAM tag-cache size (timing-only), and
-            // the resize schedule (measured-phase-only by construction)
-            // are deliberately excluded so their variants share one
-            // checkpoint.
-            h.write_u32(c.n_banks);
-            h.write_u64(c.bank_blocks);
-            h.write_u32(c.assoc);
-            h.write_u32(c.vnodes_per_bank);
-            h.write_u64(c.hash_seed);
-            h.write_u64(c.block_bytes);
-        }
-    }
 }
 
 /// The measured results of one application on one organization.
@@ -540,11 +428,11 @@ impl AppRun {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use workloads::profiles::by_name;
 
-    fn tiny() -> Scale {
+    pub(crate) fn tiny() -> Scale {
         Scale {
             warmup: 30_000,
             measure: 60_000,
@@ -714,105 +602,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn warmup_digest_shares_across_timing_only_knobs() {
-        let app = by_name("galgel").unwrap();
-        let nf = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
-        let id = L2Kind::NuRapid(NuRapidConfig::micro2003(4).with_ideal());
-        assert_eq!(warmup_digest(&app, &nf, tiny()), warmup_digest(&app, &id, tiny()));
-
-        let perf = L2Kind::Dnuca(SearchPolicy::SsPerformance);
-        let energy = L2Kind::Dnuca(SearchPolicy::SsEnergy);
-        let memo = L2Kind::Dnuca(SearchPolicy::WayMemo);
-        assert_eq!(
-            warmup_digest(&app, &perf, tiny()),
-            warmup_digest(&app, &energy, tiny())
-        );
-        // Way memoization only redirects the probe path; the memo table
-        // is rebuilt from scratch after restore, so all three policies
-        // share one warm checkpoint.
-        assert_eq!(
-            warmup_digest(&app, &perf, tiny()),
-            warmup_digest(&app, &memo, tiny())
-        );
-
-        // The decompressor pipeline depth is pure timing: compressed
-        // NUCA shares its warm state across `decomp_cycles` settings.
-        let mut slow = CnucaConfig::micro2003();
-        slow.decomp_cycles += 3;
-        assert_eq!(
-            warmup_digest(&app, &L2Kind::Cnuca(CnucaConfig::micro2003()), tiny()),
-            warmup_digest(&app, &L2Kind::Cnuca(slow), tiny())
-        );
-
-        // The measured budget is warm-up-irrelevant too.
-        let longer = Scale {
-            warmup: tiny().warmup,
-            measure: tiny().measure + 1,
-        };
-        assert_eq!(warmup_digest(&app, &nf, tiny()), warmup_digest(&app, &nf, longer));
-    }
-
-    #[test]
-    fn warmup_digest_separates_architectural_knobs() {
-        let app = by_name("galgel").unwrap();
-        let nf = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
-        let base = warmup_digest(&app, &nf, tiny());
-        let shorter = Scale {
-            warmup: tiny().warmup - 1,
-            measure: tiny().measure,
-        };
-        let variants = [
-            warmup_digest(&by_name("parser").unwrap(), &nf, tiny()),
-            warmup_digest(&app, &L2Kind::Base, tiny()),
-            warmup_digest(&app, &L2Kind::Coupled(4), tiny()),
-            warmup_digest(&app, &L2Kind::Dnuca(SearchPolicy::SsPerformance), tiny()),
-            warmup_digest(&app, &L2Kind::NuRapid(NuRapidConfig::micro2003(8)), tiny()),
-            warmup_digest(
-                &app,
-                &L2Kind::NuRapid(
-                    NuRapidConfig::micro2003(4).with_promotion(PromotionPolicy::Fastest),
-                ),
-                tiny(),
-            ),
-            warmup_digest(
-                &app,
-                &L2Kind::NuRapid(
-                    NuRapidConfig::micro2003(4)
-                        .with_distance_victim(DistanceVictimPolicy::Lru),
-                ),
-                tiny(),
-            ),
-            warmup_digest(&app, &nf, shorter),
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base, *v, "architectural variant {i} aliased the digest");
-        }
-    }
-
-    /// Compressed NUCA's warm state depends on the compressibility map
-    /// (placement follows it), so its digest must be disjoint from every
-    /// baseline organization *and* from other compression seeds — a
-    /// compressed-NUCA run may never be served a baseline checkpoint.
-    #[test]
-    fn warmup_digest_isolates_compressed_nuca() {
-        let app = by_name("galgel").unwrap();
-        let cnuca = L2Kind::Cnuca(CnucaConfig::micro2003());
-        let base = warmup_digest(&app, &cnuca, tiny());
-        let mut reseeded = CnucaConfig::micro2003();
-        reseeded.comp_seed ^= 1;
-        let variants = [
-            warmup_digest(&app, &L2Kind::Base, tiny()),
-            warmup_digest(&app, &L2Kind::Dnuca(SearchPolicy::SsPerformance), tiny()),
-            warmup_digest(&app, &L2Kind::Dnuca(SearchPolicy::WayMemo), tiny()),
-            warmup_digest(&app, &L2Kind::NuRapid(NuRapidConfig::micro2003(4)), tiny()),
-            warmup_digest(&app, &L2Kind::Cnuca(reseeded), tiny()),
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base, *v, "variant {i} aliased the compressed-NUCA digest");
-        }
-    }
-
     /// Store-level proof of the same property: running D-NUCA and then
     /// compressed NUCA against one [`CheckpointStore`] must build two
     /// separate checkpoints (2 misses, 0 cross-hits), while the way-memo
@@ -874,100 +663,6 @@ mod tests {
         );
         assert_eq!(memo_direct, memo_warm, "warm restore changed way-memo results");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_digest_is_stable_and_total() {
-        let app = by_name("galgel").unwrap();
-        let k = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
-        assert_eq!(run_digest(&app, &k, tiny()), run_digest(&app, &k, tiny()));
-
-        // Every axis of the job identity must move the digest.
-        let base = run_digest(&app, &k, tiny());
-        let variants = [
-            run_digest(&by_name("wupwise").unwrap(), &k, tiny()),
-            run_digest(&app, &L2Kind::Base, tiny()),
-            run_digest(&app, &L2Kind::Coupled(4), tiny()),
-            run_digest(&app, &L2Kind::Dnuca(SearchPolicy::SsEnergy), tiny()),
-            run_digest(&app, &L2Kind::NuRapid(NuRapidConfig::micro2003(8)), tiny()),
-            run_digest(&app, &k, Scale { warmup: 40_000, measure: 60_001 }),
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base, *v, "variant {i} aliased the base digest");
-        }
-    }
-
-    #[test]
-    fn run_digest_separates_every_nurapid_knob() {
-        use nurapid::{DistanceVictimPolicy, PromotionPolicy};
-        let app = by_name("galgel").unwrap();
-        let d = |c: NuRapidConfig| run_digest(&app, &L2Kind::NuRapid(c), tiny());
-        let base = NuRapidConfig::micro2003(4);
-        let mut reseeded = base.clone();
-        reseeded.seed ^= 1;
-        let knobs = [
-            d(base.clone().with_promotion(PromotionPolicy::DemotionOnly)),
-            d(base.clone().with_promotion(PromotionPolicy::Fastest)),
-            d(base.clone().with_distance_victim(DistanceVictimPolicy::Lru)),
-            d(base.clone().with_distance_victim(DistanceVictimPolicy::ClockApprox)),
-            d(base.clone().with_ideal()),
-            d(base.clone().with_frames_per_region(256)),
-            d(base.clone().with_frames_per_region(64)),
-            d(reseeded),
-        ];
-        let baseline = d(base);
-        for (i, k) in knobs.iter().enumerate() {
-            assert_ne!(baseline, *k, "knob {i} not captured by the digest");
-        }
-        // And all knob variants are mutually distinct.
-        for i in 0..knobs.len() {
-            for j in i + 1..knobs.len() {
-                assert_ne!(knobs[i], knobs[j], "knobs {i} and {j} collide");
-            }
-        }
-    }
-
-    #[test]
-    fn l4_digests_separate_the_tier_and_share_timing_knobs() {
-        let app = by_name("galgel").unwrap();
-        let inner = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
-        let l4 = |c: L4Config| L2Kind::L4(Box::new(inner.clone()), c);
-        let base = l4(L4Config::tdram());
-
-        // Attaching an L4 is a different run and different warm state.
-        assert_ne!(run_digest(&app, &inner, tiny()), run_digest(&app, &base, tiny()));
-        assert_ne!(
-            warmup_digest(&app, &inner, tiny()),
-            warmup_digest(&app, &base, tiny())
-        );
-
-        // Geometry is architectural: it splits the warm-up digest.
-        let mut small = L4Config::tdram();
-        small.n_banks = 4;
-        assert_ne!(
-            warmup_digest(&app, &base, tiny()),
-            warmup_digest(&app, &l4(small), tiny())
-        );
-
-        // Latency and tag-cache sizing are timing-only: their variants
-        // share the warm checkpoint but stay distinct runs.
-        let mut slow = L4Config::tdram();
-        slow.base_latency += 20;
-        slow.tag_cache_entries = 256;
-        assert_eq!(
-            warmup_digest(&app, &base, tiny()),
-            warmup_digest(&app, &l4(slow.clone()), tiny())
-        );
-        assert_ne!(run_digest(&app, &base, tiny()), run_digest(&app, &l4(slow), tiny()));
-
-        // The resize schedule applies to the measured phase only: it
-        // enters the run digest but never the warm-up digest.
-        let resized = l4(L4Config::tdram().with_resizes(vec![(1_000, 4)]));
-        assert_eq!(
-            warmup_digest(&app, &base, tiny()),
-            warmup_digest(&app, &resized, tiny())
-        );
-        assert_ne!(run_digest(&app, &base, tiny()), run_digest(&app, &resized, tiny()));
     }
 
     #[test]

@@ -44,7 +44,7 @@
 
 use crate::engine::{self, Counters, Phase, System};
 use crate::runner::{warmup_digest, AppRun, L2Kind, RunOptions, Scale};
-use simbase::digest::{Digest, Hasher128};
+use simbase::digest::{Digest, Hasher128, Tag};
 use simsched::pool;
 use simtel::Telemetry;
 use std::sync::Arc;
@@ -89,14 +89,19 @@ impl SampleSpec {
     pub fn detailed_per_window(&self) -> u64 {
         self.warmup + self.measure
     }
-
-    /// Feeds every field into `h` (part of every sampled digest).
-    pub fn digest_into(&self, h: &mut Hasher128) {
-        h.write_u64(self.period);
-        h.write_u64(self.warmup);
-        h.write_u64(self.measure);
-    }
 }
+
+/// A snapshot at a given trace offset is the same whatever regime later
+/// times the windows. Interval snapshots are keyed by the warm-up digest
+/// plus that offset, never by a spec, so this tag only sets which digest
+/// bytes hold the regime: the sampled run digests do, no warm-up digest.
+const REGIME: Tag = Tag::Timing("the regime times windows after the barrier");
+
+simbase::knobs!(SampleSpec {
+    period: REGIME,
+    warmup: REGIME,
+    measure: REGIME,
+});
 
 /// Streaming mean / sample-variance accumulator (Welford), reporting a
 /// 95% confidence interval for the mean — no external stats deps. Window
@@ -287,9 +292,7 @@ pub fn interval_digest(
 ) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-sample-snap-v1");
-    let raw = warmup_digest(profile, kind, scale).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
+    h.write_digest(warmup_digest(profile, kind, scale));
     h.write_u64(offset);
     h.digest()
 }
@@ -306,10 +309,8 @@ pub fn sampled_digest(
 ) -> Digest {
     let mut h = Hasher128::new();
     h.write_str("nurapid-sampled-v1");
-    let raw = crate::runner::run_digest(profile, kind, scale).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
-    spec.digest_into(&mut h);
+    h.write_digest(crate::runner::run_digest(profile, kind, scale));
+    h.write_knobs(&spec);
     h.write_u64(intervals);
     h.digest()
 }
@@ -466,21 +467,14 @@ fn run_interval(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::checkpoint::CheckpointStore;
-    use crate::runner::{run_app, WarmupMode};
+    use crate::runner::{run_app, tests::tiny, WarmupMode};
     use nurapid::NuRapidConfig;
     use workloads::profiles::by_name;
 
-    fn tiny() -> Scale {
-        Scale {
-            warmup: 30_000,
-            measure: 60_000,
-        }
-    }
-
-    fn tiny_spec() -> SampleSpec {
+    pub(crate) fn tiny_spec() -> SampleSpec {
         SampleSpec {
             period: 5_000,
             warmup: 200,
@@ -636,21 +630,13 @@ mod tests {
         // tile the same window list), but they key differently: a K=2
         // artifact must never be served for a K=4 request.
         let app = by_name("galgel").unwrap();
-        let kind = L2Kind::Base;
-        let a = sampled_digest(&app, &kind, tiny(), tiny_spec(), 2);
-        let b = sampled_digest(&app, &kind, tiny(), tiny_spec(), 4);
-        assert_ne!(a, b);
+        let d = |spec, k| sampled_digest(&app, &L2Kind::Base, tiny(), spec, k);
+        assert_ne!(d(tiny_spec(), 2), d(tiny_spec(), 4));
         let mut other = tiny_spec();
         other.measure += 1;
-        assert_ne!(
-            sampled_digest(&app, &kind, tiny(), tiny_spec(), 2),
-            sampled_digest(&app, &kind, tiny(), other, 2)
-        );
-        assert_ne!(
-            sampled_digest(&app, &kind, tiny(), tiny_spec(), 2).raw(),
-            crate::runner::run_digest(&app, &kind, tiny()).raw(),
-            "sampled and unsampled runs must never alias"
-        );
+        assert_ne!(d(tiny_spec(), 2), d(other, 2));
+        let full = crate::runner::run_digest(&app, &L2Kind::Base, tiny());
+        assert_ne!(d(tiny_spec(), 2), full, "sampled aliased the full run");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! busy windows at the warm-up drain barrier, exactly like MSHRs and port
 //! schedules, so checkpoints never serialize it.
 
+use simbase::digest::Tag;
 use simbase::{BlockAddr, Cycle};
 use std::collections::VecDeque;
 
@@ -44,6 +45,14 @@ impl BankQueueParams {
         }
     }
 }
+
+/// The bank queue is timing-only state, so both parameters are too.
+pub const BANK_QUEUE_TIMING: Tag = Tag::Timing("bank queues drain at the barrier");
+
+simbase::knobs!(BankQueueParams {
+    service_cycles: BANK_QUEUE_TIMING,
+    max_delay: BANK_QUEUE_TIMING,
+});
 
 /// One bank's busy-window history.
 #[derive(Debug, Clone)]

@@ -39,6 +39,7 @@ pub mod naive;
 use crate::chash::BankMap;
 use crate::memory::MainMemory;
 use crate::packed_lru::LruTable;
+use simbase::digest::Tag;
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::{BlockAddr, Cycle};
 use simtel::{l4names, TelemetrySink};
@@ -53,10 +54,7 @@ const L4_SNAPSHOT_MAGIC: u64 = 0x4c34_4452_414d_2431; // "L4DRAM$1"
 /// Version of the L4 snapshot section layout.
 pub const L4_SNAPSHOT_VERSION: u32 = 1;
 
-/// Configuration of the L4 tier. Geometry and hashing fields are
-/// architectural (they enter the warm-up digest); the latency and
-/// tag-cache fields are timing-only; `resizes` applies to the measured
-/// phase only and enters the run digest but never the warm-up digest.
+/// Configuration of the L4 tier (its knobs are declared below the impl).
 #[derive(Debug, Clone, PartialEq)]
 pub struct L4Config {
     /// Initial number of DRAM-cache banks.
@@ -124,6 +122,23 @@ impl L4Config {
         (self.bank_blocks / self.assoc as u64) as usize
     }
 }
+
+const LATENCY: Tag = Tag::Timing("a latency never changes which blocks are resident");
+
+simbase::knobs!(L4Config {
+    n_banks: Tag::Arch,
+    bank_blocks: Tag::Arch,
+    assoc: Tag::Arch,
+    vnodes_per_bank: Tag::Arch,
+    hash_seed: Tag::Arch,
+    block_bytes: Tag::Arch,
+    tag_sram_latency: LATENCY,
+    tag_probe_latency: LATENCY,
+    base_latency: LATENCY,
+    cycles_per_8b: LATENCY,
+    tag_cache_entries: Tag::Timing("the tag cache never enters a snapshot"),
+    resizes: Tag::Timing("resizes apply only after the warm-up barrier"),
+});
 
 /// Event counters of the L4 tier, split so [`energy`] can price fill,
 /// writeback, and tag traffic separately (Banshee-style bandwidth

@@ -13,6 +13,7 @@ use crate::stats::DnucaStats;
 use cachemodel::catalog::{self, DnucaGeometry, BLOCK_BYTES};
 use memsys::lower::{LowerCache, LowerOutcome};
 use memsys::memory::MainMemory;
+use simbase::digest::{KnobVisitor, Knobs, Tag, Variants};
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simtel::TelemetrySink;
@@ -33,6 +34,18 @@ pub enum SearchPolicy {
     /// smart-search array entirely on a memo hit; fall back to the
     /// serial ss-energy search when the memo misses.
     WayMemo,
+}
+
+impl Variants for SearchPolicy {
+    const ALL: &'static [Self] = &[Self::SsPerformance, Self::SsEnergy, Self::WayMemo];
+}
+
+/// D-NUCA's one knob (the geometry is fixed at [`DnucaConfig::micro2003`]).
+impl Knobs for SearchPolicy {
+    fn visit_knobs(&mut self, v: &mut KnobVisitor<'_>) {
+        let why = "all policies take the same transitions; a restore rebuilds the memo table";
+        v(Tag::Timing(why), self);
+    }
 }
 
 /// D-NUCA configuration.

@@ -31,6 +31,7 @@ use crate::stats::CnucaStats;
 use cachemodel::catalog::{self, DnucaGeometry, BLOCK_BYTES};
 use memsys::lower::{LowerCache, LowerOutcome};
 use memsys::memory::MainMemory;
+use simbase::digest::Tag;
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simtel::TelemetrySink;
@@ -47,11 +48,10 @@ pub struct CnucaConfig {
     pub n_banks: usize,
     /// Bank positions per bank set.
     pub n_positions: usize,
-    /// Seed of the address-seeded compressibility model. Architectural:
-    /// it decides which blocks may occupy the fast compressed ways.
+    /// Seed of the address-seeded compressibility model: it decides which
+    /// blocks may occupy the fast compressed ways.
     pub comp_seed: u64,
     /// Decompression latency a compressed-way hit pays, in cycles.
-    /// Timing-only: it never changes an architectural transition.
     pub decomp_cycles: u64,
 }
 
@@ -69,6 +69,15 @@ impl CnucaConfig {
         }
     }
 }
+
+simbase::knobs!(CnucaConfig {
+    capacity: Tag::Arch,
+    assoc: Tag::Arch,
+    n_banks: Tag::Arch,
+    n_positions: Tag::Arch,
+    comp_seed: Tag::Arch,
+    decomp_cycles: Tag::Timing("it only delays hit completion, never a transition"),
+});
 
 /// Slot flag: the way holds a block.
 const VALID: u8 = 1 << 0;

@@ -9,6 +9,7 @@ use crate::tag::{FramePtr, TagArray, TagLookup, TagRef};
 use cachemodel::catalog::{NuRapidGeometry, BLOCK_BYTES};
 use memsys::lower::{LowerCache, LowerOutcome};
 use memsys::memory::MainMemory;
+use simbase::digest::Tag;
 use simbase::rng::SimRng;
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simtel::TelemetrySink;
@@ -101,6 +102,17 @@ impl NuRapidConfig {
         self
     }
 }
+
+simbase::knobs!(NuRapidConfig {
+    capacity: Tag::Arch,
+    assoc: Tag::Arch,
+    n_dgroups: Tag::Arch,
+    promotion: Tag::Arch,
+    distance_victim: Tag::Arch,
+    seed: Tag::Arch,
+    ideal: Tag::Timing("it changes only hit latency and swap cost, never placement"),
+    frames_per_region: Tag::Arch,
+});
 
 /// The NuRAPID cache (one-ported, non-banked).
 #[derive(Debug)]

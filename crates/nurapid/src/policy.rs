@@ -1,5 +1,6 @@
 //! Placement and replacement policy knobs (paper Sections 2.4.1–2.4.2).
 
+use simbase::digest::Variants;
 use std::fmt;
 
 /// What happens to a block that hits in a d-group other than the fastest.
@@ -45,6 +46,14 @@ pub enum DistanceVictimPolicy {
     /// amortized and only one bit of state, but spares recently-touched
     /// frames like LRU.
     ClockApprox,
+}
+
+impl Variants for PromotionPolicy {
+    const ALL: &'static [Self] = &[Self::DemotionOnly, Self::NextFastest, Self::Fastest];
+}
+
+impl Variants for DistanceVictimPolicy {
+    const ALL: &'static [Self] = &[Self::Random, Self::Lru, Self::ClockApprox];
 }
 
 impl fmt::Display for DistanceVictimPolicy {

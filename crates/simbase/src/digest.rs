@@ -111,16 +111,6 @@ impl Hasher128 {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Feeds an `f64` by IEEE-754 bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Feeds a boolean as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-
     /// Feeds a string, length-prefixed so `("ab", "c")` and `("a", "bc")`
     /// digest differently.
     pub fn write_str(&mut self, s: &str) {
@@ -128,15 +118,29 @@ impl Hasher128 {
         self.write_bytes(s.as_bytes());
     }
 
-    /// Feeds an optional `u32`: presence byte, then the value.
-    pub fn write_opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.write_u8(0),
-            Some(x) => {
-                self.write_u8(1);
-                self.write_u32(x);
+    /// Feeds a digest, high `u64` first: chains one digest into another
+    /// under a new domain tag.
+    pub fn write_digest(&mut self, d: Digest) {
+        self.write_u64((d.0 >> 64) as u64);
+        self.write_u64(d.0 as u64);
+    }
+
+    /// Feeds every knob `cfg` declares, in declaration order: a run
+    /// digest's view of a configuration.
+    pub fn write_knobs<K: Knobs + Clone>(&mut self, cfg: &K) {
+        let mut cfg = cfg.clone();
+        cfg.visit_knobs(&mut |_, knob: &mut dyn Knob| knob.feed(self));
+    }
+
+    /// Feeds only the [`Tag::Arch`] knobs of `cfg`: a warm-up digest's
+    /// view of a configuration.
+    pub fn write_arch_knobs<K: Knobs + Clone>(&mut self, cfg: &K) {
+        let mut cfg = cfg.clone();
+        cfg.visit_knobs(&mut |tag, knob: &mut dyn Knob| {
+            if tag == Tag::Arch {
+                knob.feed(self);
             }
-        }
+        });
     }
 
     /// The digest of everything written so far.
@@ -148,6 +152,155 @@ impl Hasher128 {
 impl Default for Hasher128 {
     fn default() -> Self {
         Hasher128::new()
+    }
+}
+
+/// Whether a configuration knob can shape the state a warm-up builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tag {
+    /// It shapes warm-up state: it enters warm-up and run digests.
+    Arch,
+    /// It changes only timing or the measured phase, for the reason given:
+    /// it enters run digests only, so its variants share a checkpoint.
+    Timing(&'static str),
+}
+
+/// One configuration field.
+pub trait Knob {
+    /// Feeds the value: exactly the bytes every digest holds for it.
+    fn feed(&self, h: &mut Hasher128);
+
+    /// Changes the value to another that still builds: doubles a number
+    /// (0 becomes 1), toggles a flag, rotates an enum to its next variant.
+    fn perturb(&mut self);
+}
+
+/// Receives each knob once, with its tag, in declaration order.
+pub type KnobVisitor<'v> = dyn FnMut(Tag, &mut dyn Knob) + 'v;
+
+/// A configuration that declares its knobs, usually through
+/// [`knobs!`](crate::knobs). Every digest of it derives from this.
+pub trait Knobs {
+    /// Visits every field once, in declaration order.
+    fn visit_knobs(&mut self, v: &mut KnobVisitor<'_>);
+}
+
+/// Implements [`Knobs`] for a struct from `field: tag` rows, visited in
+/// the order written. The struct is destructured without `..`, so a
+/// field added later fails to compile until it gets a row. A row may
+/// name the knob to visit in place of the field (`field: tag => knob`).
+#[macro_export]
+macro_rules! knobs {
+    (@knob $field:ident) => { $field };
+    (@knob $field:ident, $knob:expr) => { $knob };
+    ($ty:ident { $($field:ident: $tag:expr $(=> $knob:expr)?),+ $(,)? }) => {
+        impl $crate::digest::Knobs for $ty {
+            fn visit_knobs(&mut self, v: &mut $crate::digest::KnobVisitor<'_>) {
+                let $ty { $($field),+ } = self;
+                $(v($tag, $crate::knobs!(@knob $field $(, $knob)?));)+
+            }
+        }
+    };
+}
+
+/// A fieldless enum knob: fed as its index in [`Variants::ALL`] (one
+/// byte), perturbed to the next variant.
+pub trait Variants: Copy + PartialEq + 'static {
+    /// Every variant, in digest-index order.
+    const ALL: &'static [Self];
+}
+
+impl<T: Variants> Knob for T {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_u8(variant_index(self) as u8);
+    }
+
+    fn perturb(&mut self) {
+        *self = T::ALL[(variant_index(self) + 1) % T::ALL.len()];
+    }
+}
+
+fn variant_index<T: Variants>(v: &T) -> usize {
+    let i = T::ALL.iter().position(|x| x == v);
+    i.expect("every variant is in Variants::ALL")
+}
+
+/// Integers are fed little-endian at their width (`usize` as a `u64`).
+macro_rules! int_knob {
+    ($($t:ty => $write:ident),*) => {$(
+        impl Knob for $t {
+            fn feed(&self, h: &mut Hasher128) {
+                h.$write(*self as _);
+            }
+
+            fn perturb(&mut self) {
+                *self = if *self == 0 { 1 } else { self.wrapping_mul(2) };
+            }
+        }
+    )*};
+}
+
+int_knob!(u32 => write_u32, u64 => write_u64, usize => write_u64);
+
+impl Knob for bool {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_u8(*self as u8);
+    }
+
+    fn perturb(&mut self) {
+        *self = !*self;
+    }
+}
+
+/// By bit pattern, so `0.0` and `-0.0` differ.
+impl Knob for f64 {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_u64(self.to_bits());
+    }
+
+    fn perturb(&mut self) {
+        *self = if *self == 0.0 { 1.0 } else { *self * 2.0 };
+    }
+}
+
+impl Knob for crate::Capacity {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_u64(self.bytes());
+    }
+
+    fn perturb(&mut self) {
+        *self = crate::Capacity::from_bytes((self.bytes() * 2).max(1));
+    }
+}
+
+/// A presence byte, then the value.
+impl Knob for Option<u32> {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_u8(self.is_some() as u8);
+        if let Some(x) = self {
+            h.write_u32(*x);
+        }
+    }
+
+    fn perturb(&mut self) {
+        *self = Some(self.map_or(1, |x| (x * 2).max(1)));
+    }
+}
+
+/// An `(op index, value)` schedule: its length, then its pairs. Perturbed
+/// by appending a pair one op after the last.
+impl Knob for Vec<(u64, u32)> {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_u64(self.len() as u64);
+        for &(at, value) in self {
+            h.write_u64(at);
+            h.write_u32(value);
+        }
+    }
+
+    fn perturb(&mut self) {
+        let at = self.last().map_or(0, |&(at, _)| at + 1);
+        self.push((at, 1));
     }
 }
 
@@ -189,9 +342,9 @@ mod tests {
     fn hex_roundtrips() {
         let mut h = Hasher128::new();
         h.write_u64(0xdead_beef);
-        h.write_f64(std::f64::consts::PI);
-        h.write_opt_u32(Some(7));
-        h.write_opt_u32(None);
+        std::f64::consts::PI.feed(&mut h);
+        Some(7u32).feed(&mut h);
+        None::<u32>.feed(&mut h);
         let d = h.digest();
         assert_eq!(Digest::from_hex(&d.hex()), Some(d));
         assert_eq!(Digest::from_hex("zz"), None);
@@ -201,9 +354,9 @@ mod tests {
     #[test]
     fn float_bit_patterns_distinguish_zero_signs() {
         let mut a = Hasher128::new();
-        a.write_f64(0.0);
+        0.0f64.feed(&mut a);
         let mut b = Hasher128::new();
-        b.write_f64(-0.0);
+        (-0.0f64).feed(&mut b);
         assert_ne!(a.digest(), b.digest());
     }
 }

@@ -8,6 +8,7 @@
 //! fastest-d-group hits between 2-MB and 1-MB d-groups, a small one
 //! between 4-MB and 2-MB).
 
+use simbase::digest::{Hasher128, Knob, Tag, Variants};
 use simbase::Capacity;
 
 /// The paper's split of applications by L2 pressure (Table 3).
@@ -58,6 +59,42 @@ impl BenchProfile {
     /// Fraction of instructions that touch memory.
     pub fn mem_frac(&self) -> f64 {
         self.load_frac + self.store_frac
+    }
+}
+
+impl Variants for LoadClass {
+    const ALL: &'static [Self] = &[Self::HighLoad, Self::LowLoad];
+}
+
+// Every field shapes the trace, so every knob is architectural.
+simbase::knobs!(BenchProfile {
+    name: Tag::Arch => &mut RosterName(name),
+    class: Tag::Arch,
+    fp: Tag::Arch,
+    load_frac: Tag::Arch,
+    store_frac: Tag::Arch,
+    branch_every: Tag::Arch,
+    branch_bias: Tag::Arch,
+    l1_reuse: Tag::Arch,
+    hot_footprint: Tag::Arch,
+    hot_frac: Tag::Arch,
+    stream_footprint: Tag::Arch,
+    spatial_run: Tag::Arch,
+    dep_load_frac: Tag::Arch,
+    code_footprint: Tag::Arch,
+});
+
+/// A profile's name as a knob, perturbed to the next name on the roster.
+struct RosterName<'a>(&'a mut &'static str);
+
+impl Knob for RosterName<'_> {
+    fn feed(&self, h: &mut Hasher128) {
+        h.write_str(self.0);
+    }
+
+    fn perturb(&mut self) {
+        let i = ROSTER.iter().position(|p| p.name == *self.0).unwrap_or(0);
+        *self.0 = ROSTER[(i + 1) % ROSTER.len()].name;
     }
 }
 

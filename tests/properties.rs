@@ -14,6 +14,7 @@ use nuca::{DnucaCache, DnucaConfig, SearchPolicy};
 use nurapid::coupled::CoupledCache;
 use nurapid::port::PortSchedule;
 use nurapid::{DistanceVictimPolicy, NuRapidCache, NuRapidConfig, PromotionPolicy};
+use simbase::digest::{Digest, Knob, KnobVisitor, Knobs, Tag};
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simkit::prop::{
     any_bool, any_u64, any_u8, checker, range_u32, range_u64, range_u8, select, vec_of, Checker,
@@ -593,5 +594,127 @@ fn counter_deltas_add_back_onto_their_base() {
                 counts(&after),
                 "{k}: a counter is missing from minus/plus"
             );
+        });
+}
+
+/// One job of any digest family: the apps (one per core), organization,
+/// budget, sampling regime if sampled, and CMP scenario if CMP.
+#[derive(Debug, Clone)]
+struct Job(
+    Vec<workloads::BenchProfile>,
+    experiments::L2Kind,
+    experiments::Scale,
+    Option<experiments::SampleSpec>,
+    Option<cmp::CmpConfig>,
+);
+
+impl Knobs for Job {
+    fn visit_knobs(&mut self, v: &mut KnobVisitor<'_>) {
+        let Job(apps, kind, scale, spec, cmp) = self;
+        apps.iter_mut().for_each(|app| app.visit_knobs(v));
+        kind.visit_knobs(v);
+        scale.visit_knobs(v);
+        spec.iter_mut().for_each(|spec| spec.visit_knobs(v));
+        cmp.iter_mut().for_each(|cfg| cfg.visit_knobs(v));
+    }
+}
+
+impl Job {
+    /// The digests keying this job's warm-up checkpoint and its result.
+    fn digests(&self) -> (Digest, Digest) {
+        use experiments::cmp::{cmp_run_digest, cmp_sampled_digest, cmp_warmup_digest};
+        use experiments::{run_digest, sampling::sampled_digest, warmup_digest};
+        let Job(apps, kind, s, spec, cmp) = self;
+        let (app, s) = (&apps[0], *s);
+        let run = match (cmp, spec) {
+            (None, None) => run_digest(app, kind, s),
+            (None, Some(spec)) => sampled_digest(app, kind, s, *spec, 2),
+            (Some(cfg), None) => cmp_run_digest(cfg, apps, kind, s),
+            (Some(cfg), Some(spec)) => cmp_sampled_digest(cfg, apps, kind, s, *spec),
+        };
+        match cmp {
+            None => (warmup_digest(app, kind, s), run),
+            Some(cfg) => (cmp_warmup_digest(cfg, apps, kind, s), run),
+        }
+    }
+
+    /// The checkpoint payload this job's warm-up publishes.
+    fn warm_blob(&self) -> Vec<u8> {
+        let Job(apps, kind, scale, _, cmp) = self;
+        let Some(cfg) = *cmp else {
+            let (mut core, mut gen) = experiments::engine::build(apps[0], kind);
+            core.warm_run(&mut gen, scale.warmup);
+            return experiments::engine::save_arch(&core, &gen);
+        };
+        let seed = experiments::runner::TRACE_SEED;
+        let mut sys = cmp::CmpSystem::new(cfg, kind.build(), apps, seed);
+        sys.warm_run((scale.warmup / u64::from(cfg.cores)).max(1));
+        let mut e = simbase::snapshot::Encoder::new();
+        sys.save_state(&mut e);
+        e.into_bytes()
+    }
+}
+
+/// 21. Cache keys cannot lie.
+///
+/// Perturbing any one knob of any job (the organization's discriminant
+/// included) moves the run digest; an `Arch` knob moves the warm-up
+/// digest; a `Timing` knob leaves the warm-up digest equal *and* the warm
+/// checkpoint blob byte-identical, so sharing one checkpoint across timing
+/// variants is checked, not asserted.
+#[test]
+fn knob_tags_match_digests_and_warm_state() {
+    use experiments::exps::{dram_kind, kind_of};
+    use experiments::repro::{prewarm_keys, resolve_ids};
+    use experiments::{SampleSpec, Scale};
+    use workloads::profiles::ROSTER;
+
+    let scale = |warmup| Scale {
+        warmup,
+        measure: 20_000,
+    };
+    // Every organization the report runs, plus the L4 `dram` scenario.
+    let keys = prewarm_keys(&resolve_ids("all").expect("all"));
+    let mut kinds: Vec<_> = keys.into_iter().map(kind_of).collect();
+    kinds.push(dram_kind(scale(0)));
+    let orgs = select((0..kinds.len()).collect());
+    let (cores, apps) = (select(vec![1u32, 2, 4]), range_u64(0, ROSTER.len() as u64));
+    let gen = (cores, any_bool(), orgs, apps, range_u64(1_000, 5_001));
+    prop("knob_tags_match_digests_and_warm_state")
+        .cases(16)
+        .check(&gen, |&(cores, sampled, org, app, warmup)| {
+            let job = Job(
+                match cores {
+                    1 => vec![ROSTER[app as usize]],
+                    _ => experiments::cmp::cmp_profiles(cores),
+                },
+                kinds[org].clone(),
+                scale(warmup),
+                sampled.then(|| SampleSpec::for_scale(scale(warmup))),
+                (cores > 1).then(|| cmp::CmpConfig::micro2003(cores)),
+            );
+            let (warm, run) = job.digests();
+            let mut blob = None;
+            for target in 0.. {
+                let (mut mutant, mut seen, mut perturbed) = (job.clone(), 0, None);
+                mutant.visit_knobs(&mut |tag, knob: &mut dyn Knob| {
+                    if seen == target {
+                        knob.perturb();
+                        perturbed = Some(tag);
+                    }
+                    seen += 1;
+                });
+                let Some(tag) = perturbed else { break };
+                let (mutant_warm, mutant_run) = mutant.digests();
+                let at = format!("knob {target} ({tag:?}) of {job:?}");
+                assert_ne!(mutant_run, run, "{at} is missing from the run digest");
+                if tag == Tag::Arch {
+                    assert_ne!(mutant_warm, warm, "{at} is missing from the warm-up digest");
+                } else {
+                    assert_eq!(mutant_warm, warm, "{at} entered the warm-up digest");
+                    let want = blob.get_or_insert_with(|| job.warm_blob());
+                    assert!(mutant.warm_blob() == *want, "{at} changed the warm state");
+                }
+            }
         });
 }
