@@ -109,7 +109,7 @@ impl Sweep {
         Sweep::with_apps(scale, ROSTER.to_vec())
     }
 
-    /// A sweep over a subset of applications (for tests and benches).
+    /// A sweep over a subset of applications (for tests and examples).
     pub fn with_apps(scale: Scale, apps: Vec<BenchProfile>) -> Self {
         assert!(!apps.is_empty(), "sweep needs at least one application");
         Sweep {

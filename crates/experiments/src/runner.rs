@@ -79,7 +79,7 @@ impl Scale {
         }
     }
 
-    /// A fast scale for tests and the simkit benches.
+    /// A fast scale for tests, `repro --quick` and the benchmark's workloads.
     pub fn quick() -> Self {
         Scale {
             warmup: 150_000,
@@ -542,37 +542,42 @@ pub(crate) mod tests {
     #[test]
     fn checkpointed_runs_are_bit_identical_cold_and_warm() {
         let app = by_name("parser").unwrap();
-        let kind = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
         let sink = TelemetrySink::disabled();
-        let direct = run_app_opts(app, &kind, tiny(), &sink, 0, RunOptions::default());
+        // One configuration per organization family: the base hierarchy,
+        // NuRAPID under two promotion policies, the coupled ablation, and
+        // D-NUCA.
+        for key in ["base", "dm4", "nf4", "sa4", "dn-energy"] {
+            let kind = crate::exps::kind_of(key);
+            let direct = run_app_opts(app, &kind, tiny(), &sink, 0, RunOptions::default());
 
-        let (dir, store) = temp_store("cold-warm");
-        let opts = RunOptions {
-            checkpoints: Some(&store),
-            ..Default::default()
-        };
-        let cold = run_app_opts(app, &kind, tiny(), &sink, 0, opts);
-        let warm = run_app_opts(app, &kind, tiny(), &sink, 0, opts);
-        assert_eq!((store.misses(), store.hits()), (1, 1));
-        assert_eq!(direct, cold, "cold store changed the result");
-        assert_eq!(cold, warm, "warm store changed the result");
-
-        // A fresh store over the same directory restores from disk.
-        let reopened = CheckpointStore::open(&dir).expect("reopen");
-        let from_disk = run_app_opts(
-            app,
-            &kind,
-            tiny(),
-            &sink,
-            0,
-            RunOptions {
-                checkpoints: Some(&reopened),
+            let (dir, store) = temp_store(&format!("cold-warm-{key}"));
+            let opts = RunOptions {
+                checkpoints: Some(&store),
                 ..Default::default()
-            },
-        );
-        assert_eq!((reopened.misses(), reopened.hits()), (0, 1));
-        assert_eq!(direct, from_disk, "disk restore changed the result");
-        let _ = std::fs::remove_dir_all(&dir);
+            };
+            let cold = run_app_opts(app, &kind, tiny(), &sink, 0, opts);
+            let warm = run_app_opts(app, &kind, tiny(), &sink, 0, opts);
+            assert_eq!((store.misses(), store.hits()), (1, 1), "{key}");
+            assert_eq!(direct, cold, "{key}: cold store changed the result");
+            assert_eq!(cold, warm, "{key}: warm store changed the result");
+
+            // A fresh store over the same directory restores from disk.
+            let reopened = CheckpointStore::open(&dir).expect("reopen");
+            let from_disk = run_app_opts(
+                app,
+                &kind,
+                tiny(),
+                &sink,
+                0,
+                RunOptions {
+                    checkpoints: Some(&reopened),
+                    ..Default::default()
+                },
+            );
+            assert_eq!((reopened.misses(), reopened.hits()), (0, 1), "{key}");
+            assert_eq!(direct, from_disk, "{key}: disk restore changed the result");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// `ideal` is a timing-only knob, so the ideal configuration reuses

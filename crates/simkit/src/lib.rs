@@ -1,17 +1,15 @@
-//! In-tree test and measurement kit for the NuRAPID workspace.
+//! In-tree test kit for the NuRAPID workspace.
 //!
 //! The tier-1 gate (`cargo build --release && cargo test -q`) must pass in
 //! an environment with **no network access and an empty registry cache**.
-//! This crate supplies, with zero external dependencies, the three pieces
-//! of machinery the workspace previously pulled from crates.io:
+//! This crate supplies, with zero external dependencies, the
+//! property-testing machinery the workspace previously pulled from
+//! crates.io:
 //!
 //! * [`prop`] — a property-based testing engine: composable generators,
 //!   configurable case counts, greedy shrinking, seed replay through the
 //!   `SIMKIT_SEED` environment variable, and a file-based regression
 //!   corpus that also ingests legacy `proptest-regressions` files;
-//! * [`bench`] — a wall-clock benchmark harness (warmup + N timed
-//!   iterations, median/p95/mean), emitting one JSON line per benchmark
-//!   compatible with the `BENCH_*.json` convention;
 //! * [`corpus`] — parsing and persistence for the regression corpus.
 //!
 //! Randomness comes from [`simbase::rng::SimRng`] — the same pinned
@@ -31,10 +29,8 @@
 //! Setting `SIMKIT_SEED` reruns exactly that case (and nothing else);
 //! `SIMKIT_CASES` overrides the number of random cases for every property.
 
-pub mod bench;
 pub mod corpus;
 pub mod prop;
 
-pub use bench::{BenchReport, BenchRunner};
 pub use prop::{checker, Gen, PropError};
 pub use simbase::rng::SimRng;

@@ -14,8 +14,8 @@
 //! - [`ring`] / [`sink`] — **cycle-stamped spans and events** (tag
 //!   probes, d-group accesses, demotion chains, MSHR stalls, DRAM round
 //!   trips) in a bounded ring behind the [`TelemetrySink`] handle, which
-//!   is a no-op by default and free when disabled (benched in
-//!   `BENCH_telemetry.json`);
+//!   is a no-op by default and free when disabled (timed against no sink
+//!   in `tests/telemetry_integration.rs`);
 //! - [`telemetry`] — the aggregator and **exporters**: Chrome
 //!   trace-event JSON for `chrome://tracing`/Perfetto (`trace.json`,
 //!   deterministic; `wall.json`, the separate wall-clock profiling

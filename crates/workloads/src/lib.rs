@@ -28,7 +28,6 @@
 pub mod generator;
 pub mod multi;
 pub mod profiles;
-pub mod tracefile;
 
 pub use generator::TraceGenerator;
 pub use multi::CoreStream;

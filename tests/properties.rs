@@ -17,8 +17,7 @@ use nurapid::{DistanceVictimPolicy, NuRapidCache, NuRapidConfig, PromotionPolicy
 use simbase::digest::{Digest, Knob, KnobVisitor, Knobs, Tag};
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simkit::prop::{
-    any_bool, any_u64, any_u8, checker, range_u32, range_u64, range_u8, select, vec_of, Checker,
-    VecGen,
+    any_bool, any_u64, checker, range_u32, range_u64, select, vec_of, Checker, VecGen,
 };
 
 /// Every property replays both corpus files before its random sweep: the
@@ -253,59 +252,6 @@ fn tree_plru_spares_the_mru_way() {
             p.touch(0, w);
             assert_ne!(p.victim(0), w);
         }
-    });
-}
-
-/// 11. Trace encoding round-trips arbitrary well-formed micro-ops.
-#[test]
-fn trace_records_roundtrip() {
-    use cpu::uop::{MicroOp, OpClass};
-    use workloads::tracefile::{read_op, write_op};
-    let gen = vec_of(
-        (
-            range_u8(0, 7),
-            any_u8(),
-            any_u8(),
-            any_bool(),
-            any_u64(),
-            any_u64(),
-        ),
-        1,
-        100,
-    );
-    prop("trace_records_roundtrip").check(&gen, |ops| {
-        let classes = [
-            OpClass::IntAlu,
-            OpClass::IntMul,
-            OpClass::FpAlu,
-            OpClass::FpMul,
-            OpClass::Load,
-            OpClass::Store,
-            OpClass::Branch,
-        ];
-        let originals: Vec<MicroOp> = ops
-            .iter()
-            .map(|&(c, d1, d2, taken, pc, addr)| {
-                let class = classes[c as usize];
-                MicroOp {
-                    class,
-                    pc: simbase::Addr::new(pc),
-                    mem_addr: class.is_mem().then_some(simbase::Addr::new(addr)),
-                    dep1: d1,
-                    dep2: d2,
-                    taken,
-                }
-            })
-            .collect();
-        let mut buf = Vec::new();
-        for op in &originals {
-            write_op(&mut buf, op);
-        }
-        let mut cursor = buf.as_slice();
-        for want in &originals {
-            assert_eq!(&read_op(&mut cursor).unwrap(), want);
-        }
-        assert!(cursor.is_empty());
     });
 }
 

@@ -20,7 +20,9 @@ fn apps() -> Vec<workloads::profiles::BenchProfile> {
     vec![by_name("art").expect("in roster"), by_name("wupwise").expect("in roster")]
 }
 
-const KEYS: [&str; 3] = ["base", "nf4", "dm4"];
+/// One configuration per organization family: the base hierarchy,
+/// NuRAPID under two promotion policies, the coupled ablation, and D-NUCA.
+const KEYS: [&str; 5] = ["base", "nf4", "dm4", "sa4", "dn-energy"];
 
 /// A process-unique scratch directory under the target dir, removed on
 /// drop so test runs don't accumulate state.

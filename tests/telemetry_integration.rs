@@ -2,14 +2,20 @@
 //! experiment harness: the deterministic channels (`metrics.json`,
 //! `trace.json`) are byte-identical for any worker-thread count, the
 //! exported summary fields are bit-exact against the `AppRun` the tables
-//! print from, and the trace exports load as Chrome trace-event files.
+//! print from, the trace exports load as Chrome trace-event files, and a
+//! disabled sink costs no more than noise over no sink at all.
 
 use experiments::exps::Sweep;
 use experiments::Scale;
+use memsys::lower::LowerCache;
+use nurapid::{NuRapidCache, NuRapidConfig};
 use simbase::json::{self, Json};
+use simbase::{AccessKind, BlockAddr, Cycle};
 use simtel::trace::validate_chrome_trace;
-use simtel::Telemetry;
+use simtel::{Telemetry, TelemetrySink};
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use workloads::profiles::by_name;
 
 fn tiny() -> Scale {
@@ -153,4 +159,59 @@ fn resumed_sweeps_still_record_every_run() {
         .expect("resumed run record");
     assert!(rec.field("ipc").is_some());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drives `n` mixed accesses (every fifth a write) over a 20 000-block
+/// footprint through the cache, returning the hit count.
+fn drive(c: &mut NuRapidCache, n: u64) -> u64 {
+    let mut t = Cycle::ZERO;
+    let mut hits = 0;
+    for i in 0..n {
+        let block = BlockAddr::from_index((i * 37) % 20_000);
+        let kind = if i % 5 == 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let out = c.access(block, kind, t);
+        hits += out.hit as u64;
+        t = out.complete_at + 10;
+    }
+    hits
+}
+
+/// The disabled sink is the path every non-`--telemetry` run pays: one
+/// `Option` check per event site. Its median over the same NuRAPID access
+/// loop must stay within 1.5x of the detached default's. The two sides'
+/// iterations alternate, so host drift lands on both.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock: release only")]
+fn disabled_sink_costs_no_more_than_no_sink() {
+    const ITERS: usize = 9;
+    const ACCESSES: u64 = 100_000;
+    let prefilled = || {
+        let mut c = NuRapidCache::new(NuRapidConfig::micro2003(4));
+        c.prefill();
+        c
+    };
+    let mut detached = prefilled();
+    let mut disabled = prefilled();
+    disabled.set_telemetry(TelemetrySink::disabled(), 0);
+    let timed = |c: &mut NuRapidCache| {
+        let start = Instant::now();
+        black_box(drive(c, ACCESSES));
+        start.elapsed()
+    };
+    timed(&mut detached);
+    timed(&mut disabled);
+    let (mut base, mut dis): (Vec<Duration>, Vec<Duration>) = (0..ITERS)
+        .map(|_| (timed(&mut detached), timed(&mut disabled)))
+        .unzip();
+    base.sort();
+    dis.sort();
+    let (b, d) = (base[ITERS / 2], dis[ITERS / 2]);
+    assert!(
+        d.as_secs_f64() <= 1.5 * b.as_secs_f64(),
+        "disabled-sink path regressed: {d:?} median vs {b:?} with no sink"
+    );
 }
