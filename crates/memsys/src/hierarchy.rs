@@ -8,10 +8,8 @@
 use crate::lower::{LowerCache, LowerOutcome};
 use crate::memory::MainMemory;
 use crate::org::{Organization, OrgReport};
-use crate::replacement::PolicyKind;
 use crate::setassoc::SetAssocCache;
 use simbase::EnergyNj;
-use simbase::rng::SimRng;
 use simbase::stats::Counter;
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simtel::TelemetrySink;
@@ -78,17 +76,14 @@ impl BaseHierarchy {
                 latency: 43,
             },
             128,
-            SimRng::seeded(0x6261_7365), // "base"
         )
     }
 
     /// Builds a hierarchy with explicit level parameters.
-    pub fn new(l2: LevelParams, l3: LevelParams, block_bytes: u64, mut rng: SimRng) -> Self {
-        let l2_cache = SetAssocCache::new(l2.capacity, block_bytes, l2.assoc, PolicyKind::Lru, rng.fork(2));
-        let l3_cache = SetAssocCache::new(l3.capacity, block_bytes, l3.assoc, PolicyKind::Lru, rng.fork(3));
+    pub fn new(l2: LevelParams, l3: LevelParams, block_bytes: u64) -> Self {
         BaseHierarchy {
-            l2: l2_cache,
-            l3: l3_cache,
+            l2: SetAssocCache::new(l2.capacity, block_bytes, l2.assoc),
+            l3: SetAssocCache::new(l3.capacity, block_bytes, l3.assoc),
             l2_latency: l2.latency,
             l3_latency: l3.latency,
             block_bytes,

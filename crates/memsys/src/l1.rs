@@ -8,9 +8,7 @@
 
 use crate::lower::LowerCache;
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::replacement::PolicyKind;
 use crate::setassoc::SetAssocCache;
-use simbase::rng::SimRng;
 use simbase::stats::Counter;
 use simbase::{AccessKind, Addr, BlockAddr, BlockGeometry, Capacity, Cycle};
 use simtel::TelemetrySink;
@@ -90,31 +88,19 @@ impl<L: LowerCache> CoreMemSystem<L> {
     /// Builds the core memory system with the paper's L1 parameters over
     /// `lower`.
     pub fn micro2003(lower: L) -> Self {
-        Self::new(L1Params::micro2003(), lower, SimRng::seeded(0x4c31))
+        Self::new(L1Params::micro2003(), lower)
     }
 
     /// Builds the core memory system with explicit L1 parameters.
-    pub fn new(params: L1Params, lower: L, mut rng: SimRng) -> Self {
+    pub fn new(params: L1Params, lower: L) -> Self {
         let lower_block = lower.block_bytes();
         assert!(
             lower_block >= params.block_bytes,
             "lower-level blocks must be at least L1-sized"
         );
         CoreMemSystem {
-            icache: SetAssocCache::new(
-                params.capacity,
-                params.block_bytes,
-                params.assoc,
-                PolicyKind::Lru,
-                rng.fork(1),
-            ),
-            dcache: SetAssocCache::new(
-                params.capacity,
-                params.block_bytes,
-                params.assoc,
-                PolicyKind::Lru,
-                rng.fork(2),
-            ),
+            icache: SetAssocCache::new(params.capacity, params.block_bytes, params.assoc),
+            dcache: SetAssocCache::new(params.capacity, params.block_bytes, params.assoc),
             dmshr: MshrFile::new(params.mshrs),
             lower,
             l1_geom: BlockGeometry::new(params.block_bytes),
@@ -611,6 +597,6 @@ mod tests {
                 16
             }
         }
-        let _ = CoreMemSystem::new(L1Params::micro2003(), Tiny, SimRng::seeded(0));
+        let _ = CoreMemSystem::new(L1Params::micro2003(), Tiny);
     }
 }

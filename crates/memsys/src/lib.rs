@@ -2,7 +2,7 @@
 //!
 //! This crate provides everything below the processor core that is *not*
 //! the paper's contribution: generic set-associative cache structures with
-//! pluggable [`replacement`] policies, [`mshr`]s for miss-level
+//! true-LRU replacement ([`packed_lru`]), [`mshr`]s for miss-level
 //! parallelism, a [`memory`] model matching Table 1 (130 cycles + 4 cycles
 //! per 8 bytes), the [`l1`] instruction and data caches, and the
 //! conventional L2/L3 [`hierarchy`] the paper uses as its base case.
@@ -35,5 +35,4 @@ pub mod mshr;
 pub mod naive;
 pub mod org;
 pub mod packed_lru;
-pub mod replacement;
 pub mod setassoc;

@@ -13,9 +13,7 @@
 //! correct array-of-structs / `Vec` implementation the optimized forms are
 //! measured against.
 
-use crate::replacement::PolicyKind;
 use crate::setassoc::{Eviction, Lookup, WayRef};
-use simbase::rng::SimRng;
 use simbase::{AccessKind, BlockAddr, Capacity};
 
 /// Naive per-set LRU recency order: `order[set]` lists ways MRU→LRU in a
@@ -57,84 +55,6 @@ impl NaiveLru {
     }
 }
 
-/// Naive per-set replacement state: the pre-rewrite `SetPolicy`, with the
-/// LRU variant storing explicit MRU→LRU `Vec`s.
-#[derive(Debug, Clone)]
-pub enum NaiveSetPolicy {
-    /// Recency order per set as plain `Vec`s.
-    Lru(NaiveLru),
-    /// PLRU tree bits per set.
-    TreePlru { bits: Vec<u32>, assoc: u32 },
-    /// Random selection with a deterministic stream.
-    Random { rng: SimRng, assoc: u32 },
-}
-
-impl NaiveSetPolicy {
-    /// Mirrors `SetPolicy::new`.
-    pub fn new(kind: PolicyKind, sets: usize, assoc: u32, rng: SimRng) -> Self {
-        assert!(assoc > 0 && assoc <= 255, "associativity {assoc} out of range");
-        match kind {
-            PolicyKind::Lru => NaiveSetPolicy::Lru(NaiveLru::new(sets, assoc)),
-            PolicyKind::TreePlru => {
-                assert!(assoc.is_power_of_two(), "tree PLRU requires power-of-two associativity");
-                NaiveSetPolicy::TreePlru { bits: vec![0; sets], assoc }
-            }
-            PolicyKind::Random => NaiveSetPolicy::Random { rng, assoc },
-        }
-    }
-
-    /// Records a use of `way` in `set`.
-    pub fn touch(&mut self, set: usize, way: u32) {
-        match self {
-            NaiveSetPolicy::Lru(l) => l.touch(set, way),
-            NaiveSetPolicy::TreePlru { bits, assoc } => {
-                let mut node = 0u32;
-                let mut lo = 0u32;
-                let mut hi = *assoc;
-                let b = &mut bits[set];
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    if way < mid {
-                        *b &= !(1 << node);
-                        hi = mid;
-                        node = 2 * node + 1;
-                    } else {
-                        *b |= 1 << node;
-                        lo = mid;
-                        node = 2 * node + 2;
-                    }
-                }
-            }
-            NaiveSetPolicy::Random { .. } => {}
-        }
-    }
-
-    /// Chooses a victim way in `set`.
-    pub fn victim(&mut self, set: usize) -> u32 {
-        match self {
-            NaiveSetPolicy::Lru(l) => l.victim(set),
-            NaiveSetPolicy::TreePlru { bits, assoc } => {
-                let mut node = 0u32;
-                let mut lo = 0u32;
-                let mut hi = *assoc;
-                let b = bits[set];
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    if b & (1 << node) != 0 {
-                        hi = mid;
-                        node = 2 * node + 1;
-                    } else {
-                        lo = mid;
-                        node = 2 * node + 2;
-                    }
-                }
-                lo
-            }
-            NaiveSetPolicy::Random { rng, assoc } => rng.below(*assoc as u64) as u32,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Line {
     block: BlockAddr,
@@ -151,20 +71,14 @@ const INVALID: Line = Line { block: BlockAddr::from_index(u64::MAX), valid: fals
 #[derive(Debug, Clone)]
 pub struct NaiveSetAssocCache {
     lines: Vec<Line>, // sets * assoc, row-major by set
-    policy: NaiveSetPolicy,
+    lru: NaiveLru,
     sets: usize,
     assoc: u32,
 }
 
 impl NaiveSetAssocCache {
     /// Mirrors `SetAssocCache::new`, including all geometry panics.
-    pub fn new(
-        capacity: Capacity,
-        block_bytes: u64,
-        assoc: u32,
-        policy: PolicyKind,
-        rng: SimRng,
-    ) -> Self {
+    pub fn new(capacity: Capacity, block_bytes: u64, assoc: u32) -> Self {
         assert!(assoc > 0, "associativity must be positive");
         let blocks = capacity.bytes() / block_bytes;
         assert!(blocks.is_multiple_of(assoc as u64), "capacity must divide into whole sets");
@@ -172,7 +86,7 @@ impl NaiveSetAssocCache {
         assert!(sets.is_power_of_two(), "set count must be a power of two, got {sets}");
         NaiveSetAssocCache {
             lines: vec![INVALID; sets * assoc as usize],
-            policy: NaiveSetPolicy::new(policy, sets, assoc, rng),
+            lru: NaiveLru::new(sets, assoc),
             sets,
             assoc,
         }
@@ -207,7 +121,7 @@ impl NaiveSetAssocCache {
     pub fn access(&mut self, block: BlockAddr, kind: AccessKind) -> Lookup {
         match self.probe(block) {
             Lookup::Hit(r) => {
-                self.policy.touch(r.set, r.way);
+                self.lru.touch(r.set, r.way);
                 if kind.is_write() {
                     self.line_mut(r).dirty = true;
                 }
@@ -217,7 +131,7 @@ impl NaiveSetAssocCache {
         }
     }
 
-    /// Fill with first-invalid-way preference, then policy victim.
+    /// Fill with first-invalid-way preference, then the LRU victim.
     pub fn fill(&mut self, block: BlockAddr, dirty: bool) -> Option<Eviction> {
         assert!(!self.probe(block).is_hit(), "fill of already-present block {block}");
         let set = self.set_of(block);
@@ -231,14 +145,14 @@ impl NaiveSetAssocCache {
         let (r, evicted) = match target {
             Some(r) => (r, None),
             None => {
-                let way = self.policy.victim(set);
+                let way = self.lru.victim(set);
                 let r = WayRef { set, way };
                 let old = *self.line(r);
                 (r, Some(Eviction { block: old.block, dirty: old.dirty, from: r }))
             }
         };
         *self.line_mut(r) = Line { block, valid: true, dirty };
-        self.policy.touch(r.set, r.way);
+        self.lru.touch(r.set, r.way);
         evicted
     }
 

@@ -4,8 +4,7 @@
 //! centralized tag array of NuRAPID (which extends each entry with a
 //! forward pointer) and the per-bank tag arrays of D-NUCA.
 
-use crate::replacement::{PolicyKind, SetPolicy};
-use simbase::rng::SimRng;
+use crate::packed_lru::LruTable;
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::{AccessKind, BlockAddr, Capacity};
 
@@ -63,7 +62,7 @@ const DIRTY: u8 = 1 << 1;
 pub struct SetAssocCache {
     blocks: Vec<u64>, // sets * assoc block indices, row-major by set
     flags: Vec<u8>,   // parallel VALID | DIRTY bits
-    policy: SetPolicy,
+    lru: LruTable,
     sets: usize,
     assoc: u32,
     set_mask: u64, // sets - 1
@@ -71,19 +70,14 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Builds a cache directory of `capacity` with `block_bytes` blocks and
-    /// `assoc` ways, using `policy` for victim selection within sets.
+    /// `assoc` ways, evicting the least-recently-used way of a full set
+    /// (the paper's data replacement, Section 2.4.2).
     ///
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (capacity not divisible into
     /// a power-of-two number of sets).
-    pub fn new(
-        capacity: Capacity,
-        block_bytes: u64,
-        assoc: u32,
-        policy: PolicyKind,
-        rng: SimRng,
-    ) -> Self {
+    pub fn new(capacity: Capacity, block_bytes: u64, assoc: u32) -> Self {
         assert!(assoc > 0, "associativity must be positive");
         let blocks = capacity.bytes() / block_bytes;
         assert!(
@@ -98,7 +92,7 @@ impl SetAssocCache {
         SetAssocCache {
             blocks: vec![u64::MAX; sets * assoc as usize],
             flags: vec![0; sets * assoc as usize],
-            policy: SetPolicy::new(policy, sets, assoc, rng),
+            lru: LruTable::new(sets, assoc),
             sets,
             assoc,
             set_mask: sets as u64 - 1,
@@ -147,7 +141,7 @@ impl SetAssocCache {
     pub fn access(&mut self, block: BlockAddr, kind: AccessKind) -> Lookup {
         match self.probe(block) {
             Lookup::Hit(r) => {
-                self.policy.touch(r.set, r.way);
+                self.lru.touch(r.set, r.way);
                 if kind.is_write() {
                     let i = self.slot(r);
                     self.flags[i] |= DIRTY;
@@ -185,7 +179,7 @@ impl SetAssocCache {
         let (way, evicted) = match target {
             Some(way) => (way, None),
             None => {
-                let way = self.policy.victim(set);
+                let way = self.lru.victim(set);
                 let i = base + way as usize;
                 (
                     way,
@@ -200,7 +194,7 @@ impl SetAssocCache {
         let i = base + way as usize;
         self.blocks[i] = block.index();
         self.flags[i] = VALID | if dirty { DIRTY } else { 0 };
-        self.policy.touch(set, way);
+        self.lru.touch(set, way);
         evicted
     }
 
@@ -223,11 +217,11 @@ impl SetAssocCache {
     pub fn save_state(&self, e: &mut Encoder) {
         e.put_u64_slice(&self.blocks);
         e.put_u8_slice(&self.flags);
-        self.policy.save_state(e);
+        self.lru.save_state(e);
     }
 
     /// Restores state written by [`SetAssocCache::save_state`] into a cache
-    /// of identical geometry and policy kind.
+    /// of identical geometry.
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
         let blocks = d.u64_slice()?;
         let flags = d.u8_slice()?;
@@ -236,7 +230,7 @@ impl SetAssocCache {
         }
         self.blocks = blocks;
         self.flags = flags;
-        self.policy.load_state(d)
+        self.lru.load_state(d)
     }
 
     /// Number of valid lines currently resident.
@@ -256,13 +250,7 @@ mod tests {
     use super::*;
 
     fn cache(cap_kib: u64, assoc: u32) -> SetAssocCache {
-        SetAssocCache::new(
-            Capacity::from_kib(cap_kib),
-            64,
-            assoc,
-            PolicyKind::Lru,
-            SimRng::seeded(1),
-        )
+        SetAssocCache::new(Capacity::from_kib(cap_kib), 64, assoc)
     }
 
     fn blk(i: u64) -> BlockAddr {
@@ -408,12 +396,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_sets() {
-        let _ = SetAssocCache::new(
-            Capacity::from_bytes(3 * 64 * 2),
-            64,
-            2,
-            PolicyKind::Lru,
-            SimRng::seeded(1),
-        );
+        let _ = SetAssocCache::new(Capacity::from_bytes(3 * 64 * 2), 64, 2);
     }
 }

@@ -41,6 +41,45 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+/// A probability compiled to the integer cut a Bernoulli draw compares
+/// against: `p` hits when `bits53() < ceil(p · 2^53)`.
+///
+/// This takes the same branch as the float test `unit() < p` on every
+/// draw. `unit()` is `u · 2^-53` for the 53-bit integer `u`, and both
+/// `u` and `p · 2^53` are exact in an `f64` (scaling by a power of two
+/// loses nothing), so `u · 2^-53 < p` holds exactly when `u < p · 2^53`,
+/// that is when `u < ceil(p · 2^53)`. `p` is clamped to `[0, 1]` first,
+/// which leaves the float test's outcome unchanged; `NaN`, which the
+/// float test never beats, saturates to the cut 0.
+///
+/// # Examples
+///
+/// ```
+/// use simbase::rng::{Odds, SimRng};
+/// let (mut a, mut b) = (SimRng::seeded(3), SimRng::seeded(3));
+/// let odds = Odds::new(0.3);
+/// for _ in 0..100 {
+///     assert_eq!(a.hit(odds), b.unit() < 0.3);
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Odds(u64);
+
+impl Odds {
+    /// Compiles `p` (clamped to `[0, 1]`; `NaN` never hits).
+    pub fn new(p: f64) -> Self {
+        // `as` saturates, and maps `NaN` to 0.
+        Odds((p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// Whether a 53-bit draw ([`SimRng::bits53`]) falls under the cut:
+    /// several cuts can test one draw.
+    #[inline]
+    pub fn admits(self, bits: u64) -> bool {
+        bits < self.0
+    }
+}
+
 impl SimRng {
     /// Creates an RNG from a 64-bit seed.
     pub fn seeded(seed: u64) -> Self {
@@ -82,6 +121,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         let mut m = u128::from(self.next_u64()) * u128::from(bound);
@@ -98,21 +138,38 @@ impl SimRng {
     }
 
     /// Uniform draw in `[0, bound)` as `usize`.
+    #[inline]
     pub fn index(&mut self, bound: usize) -> usize {
         self.below(bound as u64) as usize
     }
 
-    /// Uniform draw in `[0.0, 1.0)` with 53 bits of precision.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    /// The high 53 bits of one raw draw: the integer [`SimRng::unit`]
+    /// scales into `[0, 1)`.
+    #[inline]
+    pub fn bits53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    /// Uniform draw in `[0.0, 1.0)` with 53 bits of precision.
+    pub fn unit(&mut self) -> f64 {
+        self.bits53() as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`; `NaN`
+    /// never hits). Same draw and same outcome as `unit() < p`.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p.clamp(0.0, 1.0)
+        self.hit(Odds::new(p))
+    }
+
+    /// Bernoulli draw against a precomputed [`Odds`]: one raw draw and
+    /// one integer compare.
+    #[inline]
+    pub fn hit(&mut self, odds: Odds) -> bool {
+        odds.admits(self.bits53())
     }
 
     /// Raw 64-bit draw: one xoshiro256++ step.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0]
@@ -132,9 +189,14 @@ impl SimRng {
     /// Geometric-ish draw: number of failures before a success with
     /// probability `p`, capped at `cap`.
     pub fn geometric(&mut self, p: f64, cap: u64) -> u64 {
-        let p = p.clamp(1e-9, 1.0);
+        self.geometric_odds(Odds::new(p.clamp(1e-9, 1.0)), cap)
+    }
+
+    /// [`SimRng::geometric`] against a precomputed success [`Odds`].
+    #[inline]
+    pub fn geometric_odds(&mut self, odds: Odds, cap: u64) -> u64 {
         let mut n = 0;
-        while n < cap && !self.chance(p) {
+        while n < cap && !self.hit(odds) {
             n += 1;
         }
         n
@@ -332,6 +394,39 @@ mod tests {
         // Out-of-range p values are clamped rather than panicking.
         assert!(r.chance(2.0));
         assert!(!r.chance(-1.0));
+    }
+
+    /// The integer cut takes the float test's branch on every draw, at
+    /// the edges (0, 1, out of range, `NaN`), at probabilities that sit
+    /// exactly on a 53-bit grid point or one ulp beside it, and at
+    /// arbitrary ones.
+    #[test]
+    fn odds_match_the_float_test_on_every_draw() {
+        let grid = |k: u64| k as f64 / (1u64 << 53) as f64;
+        let mut ps = vec![0.0, 1.0, -0.5, 1.5, f64::NAN, f64::INFINITY];
+        ps.extend([0.15, 0.45, 0.5, 0.65, 0.88]);
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) + 1, (1 << 53) - 1] {
+            let p = grid(k);
+            ps.extend([p, p.next_up(), p.next_down()]);
+        }
+        let mut pick = SimRng::seeded(31);
+        ps.extend((0..64).map(|_| pick.unit()));
+        for p in ps {
+            let odds = Odds::new(p);
+            let mut a = SimRng::seeded(37);
+            let mut b = SimRng::seeded(37);
+            for _ in 0..2_000 {
+                assert_eq!(a.hit(odds), b.unit() < p, "p = {p:e}");
+            }
+            // The cut itself is the first 53-bit value that misses, and
+            // the one below it (when there is one) the last that hits.
+            let q = p.clamp(0.0, 1.0);
+            let cut = grid(odds.0).partial_cmp(&q);
+            assert_ne!(cut, Some(std::cmp::Ordering::Less), "p = {p:e}");
+            if odds.0 > 0 {
+                assert!(grid(odds.0 - 1) < q, "p = {p:e}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use memsys::bankq::{BankQueue, BankQueueParams, BankQueues};
 use memsys::lower::LowerCache;
-use memsys::replacement::{PolicyKind, SetPolicy};
 use nuca::{DnucaCache, DnucaConfig, SearchPolicy};
 use nurapid::coupled::CoupledCache;
 use nurapid::port::PortSchedule;
@@ -17,7 +16,7 @@ use nurapid::{DistanceVictimPolicy, NuRapidCache, NuRapidConfig, PromotionPolicy
 use simbase::digest::{Digest, Knob, KnobVisitor, Knobs, Tag};
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simkit::prop::{
-    any_bool, any_u64, checker, range_u32, range_u64, select, vec_of, Checker, VecGen,
+    any_bool, any_u64, checker, range_u64, select, vec_of, Checker, VecGen,
 };
 
 /// Every property replays both corpus files before its random sweep: the
@@ -240,18 +239,6 @@ fn coupled_and_decoupled_miss_identically() {
             t = out.complete_at + 1;
         }
         assert_eq!(coupled.stats().misses.get(), decoupled.stats().misses.get());
-    });
-}
-
-/// 10. Tree PLRU never victimizes the way touched most recently.
-#[test]
-fn tree_plru_spares_the_mru_way() {
-    prop("tree_plru_spares_the_mru_way").check(&vec_of(range_u32(0, 8), 1, 200), |touches| {
-        let mut p = SetPolicy::new(PolicyKind::TreePlru, 1, 8, simbase::rng::SimRng::seeded(1));
-        for &w in touches {
-            p.touch(0, w);
-            assert_ne!(p.victim(0), w);
-        }
     });
 }
 
