@@ -235,11 +235,34 @@ impl CmpSystem {
     ///
     /// Panics if `cfg.cores` is 0, exceeds [`MAX_CORES`], or disagrees
     /// with `profiles.len()`.
-    pub fn new(cfg: CmpConfig, mut org: Box<dyn Organization>, profiles: &[BenchProfile], seed: u64) -> Self {
+    pub fn new(
+        cfg: CmpConfig,
+        org: Box<dyn Organization>,
+        profiles: &[BenchProfile],
+        seed: u64,
+    ) -> Self {
+        let mut sys = CmpSystem::unfilled(cfg, org, profiles, seed);
+        sys.prefill();
+        sys
+    }
+
+    /// [`CmpSystem::new`] without the prefill: the system a
+    /// [`CmpSystem::save_state`] payload is restored into, since the
+    /// restore overwrites every byte a prefill would write. Call
+    /// [`CmpSystem::prefill`] before warming it up in place.
+    ///
+    /// # Panics
+    ///
+    /// As [`CmpSystem::new`].
+    pub fn unfilled(
+        cfg: CmpConfig,
+        org: Box<dyn Organization>,
+        profiles: &[BenchProfile],
+        seed: u64,
+    ) -> Self {
         let n = cfg.cores as usize;
         assert!(n >= 1 && n <= MAX_CORES, "{n} cores unsupported");
         assert_eq!(profiles.len(), n, "one profile per core");
-        org.prefill();
         let shared = Rc::new(RefCell::new(SharedInner {
             org,
             banks: BankQueues::new(cfg.n_banks, cfg.bank),
@@ -269,6 +292,12 @@ impl CmpSystem {
             streams,
             inv_lines: vec![0; n],
         }
+    }
+
+    /// Prefills the shared organization to steady-state occupancy, as
+    /// [`CmpSystem::new`] does.
+    pub fn prefill(&mut self) {
+        self.shared.borrow_mut().org.prefill();
     }
 
     /// The configuration this system was built with.
@@ -593,11 +622,26 @@ mod tests {
         twin.load_state(&mut d).expect("loads");
         d.finish().expect("no trailing bytes");
 
-        for s in [&mut sys, &mut twin] {
+        // A restore needs no prefill: into an unfilled system it re-saves
+        // the same bytes and resumes the same way.
+        let mut bare = CmpSystem::unfilled(cfg, base_org(), &profiles(4), SEED);
+        let mut d = Decoder::new(&bytes);
+        bare.load_state(&mut d).expect("loads unfilled");
+        d.finish().expect("no trailing bytes");
+        let mut e = Encoder::new();
+        bare.save_state(&mut e);
+        assert_eq!(
+            e.into_bytes(),
+            bytes,
+            "an unfilled restore re-saves other bytes"
+        );
+
+        for s in [&mut sys, &mut twin, &mut bare] {
             s.drain_barrier(&TelemetrySink::disabled(), 0);
             s.run(6_000);
         }
         assert_eq!(sys.finish(), twin.finish());
+        assert_eq!(sys.finish(), bare.finish());
     }
 
     #[test]

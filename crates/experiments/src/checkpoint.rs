@@ -127,9 +127,11 @@ impl CheckpointStore {
 
     /// Returns the checkpoint payload for `digest`, running `build` only
     /// if no valid checkpoint exists in memory or on disk. A freshly
-    /// built payload is sealed and published to disk (best-effort: a
-    /// write failure degrades to in-process caching, it does not fail
-    /// the run). The returned flag is `true` on a hit.
+    /// built payload is sealed straight into a temp file and published
+    /// to disk (best-effort: a write failure degrades to in-process
+    /// caching, it does not fail the run, and leaves no temp file
+    /// behind). A disk hit strips the envelope off the file's bytes in
+    /// place. The returned flag is `true` on a hit.
     pub fn get_or_build(
         &self,
         digest: Digest,
@@ -140,19 +142,18 @@ impl CheckpointStore {
         let blob = self.blobs.get_or_compute(digest.raw(), || {
             let path = self.path_of(digest);
             if let Ok(bytes) = std::fs::read(&path) {
-                if let Ok(payload) = snapshot::open(&bytes, CHECKPOINT_VERSION) {
+                if let Ok(payload) = snapshot::open_owned(bytes, CHECKPOINT_VERSION) {
                     // Refresh the file's recency so the LRU pruner ranks
                     // live checkpoints above abandoned ones (best-effort;
                     // a read-only directory just loses recency).
                     if let Ok(f) = std::fs::File::options().append(true).open(&path) {
                         let _ = f.set_modified(std::time::SystemTime::now());
                     }
-                    return payload.to_vec();
+                    return payload;
                 }
             }
             built = true;
             let payload = build();
-            let sealed = snapshot::seal(CHECKPOINT_VERSION, &payload);
             // The temp name must be unique per writer: the in-process
             // store single-flights builders, but two *stores* over the
             // same directory (two `repro` processes, a sweep racing a CI
@@ -170,8 +171,13 @@ impl CheckpointStore {
                 std::process::id(),
                 TMP_SEQ.fetch_add(1, Ordering::Relaxed)
             ));
-            if std::fs::write(&tmp, &sealed).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
+            let published = std::fs::File::create(&tmp)
+                .and_then(|mut f| snapshot::seal_into(&mut f, CHECKPOINT_VERSION, &payload))
+                .and_then(|()| std::fs::rename(&tmp, &path));
+            if published.is_err() {
+                // `prune_to_budget` counts only `.simchk` files, so a
+                // leaked temp file would never be reclaimed.
+                let _ = std::fs::remove_file(&tmp);
             }
             payload
         });
@@ -349,6 +355,27 @@ mod tests {
             // winner's identical file — so no .tmp may survive.)
             assert!(leftovers.is_empty(), "round {round}: leftover temp files {leftovers:?}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed publish still serves the payload and counts one miss,
+    /// and leaves no temp file behind: a directory squatting on the
+    /// checkpoint's path makes the rename fail.
+    #[test]
+    fn failed_publish_leaves_no_temp_file() {
+        let dir = temp_dir("publish-fails");
+        let store = CheckpointStore::open(&dir).expect("open");
+        std::fs::create_dir(store.path_of(digest(40))).expect("squat on the path");
+        let (blob, hit) = store.get_or_build(digest(40), || vec![5; 64]);
+        assert!(!hit);
+        assert_eq!(*blob, vec![5; 64], "the payload is still served");
+        assert_eq!((store.hits(), store.misses()), (0, 1));
+        let temps: Vec<_> = std::fs::read_dir(&dir)
+            .expect("readdir")
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .collect();
+        assert!(temps.is_empty(), "leaked temp files {temps:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -177,13 +177,19 @@ pub fn run_cmp_opts(
     let apps = cmp_profiles(cores);
     let per_core_warm = (scale.warmup / u64::from(cores)).max(1);
     let per_core_measure = (scale.measure / u64::from(cores)).max(1);
-    let mut sys = CmpSystem::new(cfg, kind.build(), &apps, TRACE_SEED);
+    // Only a warm-up in place starts from the prefill; a checkpoint hit
+    // restores into the unfilled system.
+    let mut sys = CmpSystem::unfilled(cfg, kind.build(), &apps, TRACE_SEED);
     let label = format!("cmp{cores}x/{key}");
 
     let t_warm = Instant::now();
     let chk = cmp_warmup_digest(&cfg, &apps, kind, scale);
-    match engine::checkpoint(&opts, chk, &label, || {
+    let warm = |sys: &mut CmpSystem| {
+        sys.prefill();
         sys.warm_run(per_core_warm);
+    };
+    match engine::checkpoint(&opts, chk, &label, || {
+        warm(&mut sys);
         let mut e = Encoder::new();
         sys.save_state(&mut e);
         e.into_bytes()
@@ -193,7 +199,7 @@ pub fn run_cmp_opts(
             sys.load_state(&mut d).expect("cmp checkpoint: state");
             d.finish().expect("cmp checkpoint: trailing bytes");
         }
-        None => sys.warm_run(per_core_warm),
+        None => warm(&mut sys),
     }
     if let Some(w) = opts.wall {
         let name = format!("{label}/{per_core_warm}-ops");

@@ -39,9 +39,19 @@ pub type System = OooCore<Box<dyn Organization>>;
 /// steady-state occupancy, the paper's core and L1s over it, and
 /// `profile`'s trace generator at op 0.
 pub fn build(profile: BenchProfile, kind: &L2Kind) -> (System, TraceGenerator) {
-    let mut lower = kind.build();
-    lower.prefill();
-    let core = OooCore::new(CoreParams::micro2003(), CoreMemSystem::micro2003(lower));
+    let (mut core, gen) = build_unfilled(profile, kind);
+    core.mem_mut().lower_mut().prefill();
+    (core, gen)
+}
+
+/// [`build`] without the prefill: the system a [`save_arch`] payload is
+/// restored into, since the restore overwrites every byte a prefill
+/// would write.
+fn build_unfilled(profile: BenchProfile, kind: &L2Kind) -> (System, TraceGenerator) {
+    let core = OooCore::new(
+        CoreParams::micro2003(),
+        CoreMemSystem::micro2003(kind.build()),
+    );
     (core, TraceGenerator::new(profile, TRACE_SEED))
 }
 
@@ -58,7 +68,8 @@ pub fn save_arch(core: &System, gen: &TraceGenerator) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Restores a [`save_arch`] payload into a freshly [`build`]-built system.
+/// Restores a [`save_arch`] payload into a freshly built system,
+/// prefilled or not.
 ///
 /// # Panics
 ///
@@ -203,10 +214,15 @@ impl<'k> Phase<'k> {
         snap_every: u64,
         opts: RunOptions<'_>,
     ) -> Phase<'k> {
-        let (mut core, mut gen) = build(profile, kind);
-        let warm = |core: &mut System, gen: &mut TraceGenerator| match opts.mode {
-            WarmupMode::FastForward => core.warm_run(gen, scale.warmup),
-            WarmupMode::Timed => core.run(gen, scale.warmup),
+        // Only a warm-up in place starts from the prefill; a checkpoint
+        // hit restores into the unfilled system.
+        let (mut core, mut gen) = build_unfilled(profile, kind);
+        let warm = |core: &mut System, gen: &mut TraceGenerator| {
+            core.mem_mut().lower_mut().prefill();
+            match opts.mode {
+                WarmupMode::FastForward => core.warm_run(gen, scale.warmup),
+                WarmupMode::Timed => core.run(gen, scale.warmup),
+            }
         };
         let t_warm = Instant::now();
         let digest = warmup_digest(&profile, kind, scale);
@@ -231,7 +247,7 @@ impl<'k> Phase<'k> {
     /// Seeds a system from [`save_arch`] bytes and crosses the drain
     /// barrier: a sampled interval's start. No resize schedule applies.
     pub fn seeded(profile: BenchProfile, kind: &L2Kind, blob: &[u8]) -> Phase<'static> {
-        let (mut core, mut gen) = build(profile, kind);
+        let (mut core, mut gen) = build_unfilled(profile, kind);
         restore_arch(&mut core, &mut gen, blob);
         Phase::at_barrier(core, gen, &[], &TelemetrySink::disabled(), 0)
     }

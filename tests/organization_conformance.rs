@@ -134,6 +134,44 @@ fn snapshot_round_trip_matches_uninterrupted_run() {
     }
 }
 
+/// A restore needs no prefill: a warmed snapshot restored into a freshly
+/// built, never-prefilled instance re-saves byte-identical bytes, for
+/// every organization in the roster plus NuRAPID over the L4 tier (the
+/// small conformance tier and the `dram` scenario's). This is what lets
+/// the engine skip the prefill on every checkpoint restore.
+#[test]
+fn restoring_into_an_unprefilled_instance_resaves_the_same_bytes() {
+    let mut kinds = roster()
+        .into_iter()
+        .map(|(name, kind)| (name.to_string(), kind))
+        .collect::<Vec<_>>();
+    kinds.extend(l4_roster().into_iter().filter(|(n, _)| n == "nurapid+l4"));
+    let dram = experiments::exps::dram_kind(experiments::Scale::quick());
+    kinds.push(("dram".into(), dram));
+    for (name, kind) in kinds {
+        let mut org = kind.build();
+        org.prefill();
+        warm_drive(&mut org, 4_000);
+        org.drain_timing();
+        let mut e = Encoder::new();
+        org.save_state(&mut e);
+        let bytes = e.into_bytes();
+
+        let mut bare = kind.build();
+        let mut d = Decoder::new(&bytes);
+        bare.load_state(&mut d)
+            .unwrap_or_else(|err| panic!("{name}: load_state failed: {err:?}"));
+        d.finish()
+            .unwrap_or_else(|err| panic!("{name}: trailing snapshot bytes: {err:?}"));
+        let mut e = Encoder::new();
+        bare.save_state(&mut e);
+        assert!(
+            e.into_bytes() == bytes,
+            "{name}: an unprefilled restore re-saves other bytes"
+        );
+    }
+}
+
 /// A geometry-mismatched payload must be rejected, not silently loaded:
 /// feeding one organization's snapshot to a different one errors for
 /// every cross pair (this is the safety net under checkpoint keying).

@@ -4,11 +4,13 @@
 //! codec version must *never* open — a silently-wrong cache restore would
 //! poison every measured number downstream.
 //!
-//! The container framing (magic / version / length / FNV-1a-128 checksum)
+//! The container framing (magic / version / length / four-lane checksum)
 //! is pinned by unit tests in `simbase::snapshot`; these properties fuzz
 //! what the pin can't cover: every payload length, every cut point an
 //! interrupted write could leave behind, every single-byte corruption,
 //! and arbitrary typed-field sequences through `Encoder` / `Decoder`.
+//! One end-to-end case checks that a checkpoint file of the previous
+//! layout revision is rebuilt by the store, never decoded.
 
 use simbase::snapshot::{open, seal, Decoder, Encoder, SnapshotError, MAGIC, OVERHEAD};
 use simkit::prop::{
@@ -117,6 +119,63 @@ fn simchk_version_mismatch_reports_both_versions() {
             }
         },
     );
+}
+
+/// 5. A checkpoint file of the previous layout revision (`SIMCHK\0\1`,
+/// FNV-1a-128 checksum) at a digest's path, even one holding the right
+/// payload, is a store miss: the store rebuilds the warm-up, overwrites
+/// the file with the current revision, and the run's result is unchanged.
+#[test]
+fn simchk_previous_revision_file_is_rebuilt_not_decoded() {
+    use experiments::checkpoint::{CHECKPOINT_EXT, CHECKPOINT_VERSION};
+    use experiments::runner::run_app_opts;
+    use experiments::{warmup_digest, CheckpointStore, L2Kind, RunOptions, Scale};
+    use simbase::digest::Hasher128;
+    use simtel::TelemetrySink;
+
+    let app = workloads::profiles::by_name("parser").expect("in roster");
+    let kind = L2Kind::NuRapid(nurapid::NuRapidConfig::micro2003(4));
+    let scale = Scale {
+        warmup: 20_000,
+        measure: 10_000,
+    };
+    let sink = TelemetrySink::disabled();
+    let direct = run_app_opts(app, &kind, scale, &sink, 0, RunOptions::default());
+    let digest = warmup_digest(&app, &kind, scale);
+    // The payload the store itself would build for this digest.
+    let (mut core, mut gen) = experiments::engine::build(app, &kind);
+    core.warm_run(&mut gen, scale.warmup);
+    let payload = experiments::engine::save_arch(&core, &gen);
+
+    let mut old = b"SIMCHK\x00\x01".to_vec();
+    old.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    old.extend_from_slice(&payload);
+    let mut h = Hasher128::new();
+    h.write_bytes(&old);
+    old.extend_from_slice(&h.digest().raw().to_le_bytes());
+
+    let dir = std::env::temp_dir().join(format!("simchk-old-revision-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).expect("open store");
+    let path = dir.join(format!("{}.{CHECKPOINT_EXT}", digest.hex()));
+    std::fs::write(&path, &old).expect("plant the old revision");
+
+    let opts = RunOptions {
+        checkpoints: Some(&store),
+        ..Default::default()
+    };
+    let run = run_app_opts(app, &kind, scale, &sink, 0, opts);
+    assert_eq!(
+        (store.hits(), store.misses()),
+        (0, 1),
+        "an old revision must miss"
+    );
+    assert_eq!(run, direct, "the rebuilt run changed its result");
+    let rewritten = std::fs::read(&path).expect("checkpoint republished");
+    assert_eq!(&rewritten[..8], &MAGIC, "the file was not overwritten");
+    assert_eq!(open(&rewritten, CHECKPOINT_VERSION), Ok(payload.as_slice()));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One arbitrary typed field for the Encoder/Decoder layer.
