@@ -4,10 +4,8 @@ use crate::branch::HybridPredictor;
 use crate::uop::{MicroOp, OpClass, TraceSource};
 use memsys::l1::CoreMemSystem;
 use memsys::lower::LowerCache;
-use simbase::stats::Counter;
 use simbase::{Addr, BlockGeometry, Cycle};
 use simtel::TelemetrySink;
-use std::collections::VecDeque;
 
 /// Core configuration (paper Table 1).
 #[derive(Debug, Clone, Copy)]
@@ -56,22 +54,30 @@ impl CoreParams {
 const FU_RING: usize = 1024;
 const _: () = assert!(FU_RING.is_power_of_two(), "ring index uses a mask");
 
+/// Low bits of a packed [`FuPool`] slot that hold the issue count; the
+/// cycle the count belongs to sits above them.
+const FU_COUNT_BITS: u32 = 4;
+const FU_COUNT_MASK: u64 = (1 << FU_COUNT_BITS) - 1;
+
 /// A pool of `n` pipelined functional units: each unit accepts one
 /// operation per cycle. Occupancy is tracked per cycle (not as a
 /// high-water mark) so out-of-order issue times do not falsely serialize.
 #[derive(Debug, Clone)]
 struct FuPool {
-    units: u32,
-    /// `(cycle, ops issued that cycle)` per ring slot.
-    ring: Vec<(u64, u32)>,
+    units: u64,
+    /// One packed word per ring slot: `cycle << 4 | ops issued that
+    /// cycle`. A slot tagged with another cycle counts as empty; the
+    /// initial all-ones word names a cycle no run reaches.
+    ring: Box<[u64; FU_RING]>,
 }
 
 impl FuPool {
     fn new(n: usize) -> Self {
         assert!(n > 0, "pool needs at least one unit");
+        assert!(n as u64 <= FU_COUNT_MASK, "a packed slot counts at most 15 units");
         FuPool {
-            units: n as u32,
-            ring: vec![(u64::MAX, 0); FU_RING],
+            units: n as u64,
+            ring: Box::new([u64::MAX; FU_RING]),
         }
     }
 
@@ -81,18 +87,51 @@ impl FuPool {
         let mut c = at.raw();
         loop {
             let slot = &mut self.ring[(c & (FU_RING as u64 - 1)) as usize];
-            if slot.0 != c {
-                // Slot belonged to a far-away cycle: repurpose it.
-                *slot = (c, 0);
-            }
-            if slot.1 < self.units {
-                slot.1 += 1;
+            // A slot that belonged to a far-away cycle is repurposed.
+            let count = if *slot >> FU_COUNT_BITS == c {
+                *slot & FU_COUNT_MASK
+            } else {
+                0
+            };
+            if count < self.units {
+                *slot = c << FU_COUNT_BITS | (count + 1);
                 return Cycle::new(c);
             }
             c += 1;
         }
     }
 }
+
+/// Length of the per-op (ready, commit) rings and the LSQ's commit ring.
+/// Dependency distances are `u8`, so every source an op can name lies
+/// within one ring's span of it.
+const OP_RING: usize = 256;
+
+/// The ring slot of count `n − back`. Below count zero it wraps onto
+/// slots not yet written, which hold `Cycle::ZERO`.
+fn ring_slot(n: u64, back: u64) -> usize {
+    (n.wrapping_sub(back) % OP_RING as u64) as usize
+}
+
+/// Index of the data-cache port pool in [`OooCore::fu`]; the ALU pools
+/// sit at their [`OpClass`] discriminants (0..=3) below it.
+const MEM_POOL: usize = 4;
+
+const _: () = assert!(
+    OpClass::IntAlu as usize == 0
+        && OpClass::IntMul as usize == 1
+        && OpClass::FpAlu as usize == 2
+        && OpClass::FpMul as usize == 3,
+    "the ALU pools and latencies are indexed by discriminant"
+);
+
+/// Execution latency of each ALU class, by [`OpClass`] discriminant.
+const ALU_LATENCY: [u64; 4] = [
+    OpClass::IntAlu.latency(),
+    OpClass::IntMul.latency(),
+    OpClass::FpAlu.latency(),
+    OpClass::FpMul.latency(),
+];
 
 /// Aggregate results of a simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -162,17 +201,38 @@ impl CoreResult {
 }
 
 /// The out-of-order core: drives a [`CoreMemSystem`] with a micro-op trace.
+///
+/// Every window structure is a fixed ring indexed by an op count, so
+/// `execute` keeps no queues and branches on little but the op's class.
+/// The rings lean on one invariant: for every op `j` at least
+/// `ruu_entries` ops older than op `i`,
+/// `ready(j) ≤ commit(j) ≤ commit(i − ruu_entries) ≤ fetch(i)`. The first
+/// step holds because an op commits no earlier than its result is ready,
+/// the second because commit is in order, and the third because `fetch`
+/// holds op `i` until op `i − ruu_entries` has left the RUU. Such an op
+/// therefore never binds a source operand of op `i`, and neither does an
+/// unwritten slot (`Cycle::ZERO`): reading whatever the ring holds at
+/// `i − dist`, for any `dist` in `0..=255`, gives the same issue time as
+/// falling back to the fetch time for a source already out of the window
+/// (or absent). The same argument makes the RUU's and the LSQ's "oldest
+/// entry" a plain ring read. `cpu::naive::NaiveOooCore` keeps the
+/// queue-based formulation as the differential oracle.
 #[derive(Debug)]
 pub struct OooCore<L> {
     params: CoreParams,
     mem: CoreMemSystem<L>,
     predictor: HybridPredictor,
-    /// Result-ready times of the youngest `ruu_entries` ops, oldest first.
-    ready_window: VecDeque<Cycle>,
-    /// Commit times of in-flight ops (RUU occupancy), oldest first.
-    ruu_commits: VecDeque<Cycle>,
-    /// Commit times of in-flight memory ops (LSQ occupancy), oldest first.
-    lsq_commits: VecDeque<Cycle>,
+    /// Result-ready time of op `i` at slot `i % OP_RING`.
+    ready: [Cycle; OP_RING],
+    /// Commit time of op `i` at slot `i % OP_RING` (RUU occupancy).
+    commits: [Cycle; OP_RING],
+    /// Commit time of memory op `m` at slot `m % OP_RING` (LSQ
+    /// occupancy). Every op writes the slot of the current memory-op
+    /// count and only a memory op advances it, so the last write to a
+    /// slot before it is read is the memory op's own.
+    lsq_commits: [Cycle; OP_RING],
+    /// Memory ops executed so far.
+    mem_ops: u64,
     /// Earliest time the front end may fetch the next op.
     fetch_free: Cycle,
     /// Ops fetched in the current fetch cycle.
@@ -181,23 +241,18 @@ pub struct OooCore<L> {
     last_commit: Cycle,
     /// Ops committed in the `last_commit` cycle.
     commit_slot: u32,
-    /// Functional-unit pools: integer ALU, integer multiply, FP add,
-    /// FP multiply, data-cache ports.
-    fu_int_alu: FuPool,
-    fu_int_mul: FuPool,
-    fu_fp_alu: FuPool,
-    fu_fp_mul: FuPool,
-    fu_mem: FuPool,
+    /// Functional-unit pools: integer ALU, integer multiply, FP add and
+    /// FP multiply at their [`OpClass`] discriminants, then the
+    /// data-cache ports at [`MEM_POOL`].
+    fu: [FuPool; 5],
     /// Most recent instruction-fetch block, to probe the I-cache once per
     /// line rather than once per op.
     last_fetch_block: Option<u64>,
     fetch_geom: BlockGeometry,
-    instructions: Counter,
-    loads: Counter,
-    stores: Counter,
-    branches: Counter,
-    int_ops: Counter,
-    fp_ops: Counter,
+    /// Committed ops: the index of the next op in the rings.
+    instructions: u64,
+    /// Committed ops per [`OpClass`] discriminant.
+    committed: [u64; 7],
     sink: TelemetrySink,
     snap_every: u64,
     next_snap: u64,
@@ -205,32 +260,42 @@ pub struct OooCore<L> {
 
 impl<L: LowerCache> OooCore<L> {
     /// Creates a core with `params` over the given memory system.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero width, RUU or LSQ, an RUU beyond the ring
+    /// (256 entries), an LSQ of 256 or more entries, or a pool of more
+    /// than 15 units.
     pub fn new(params: CoreParams, mem: CoreMemSystem<L>) -> Self {
         assert!(params.width > 0 && params.ruu_entries > 0 && params.lsq_entries > 0);
+        assert!(params.ruu_entries <= OP_RING, "the RUU must fit the op ring");
+        // Strictly smaller: a slot the LSQ has not written yet must stay
+        // unwritten until it is read, and non-memory ops write the slot
+        // of the current memory-op count.
+        assert!(params.lsq_entries < OP_RING, "the LSQ must fit the op ring");
         OooCore {
             params,
             mem,
             predictor: HybridPredictor::micro2003(),
-            ready_window: VecDeque::with_capacity(params.ruu_entries),
-            ruu_commits: VecDeque::with_capacity(params.ruu_entries),
-            lsq_commits: VecDeque::with_capacity(params.lsq_entries),
+            ready: [Cycle::ZERO; OP_RING],
+            commits: [Cycle::ZERO; OP_RING],
+            lsq_commits: [Cycle::ZERO; OP_RING],
+            mem_ops: 0,
             fetch_free: Cycle::ZERO,
             fetch_slot: 0,
             last_commit: Cycle::ZERO,
             commit_slot: 0,
-            fu_int_alu: FuPool::new(params.int_alus),
-            fu_int_mul: FuPool::new(params.int_muls),
-            fu_fp_alu: FuPool::new(params.fp_alus),
-            fu_fp_mul: FuPool::new(params.fp_muls),
-            fu_mem: FuPool::new(params.mem_ports),
+            fu: [
+                FuPool::new(params.int_alus),
+                FuPool::new(params.int_muls),
+                FuPool::new(params.fp_alus),
+                FuPool::new(params.fp_muls),
+                FuPool::new(params.mem_ports),
+            ],
             last_fetch_block: None,
             fetch_geom: BlockGeometry::new(32),
-            instructions: Counter::new(),
-            loads: Counter::new(),
-            stores: Counter::new(),
-            branches: Counter::new(),
-            int_ops: Counter::new(),
-            fp_ops: Counter::new(),
+            instructions: 0,
+            committed: [0; 7],
             sink: TelemetrySink::disabled(),
             snap_every: 0,
             next_snap: u64::MAX,
@@ -256,7 +321,7 @@ impl<L: LowerCache> OooCore<L> {
     /// snapshot boundary.
     fn snapshot(&mut self) {
         let cycles = self.last_commit.raw();
-        let instr = self.instructions.get();
+        let instr = self.instructions();
         let ipc = instr as f64 / cycles.max(1) as f64;
         self.sink.gauge("cpu.ipc", cycles, ipc);
         self.sink.counter_track("snap", "cpu_ipc_milli", cycles, (ipc * 1000.0) as u64);
@@ -265,18 +330,16 @@ impl<L: LowerCache> OooCore<L> {
         }
     }
 
-    /// Advances `self.fetch_free`/`fetch_slot` by one fetch and returns the
-    /// fetch time of this op.
-    fn fetch(&mut self, pc: Addr) -> Cycle {
-        // Structural: RUU must have room — the oldest in-flight op must
-        // commit before a new one enters the window.
-        if self.ruu_commits.len() >= self.params.ruu_entries {
-            let oldest = self.ruu_commits.pop_front().expect("non-empty");
-            if oldest > self.fetch_free {
-                self.fetch_free = oldest;
-                self.fetch_slot = 0;
-            }
-        }
+    /// Advances `self.fetch_free`/`fetch_slot` by one fetch of op `i` and
+    /// returns its fetch time.
+    fn fetch(&mut self, pc: Addr, i: u64) -> Cycle {
+        // Structural: RUU must have room — the oldest in-flight op
+        // (`i − ruu_entries`, or an unwritten zero slot while the RUU
+        // is filling) must commit before a new one enters the window.
+        let oldest = self.commits[ring_slot(i, self.params.ruu_entries as u64)];
+        let stall = oldest > self.fetch_free;
+        self.fetch_free = self.fetch_free.max(oldest);
+        self.fetch_slot = if stall { 0 } else { self.fetch_slot };
         // I-cache: probe once per new 32-B line; a miss stalls the front
         // end by the extra latency beyond the pipelined 3-cycle hit.
         let block = self.fetch_geom.block_of(pc).index();
@@ -290,123 +353,74 @@ impl<L: LowerCache> OooCore<L> {
             }
         }
         let t = self.fetch_free;
-        self.fetch_slot += 1;
-        if self.fetch_slot >= self.params.width {
-            self.fetch_free += 1;
-            self.fetch_slot = 0;
-        }
+        let slot = self.fetch_slot + 1;
+        let wrap = slot >= self.params.width;
+        self.fetch_free += u64::from(wrap);
+        self.fetch_slot = if wrap { 0 } else { slot };
         t
-    }
-
-    /// Ready time of the op `dist` positions back, or `fallback` when out
-    /// of window (already committed) or `dist == 0`.
-    fn dep_ready(&self, dist: u8, fallback: Cycle) -> Cycle {
-        if dist == 0 {
-            return fallback;
-        }
-        let len = self.ready_window.len();
-        if (dist as usize) > len {
-            return fallback;
-        }
-        self.ready_window[len - dist as usize]
     }
 
     /// Commits an op whose result is ready at `ready`, respecting in-order
     /// commit and commit bandwidth. Returns the commit time.
     fn commit(&mut self, ready: Cycle) -> Cycle {
-        let mut t = ready.max(self.last_commit);
-        if t == self.last_commit {
-            self.commit_slot += 1;
-            if self.commit_slot >= self.params.width {
-                t += 1;
-                self.commit_slot = 0;
-            }
-        } else {
-            self.commit_slot = 1;
-        }
+        let same = ready <= self.last_commit;
+        let slot = if same { self.commit_slot + 1 } else { 1 };
+        let full = same & (slot >= self.params.width);
+        let t = ready.max(self.last_commit) + u64::from(full);
+        self.commit_slot = if full { 0 } else { slot };
         self.last_commit = t;
         t
     }
 
     /// Executes one micro-op through the model.
     pub fn execute(&mut self, op: MicroOp) {
-        let fetch_t = self.fetch(op.pc);
-        let dep1 = self.dep_ready(op.dep1, fetch_t);
-        let dep2 = self.dep_ready(op.dep2, fetch_t);
-        let mut issue = fetch_t.max(dep1).max(dep2);
+        let i = self.instructions;
+        let fetch_t = self.fetch(op.pc, i);
+        // Sources: a ring read at `i − dist` never binds below the fetch
+        // time when the source is absent or out of the window (see the
+        // type's invariant), so no distance is tested.
+        let dep1 = self.ready[ring_slot(i, op.dep1.into())];
+        let dep2 = self.ready[ring_slot(i, op.dep2.into())];
+        let issue = fetch_t.max(dep1).max(dep2);
 
-        let ready = match op.class {
-            OpClass::Load | OpClass::Store => {
-                // Structural: LSQ must have room.
-                if self.lsq_commits.len() >= self.params.lsq_entries {
-                    let oldest = self.lsq_commits.pop_front().expect("non-empty");
-                    issue = issue.max(oldest);
-                }
-                // Structural: a data-cache port must be free.
-                issue = self.fu_mem.issue(issue);
-                let addr = op.mem_addr.expect("memory op needs an address");
-                let out = self.mem.data_access(addr, op.access_kind(), issue);
-                if op.class == OpClass::Load {
-                    self.loads.inc();
-                    out.complete_at
-                } else {
-                    self.stores.inc();
-                    // Stores complete into the LSQ; dependents (rare) see
-                    // store-to-load forwarding at +1.
-                    issue + OpClass::Store.latency()
-                }
+        let class = op.class as usize;
+        let ready = if op.class.is_mem() {
+            // Structural: LSQ must have room (an unwritten slot is zero).
+            let oldest = self.lsq_commits[ring_slot(self.mem_ops, self.params.lsq_entries as u64)];
+            // Structural: a data-cache port must be free.
+            let issue = self.fu[MEM_POOL].issue(issue.max(oldest));
+            let addr = op.mem_addr.expect("memory op needs an address");
+            let out = self.mem.data_access(addr, op.access_kind(), issue);
+            // Stores complete into the LSQ; dependents (rare) see
+            // store-to-load forwarding at +1.
+            let store_done = issue + OpClass::Store.latency();
+            if op.class == OpClass::Load {
+                out.complete_at
+            } else {
+                store_done
             }
-            OpClass::Branch => {
-                self.branches.inc();
-                let resolve = issue + OpClass::Branch.latency();
-                let correct = self.predictor.predict_and_update(op.pc, op.taken);
-                if !correct {
-                    // Redirect: the front end restarts after the penalty.
-                    let restart = resolve + self.params.mispredict_penalty;
-                    if restart > self.fetch_free {
-                        self.fetch_free = restart;
-                        self.fetch_slot = 0;
-                    }
-                }
-                resolve
-            }
-            c => {
-                let pool = match c {
-                    OpClass::IntAlu => {
-                        self.int_ops.inc();
-                        &mut self.fu_int_alu
-                    }
-                    OpClass::IntMul => {
-                        self.int_ops.inc();
-                        &mut self.fu_int_mul
-                    }
-                    OpClass::FpAlu => {
-                        self.fp_ops.inc();
-                        &mut self.fu_fp_alu
-                    }
-                    OpClass::FpMul => {
-                        self.fp_ops.inc();
-                        &mut self.fu_fp_mul
-                    }
-                    _ => unreachable!(),
-                };
-                let start = pool.issue(issue);
-                start + c.latency()
-            }
+        } else if op.class == OpClass::Branch {
+            let resolve = issue + OpClass::Branch.latency();
+            let correct = self.predictor.predict_and_update(op.pc, op.taken);
+            // Redirect: the front end restarts after the penalty.
+            let restart = resolve + self.params.mispredict_penalty;
+            let redirect = !correct & (restart > self.fetch_free);
+            self.fetch_free = if redirect { restart } else { self.fetch_free };
+            self.fetch_slot = if redirect { 0 } else { self.fetch_slot };
+            resolve
+        } else {
+            self.fu[class].issue(issue) + ALU_LATENCY[class]
         };
 
         // Record for dependents.
-        if self.ready_window.len() >= self.params.ruu_entries {
-            self.ready_window.pop_front();
-        }
-        self.ready_window.push_back(ready);
-
+        let slot = ring_slot(i, 0);
+        self.ready[slot] = ready;
         let commit_t = self.commit(ready);
-        self.ruu_commits.push_back(commit_t);
-        if op.class.is_mem() {
-            self.lsq_commits.push_back(commit_t);
-        }
-        self.instructions.inc();
+        self.commits[slot] = commit_t;
+        self.lsq_commits[ring_slot(self.mem_ops, 0)] = commit_t;
+        self.mem_ops += u64::from(op.class.is_mem());
+        self.committed[class] += 1;
+        self.instructions = i + 1;
         if self.last_commit.raw() >= self.next_snap {
             self.snapshot();
         }
@@ -482,7 +496,7 @@ impl<L: LowerCache> OooCore<L> {
 
     /// Committed instructions so far.
     pub fn instructions(&self) -> u64 {
-        self.instructions.get()
+        self.instructions
     }
 
     /// Current cycle count (time of the latest commit).
@@ -492,15 +506,16 @@ impl<L: LowerCache> OooCore<L> {
 
     /// Finalizes the run and returns the aggregate result.
     pub fn finish(&self) -> CoreResult {
+        let n = |c: OpClass| self.committed[c as usize];
         CoreResult {
-            instructions: self.instructions.get(),
+            instructions: self.instructions(),
             cycles: self.last_commit.raw(),
-            loads: self.loads.get(),
-            stores: self.stores.get(),
-            branches: self.branches.get(),
+            loads: n(OpClass::Load),
+            stores: n(OpClass::Store),
+            branches: n(OpClass::Branch),
             mispredicts: self.predictor.mispredictions(),
-            int_ops: self.int_ops.get(),
-            fp_ops: self.fp_ops.get(),
+            int_ops: n(OpClass::IntAlu) + n(OpClass::IntMul),
+            fp_ops: n(OpClass::FpAlu) + n(OpClass::FpMul),
         }
     }
 

@@ -35,6 +35,7 @@
 
 pub mod branch;
 pub mod core;
+pub mod naive;
 pub mod uop;
 
 pub use crate::core::{CoreParams, CoreResult, OooCore};

@@ -12,10 +12,16 @@
 //! capacity), then require the allocation count to stay *exactly* flat
 //! over a long measured window.
 //!
+//! The out-of-order core joins the guard: over a prefilled `nf4`, its
+//! detailed `execute` and functional `warm_execute` paths allocate
+//! nothing either once the system is past its warm-up.
+//!
 //! The whole file is a single `#[test]` because the counter is
 //! process-global: parallel test threads would attribute their setup
 //! allocations to whichever window happens to be open.
 
+use cpu::uop::{MicroOp, TraceSource};
+use experiments::exps::kind_of;
 use experiments::L2Kind;
 use memsys::org::Organization;
 use nuca::{CnucaConfig, SearchPolicy};
@@ -84,6 +90,33 @@ fn measure(name: &str, cache: &mut Box<dyn Organization>, footprint: u64) {
     );
 }
 
+/// Runs the full core over a prefilled `nf4`: warm it up in both modes,
+/// then require 10 k `execute` and 10 k `warm_execute` calls to leave the
+/// allocation count flat. The ops are drawn from the trace generator
+/// before the window opens, so only the core and its memory system are
+/// measured.
+fn measure_core() {
+    let (mut core, mut gen) = experiments::engine::build(workloads::ROSTER[0], &kind_of("nf4"));
+    core.warm_run(&mut gen, 100_000);
+    core.run(&mut gen, 100_000);
+    let ops: Vec<MicroOp> = (0..20_000).map(|_| gen.next_op()).collect();
+    let (detailed, functional) = ops.split_at(10_000);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for op in detailed {
+        core.execute(*op);
+    }
+    for op in functional {
+        core.warm_execute(*op);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "OooCore over nf4: {} heap allocations in 10k execute + 10k warm_execute calls",
+        after - before
+    );
+}
+
 #[test]
 fn steady_state_access_paths_do_not_allocate() {
     // Footprint 4x the 8-MB block count so misses, tag evictions, and
@@ -127,4 +160,6 @@ fn steady_state_access_paths_do_not_allocate() {
     resize(&mut org, 4);
     resize(&mut org, 12);
     measure("nurapid+l4 after shrink+grow", &mut org, 262_144);
+
+    measure_core();
 }
