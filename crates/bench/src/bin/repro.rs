@@ -17,10 +17,12 @@
 //!               reproduction scale
 //!   --huge      run at the billion-instruction scale (pair it with
 //!               --sample unless you have hours to spare)
-//!   --sample    estimate every run from periodic detailed windows with
-//!               functional fast-forward between them (SMARTS-style)
-//!               instead of simulating every instruction in detail;
-//!               reports carry the same tables over estimated runs
+//!   --sample    estimate every single-core run from periodic detailed
+//!               windows with functional fast-forward between them
+//!               (SMARTS-style) instead of simulating every instruction
+//!               in detail; reports carry the same tables over estimated
+//!               runs. CMP runs stay at full detail, so --cores with
+//!               --sample is an error
 //!   --intervals with --sample: split each sampled run into K (1-64)
 //!               checkpoint-seeded intervals executed in parallel on the
 //!               worker pool; output is bit-identical for any K
@@ -156,6 +158,10 @@ fn main() {
     }
     if quick && huge {
         usage("--quick and --huge are mutually exclusive");
+    }
+    if sample && cores.is_some() {
+        eprintln!("error: CMP runs are not sampled; --sample cannot be combined with --cores");
+        std::process::exit(2);
     }
     let scale = if quick {
         Scale::quick()

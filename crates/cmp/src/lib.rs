@@ -340,17 +340,15 @@ impl CmpSystem {
     /// core at cycle zero over its preserved architectural state.
     /// Telemetry attaches here so exports cover the measured window only.
     pub fn drain_barrier(&mut self, sink: &TelemetrySink, snap_every: u64) {
+        sink.reset();
         {
             let mut s = self.shared.borrow_mut();
             let s = &mut *s;
-            s.org.drain_timing();
-            s.org.reset_stats();
+            s.org.drain_barrier(sink, snap_every);
             s.banks.drain();
             s.banks.reset_stats();
             s.bank_stalls = [0; MAX_CORES];
         }
-        sink.reset();
-        self.shared.borrow_mut().org.set_telemetry(sink, snap_every);
         // The shared organization was drained once above; each core's
         // handle onto it has nothing of its own to clear.
         self.cores = std::mem::take(&mut self.cores)
@@ -534,10 +532,7 @@ mod tests {
         let mut gen = TraceGenerator::new(profile, SEED);
         let mut core = OooCore::new(CoreParams::micro2003(), CoreMemSystem::micro2003(org));
         core.warm_run(&mut gen, warm);
-        let mut core = core.drain_barrier(|org| {
-            org.drain_timing();
-            org.reset_stats();
-        });
+        let mut core = core.drain_barrier(|org| org.drain_barrier(&TelemetrySink::disabled(), 0));
         for _ in 0..measure {
             let op = gen.next_op();
             core.execute(op);

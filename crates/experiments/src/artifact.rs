@@ -498,7 +498,6 @@ mod tests {
             &simtel::TelemetrySink::disabled(),
             0,
             crate::runner::RunOptions::default(),
-            None,
         )
     }
 

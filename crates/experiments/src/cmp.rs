@@ -5,17 +5,15 @@
 //! This module is the experiments-layer twin of the single-core
 //! [`crate::runner`]: the same digest discipline (a run digest keying
 //! the run store and artifacts, a warm-up digest keying the checkpoint
-//! store), the same drain-barrier phase structure, the same
-//! construction seam ([`crate::runner::L2Kind::build`]) — grown a core
-//! dimension through [`::cmp::CmpSystem`]. CMP warm-up is always the
-//! functional fast-forward (there is no timed-warm-up oracle for the
-//! multi-core front-end; the sharing model is architectural on both
-//! paths by construction, see `crates/cmp`).
+//! store), the same construction seam ([`crate::runner::L2Kind::build`]),
+//! the engine's one warm-up path and the organization's one drain
+//! barrier — grown a core dimension through [`::cmp::CmpSystem`]. CMP
+//! warm-up is always the functional fast-forward (see [`warmed`]), and
+//! the measured phase always runs at full detail.
 
 use crate::engine;
 use crate::report::{f2, pct, rel, TextTable};
 use crate::runner::{L2Kind, RunOptions, Scale, TRACE_SEED};
-use crate::sampling::SampleSpec;
 use ::cmp::{CmpConfig, CmpResult, CmpSystem};
 use simbase::digest::{Digest, Hasher128};
 use simbase::snapshot::{Decoder, Encoder};
@@ -129,40 +127,56 @@ pub fn cmp_warmup_digest(
     h.digest()
 }
 
-/// Digest of one **sampled** CMP job: the plain [`cmp_run_digest`]
-/// under a distinct domain tag plus the sampling regime. Sampled CMP runs
-/// are never split into intervals, so no interval count is folded.
-pub fn cmp_sampled_digest(
-    cfg: &CmpConfig,
+/// The per-core share of an instruction budget `n` split evenly across
+/// `cores`, at least one op, so a CMP run costs about as much as a
+/// single-core run at the same scale.
+pub fn per_core(n: u64, cores: u32) -> u64 {
+    (n / u64::from(cores)).max(1)
+}
+
+impl engine::Warm for CmpSystem {
+    fn prefill(&mut self) {
+        CmpSystem::prefill(self);
+    }
+
+    fn save(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        self.save_state(&mut e);
+        e.into_bytes()
+    }
+
+    fn restore(&mut self, blob: &[u8]) {
+        let mut d = Decoder::new(blob);
+        self.load_state(&mut d).expect("cmp checkpoint: state");
+        d.finish().expect("cmp checkpoint: trailing bytes");
+    }
+}
+
+/// Builds the CMP system of `cfg` over `kind`, core `i` running
+/// `apps[i]`, and warms it up through the engine's one warm-up path
+/// (`engine::warm_up`, marked and timed under `label`): [`per_core`]
+/// of `scale.warmup` fast-forward ops per core, or a restore from the
+/// checkpoint store in `opts`. CMP warm-up is never timed: a timed
+/// warm-up would interleave the cores by commit clock instead of
+/// round-robin, so it would not be an oracle for this one.
+pub fn warmed(
+    label: &str,
+    cfg: CmpConfig,
     apps: &[BenchProfile],
     kind: &L2Kind,
     scale: Scale,
-    spec: SampleSpec,
-) -> Digest {
-    let mut h = Hasher128::new();
-    h.write_str("nurapid-cmp-sampled-v1");
-    h.write_digest(cmp_run_digest(cfg, apps, kind, scale));
-    h.write_knobs(&spec);
-    h.digest()
+    opts: RunOptions<'_>,
+) -> CmpSystem {
+    let mut sys = CmpSystem::unfilled(cfg, kind.build(), apps, TRACE_SEED);
+    let digest = cmp_warmup_digest(&cfg, apps, kind, scale);
+    let ops = per_core(scale.warmup, cfg.cores);
+    engine::warm_up(&mut sys, &opts, digest, label, "warmup-cmp", ops, CmpSystem::warm_run);
+    sys
 }
 
-/// Runs one CMP scenario. The instruction budget is split evenly across
-/// cores (`scale.warmup / cores` warm-up and `scale.measure / cores`
-/// measured ops per core), so a CMP run costs about as much as a
-/// single-core run at the same scale. With a checkpoint store the warm
-/// state goes through an encoded blob on both the build and the reuse
-/// path, mirroring the single-core runner's cold/warm structural
-/// identity.
-///
-/// With `sample`, the measured phase alternates short detailed windows
-/// with functional fast-forward, exactly like the single-core sampled
-/// runner — the regime is scaled to the per-core budget (period, window
-/// warm-up, and window measure all divide by the core count), the
-/// per-window pipeline warm-up runs detailed and stays in the counters
-/// (subtracting it would change every sampled-CMP result, so it stays;
-/// ratio metrics are unaffected beyond the sampling error the regime
-/// already carries), and the checkpoint digest is unchanged — sampled
-/// and unsampled CMP runs share warm-up checkpoints.
+/// Runs one CMP scenario: [`warmed`], across the drain barrier with
+/// `sink` attached, then [`per_core`] of `scale.measure` measured ops per
+/// core.
 pub fn run_cmp_opts(
     key: &'static str,
     cores: u32,
@@ -171,69 +185,14 @@ pub fn run_cmp_opts(
     sink: &TelemetrySink,
     snap_every: u64,
     opts: RunOptions<'_>,
-    sample: Option<SampleSpec>,
 ) -> CmpRun {
     let cfg = CmpConfig::micro2003(cores);
     let apps = cmp_profiles(cores);
-    let per_core_warm = (scale.warmup / u64::from(cores)).max(1);
-    let per_core_measure = (scale.measure / u64::from(cores)).max(1);
-    // Only a warm-up in place starts from the prefill; a checkpoint hit
-    // restores into the unfilled system.
-    let mut sys = CmpSystem::unfilled(cfg, kind.build(), &apps, TRACE_SEED);
     let label = format!("cmp{cores}x/{key}");
-
-    let t_warm = Instant::now();
-    let chk = cmp_warmup_digest(&cfg, &apps, kind, scale);
-    let warm = |sys: &mut CmpSystem| {
-        sys.prefill();
-        sys.warm_run(per_core_warm);
-    };
-    match engine::checkpoint(&opts, chk, &label, || {
-        warm(&mut sys);
-        let mut e = Encoder::new();
-        sys.save_state(&mut e);
-        e.into_bytes()
-    }) {
-        Some(blob) => {
-            let mut d = Decoder::new(&blob);
-            sys.load_state(&mut d).expect("cmp checkpoint: state");
-            d.finish().expect("cmp checkpoint: trailing bytes");
-        }
-        None => warm(&mut sys),
-    }
-    if let Some(w) = opts.wall {
-        let name = format!("{label}/{per_core_warm}-ops");
-        w.wall_span("warmup-cmp", &name, t_warm.elapsed().as_nanos() as u64);
-    }
-
+    let mut sys = warmed(&label, cfg, &apps, kind, scale, opts);
     sys.drain_barrier(sink, snap_every);
-
     let t_measure = Instant::now();
-    match sample {
-        None => sys.run(per_core_measure),
-        Some(spec) => {
-            // The per-core regime: every knob divides by the core count
-            // (floored to 1), mirroring the per-core budget split.
-            let pc = SampleSpec {
-                period: (spec.period / u64::from(cores)).max(1),
-                warmup: (spec.warmup / u64::from(cores)).max(1),
-                measure: (spec.measure / u64::from(cores)).max(1),
-            };
-            let detailed = pc.detailed_per_window().min(pc.period);
-            let windows = (per_core_measure / pc.period).max(1);
-            let mut done = 0;
-            for w in 0..windows {
-                sys.run(detailed);
-                if let Some(t) = opts.wall {
-                    t.wall_mark("sample-window", &format!("{label}/w{w}"));
-                }
-                sys.warm_run(pc.period - detailed);
-                done += pc.period;
-            }
-            // The budget's tail (a partial period) runs functionally.
-            sys.warm_run(per_core_measure.saturating_sub(done));
-        }
-    }
+    sys.run(per_core(scale.measure, cores));
     if let Some(w) = opts.wall {
         w.wall_span("measure", &label, t_measure.elapsed().as_nanos() as u64);
     }
@@ -361,8 +320,8 @@ mod tests {
     fn cmp_runs_are_deterministic_and_contend_at_eight_cores() {
         let kind = kind_of("nf4");
         let sink = TelemetrySink::disabled();
-        let a = run_cmp_opts("nf4", 8, &kind, tiny(), &sink, 0, RunOptions::default(), None);
-        let b = run_cmp_opts("nf4", 8, &kind, tiny(), &sink, 0, RunOptions::default(), None);
+        let a = run_cmp_opts("nf4", 8, &kind, tiny(), &sink, 0, RunOptions::default());
+        let b = run_cmp_opts("nf4", 8, &kind, tiny(), &sink, 0, RunOptions::default());
         assert_eq!(a, b);
         assert!(a.result.bank_conflicts > 0, "8 cores must show bank conflicts");
         assert!(a.bank_stalls_per_ki() > 0.0);
@@ -370,32 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn sampled_cmp_runs_are_deterministic_and_cheaper() {
-        let kind = kind_of("nf4");
-        let sink = TelemetrySink::disabled();
-        let spec = SampleSpec {
-            period: 8_000,
-            warmup: 400,
-            measure: 1_600,
-        };
-        let a = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, RunOptions::default(), Some(spec));
-        let b = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, RunOptions::default(), Some(spec));
-        assert_eq!(a, b, "sampled CMP runs must be deterministic");
-        let full = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, RunOptions::default(), None);
-        let detailed: u64 = a.result.per_core.iter().map(|c| c.instructions).sum();
-        let full_ops: u64 = full.result.per_core.iter().map(|c| c.instructions).sum();
-        assert!(
-            detailed * 3 < full_ops,
-            "sampling must cut detailed ops: {detailed} vs {full_ops}"
-        );
-        assert_ne!(a, full);
-    }
-
-    #[test]
     fn checkpointed_cmp_runs_are_bit_identical_cold_and_warm() {
         let kind = kind_of("nf4");
         let sink = TelemetrySink::disabled();
-        let direct = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, RunOptions::default(), None);
+        let direct = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, RunOptions::default());
 
         let dir = std::env::temp_dir()
             .join(format!("simchk-cmp-exp-{}", std::process::id()));
@@ -405,14 +342,14 @@ mod tests {
             checkpoints: Some(&store),
             ..Default::default()
         };
-        let cold = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, opts, None);
-        let warm = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, opts, None);
+        let cold = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, opts);
+        let warm = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, opts);
         assert_eq!((store.misses(), store.hits()), (1, 1));
         assert_eq!(direct, cold, "cold store changed the CMP result");
         assert_eq!(cold, warm, "warm store changed the CMP result");
 
         // The ideal twin reuses the nf4 checkpoint (timing-only knob).
-        let _id = run_cmp_opts("id4", 4, &kind_of("id4"), tiny(), &sink, 0, opts, None);
+        let _id = run_cmp_opts("id4", 4, &kind_of("id4"), tiny(), &sink, 0, opts);
         assert_eq!((store.misses(), store.hits()), (1, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }

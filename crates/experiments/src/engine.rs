@@ -1,6 +1,7 @@
 //! The measured-phase engine (DESIGN.md §11): the one place a single-core
 //! system is built, warmed up or restored from a checkpoint, drained at
-//! the stats boundary, stepped, and read out.
+//! the stats boundary, stepped, and read out. Its warm-up path
+//! (`warm_up`) is also the CMP driver's ([`crate::cmp::warmed`]).
 //!
 //! Every single-core driver runs through it:
 //!
@@ -68,35 +69,11 @@ pub fn save_arch(core: &System, gen: &TraceGenerator) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Restores a [`save_arch`] payload into a freshly built system,
-/// prefilled or not.
-///
-/// # Panics
-///
-/// Panics on a payload of another configuration. The checkpoint store
-/// verifies every blob's checksum and keys it by a digest of the whole
-/// architectural configuration, so this only fires on a digest bug.
-fn restore_arch(core: &mut System, gen: &mut TraceGenerator, blob: &[u8]) {
-    let mut d = Decoder::new(blob);
-    gen.load_state(&mut d).expect("checkpoint: generator state");
-    core.predictor_mut()
-        .load_state(&mut d)
-        .expect("checkpoint: predictor state");
-    core.mem_mut()
-        .load_l1_state(&mut d)
-        .expect("checkpoint: L1 state");
-    core.mem_mut()
-        .lower_mut()
-        .load_state(&mut d)
-        .expect("checkpoint: lower-cache state");
-    d.finish().expect("checkpoint: trailing bytes");
-}
-
 /// Serves `digest` from the checkpoint store in `opts`, building the
 /// payload with `build` on a miss, and marks the outcome on the wall
 /// channel as `simchk` `hit/<label>` or `miss/<label>`. Returns `None`
 /// without a store; the caller then warms up in place.
-pub(crate) fn checkpoint(
+fn checkpoint(
     opts: &RunOptions<'_>,
     digest: Digest,
     label: &str,
@@ -109,6 +86,115 @@ pub(crate) fn checkpoint(
         w.wall_mark("simchk", &format!("{outcome}/{label}"));
     }
     Some(blob)
+}
+
+/// A system the engine warms up: the single-core system with its trace
+/// generator, or a CMP system.
+pub(crate) trait Warm {
+    /// Fills the organization to steady-state occupancy.
+    fn prefill(&mut self);
+
+    /// The architectural state, as checkpoint payload bytes.
+    fn save(&self) -> Vec<u8>;
+
+    /// Restores a [`Warm::save`] payload into the unfilled system.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a payload of another configuration. The checkpoint store
+    /// verifies every blob's checksum and keys it by a digest of the whole
+    /// architectural configuration, so this only fires on a digest bug.
+    fn restore(&mut self, blob: &[u8]);
+}
+
+impl Warm for (System, TraceGenerator) {
+    fn prefill(&mut self) {
+        self.0.mem_mut().lower_mut().prefill();
+    }
+
+    fn save(&self) -> Vec<u8> {
+        save_arch(&self.0, &self.1)
+    }
+
+    fn restore(&mut self, blob: &[u8]) {
+        let (core, gen) = self;
+        let mut d = Decoder::new(blob);
+        gen.load_state(&mut d).expect("checkpoint: generator state");
+        core.predictor_mut()
+            .load_state(&mut d)
+            .expect("checkpoint: predictor state");
+        core.mem_mut()
+            .load_l1_state(&mut d)
+            .expect("checkpoint: L1 state");
+        core.mem_mut()
+            .lower_mut()
+            .load_state(&mut d)
+            .expect("checkpoint: lower-cache state");
+        d.finish().expect("checkpoint: trailing bytes");
+    }
+}
+
+/// The one warm-up path, taken by [`Phase::warmed`] and the CMP driver:
+/// `sys` arrives unfilled and leaves warm, ready for its drain barrier.
+///
+/// With a checkpoint store in `opts`, the payload keyed by `digest` is
+/// restored into `sys`. On a miss it is built first by warming `sys` in
+/// place, so cold and warm runs both come out of decoded bytes. Without a
+/// store `sys` is warmed in place. Warming in place prefills, then calls
+/// `run(sys, ops)`. The store's outcome is marked as `simchk`
+/// `hit/<label>` or `miss/<label>`, and the wall time as a `cat` span
+/// named `<label>/<ops>-ops`.
+pub(crate) fn warm_up<S: Warm>(
+    sys: &mut S,
+    opts: &RunOptions<'_>,
+    digest: Digest,
+    label: &str,
+    cat: &'static str,
+    ops: u64,
+    run: impl Fn(&mut S, u64),
+) {
+    let t_warm = Instant::now();
+    let warm = |sys: &mut S| {
+        sys.prefill();
+        run(sys, ops);
+    };
+    match checkpoint(opts, digest, label, || {
+        warm(sys);
+        sys.save()
+    }) {
+        Some(blob) => sys.restore(&blob),
+        None => warm(sys),
+    }
+    if let Some(w) = opts.wall {
+        let name = format!("{label}/{ops}-ops");
+        w.wall_span(cat, &name, t_warm.elapsed().as_nanos() as u64);
+    }
+}
+
+/// The architectural snapshots of `profile` on `kind` at each absolute
+/// trace offset of `points` (ascending), each keyed by its digest and
+/// marked `<app>@<offset>`. The checkpoint store in `opts` serves what it
+/// holds; every other snapshot is built by one functional system that
+/// advances from wherever the previous build left it.
+pub(crate) fn snapshots(
+    profile: BenchProfile,
+    kind: &L2Kind,
+    points: &[(u64, Digest)],
+    opts: &RunOptions<'_>,
+) -> Vec<Arc<Vec<u8>>> {
+    let mut cur: Option<(System, TraceGenerator)> = None;
+    points
+        .iter()
+        .map(|&(abs, digest)| {
+            let mut build = || {
+                let (core, gen) = cur.get_or_insert_with(|| build(profile, kind));
+                core.warm_run_to(gen, abs);
+                save_arch(core, gen)
+            };
+            let label = format!("{}@{abs}", profile.name);
+            checkpoint(opts, digest, &label, &mut build).unwrap_or_else(|| Arc::new(build()))
+        })
+        .collect()
 }
 
 /// Every counter a measured phase accumulates on one core: the core's
@@ -201,11 +287,8 @@ pub struct Phase<'k> {
 }
 
 impl<'k> Phase<'k> {
-    /// Builds the system for `kind`, runs warm-up in `opts.mode` (or
-    /// restores it through the checkpoint store in `opts`), and crosses the
-    /// drain barrier with `sink` attached. With a store, the warm state
-    /// comes out of decoded bytes on both the build and the reuse path, so
-    /// cold and warm runs are structurally identical.
+    /// Builds the system for `kind`, warms it up through `warm_up` in
+    /// `opts.mode`, and crosses the drain barrier with `sink` attached.
     pub fn warmed(
         profile: BenchProfile,
         kind: &'k L2Kind,
@@ -214,41 +297,27 @@ impl<'k> Phase<'k> {
         snap_every: u64,
         opts: RunOptions<'_>,
     ) -> Phase<'k> {
-        // Only a warm-up in place starts from the prefill; a checkpoint
-        // hit restores into the unfilled system.
-        let (mut core, mut gen) = build_unfilled(profile, kind);
-        let warm = |core: &mut System, gen: &mut TraceGenerator| {
-            core.mem_mut().lower_mut().prefill();
-            match opts.mode {
-                WarmupMode::FastForward => core.warm_run(gen, scale.warmup),
-                WarmupMode::Timed => core.run(gen, scale.warmup),
-            }
-        };
-        let t_warm = Instant::now();
+        let mut sys = build_unfilled(profile, kind);
         let digest = warmup_digest(&profile, kind, scale);
-        match checkpoint(&opts, digest, profile.name, || {
-            warm(&mut core, &mut gen);
-            save_arch(&core, &gen)
-        }) {
-            Some(blob) => restore_arch(&mut core, &mut gen, &blob),
-            None => warm(&mut core, &mut gen),
-        }
-        if let Some(w) = opts.wall {
-            let cat = match opts.mode {
-                WarmupMode::FastForward => "warmup-ff",
-                WarmupMode::Timed => "warmup-timed",
-            };
-            let name = format!("{}/{}-ops", profile.name, scale.warmup);
-            w.wall_span(cat, &name, t_warm.elapsed().as_nanos() as u64);
-        }
+        let cat = match opts.mode {
+            WarmupMode::FastForward => "warmup-ff",
+            WarmupMode::Timed => "warmup-timed",
+        };
+        let run = |(core, gen): &mut (System, TraceGenerator), n| match opts.mode {
+            WarmupMode::FastForward => core.warm_run(gen, n),
+            WarmupMode::Timed => core.run(gen, n),
+        };
+        warm_up(&mut sys, &opts, digest, profile.name, cat, scale.warmup, run);
+        let (core, gen) = sys;
         Phase::at_barrier(core, gen, kind.resize_schedule(), sink, snap_every)
     }
 
     /// Seeds a system from [`save_arch`] bytes and crosses the drain
     /// barrier: a sampled interval's start. No resize schedule applies.
     pub fn seeded(profile: BenchProfile, kind: &L2Kind, blob: &[u8]) -> Phase<'static> {
-        let (mut core, mut gen) = build_unfilled(profile, kind);
-        restore_arch(&mut core, &mut gen, blob);
+        let mut sys = build_unfilled(profile, kind);
+        sys.restore(blob);
+        let (core, gen) = sys;
         Phase::at_barrier(core, gen, &[], &TelemetrySink::disabled(), 0)
     }
 
@@ -264,11 +333,7 @@ impl<'k> Phase<'k> {
         snap_every: u64,
     ) -> Phase<'k> {
         sink.reset();
-        let mut core = core.drain_barrier(|org| {
-            org.drain_timing();
-            org.reset_stats();
-            org.set_telemetry(sink, snap_every);
-        });
+        let mut core = core.drain_barrier(|org| org.drain_barrier(sink, snap_every));
         core.mem_mut().set_telemetry(sink.clone());
         core.set_telemetry(sink.clone(), snap_every);
         Phase {

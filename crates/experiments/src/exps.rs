@@ -176,14 +176,14 @@ impl Sweep {
         self.checkpoints.as_deref()
     }
 
-    /// Switches every keyed run to **sampled** execution (the `--sample`
-    /// knob, DESIGN.md §16): [`Sweep::run`] estimates each
-    /// [`AppRun`] through [`sampling::run_app_sampled`] and
-    /// [`Sweep::run_cmp`] alternates detailed windows with functional
-    /// fast-forward. Sampled runs digest under their own domain tags, so
-    /// they can never alias full runs in the stores or on disk; with
-    /// `None` (the default) every byte of every report is identical to a
-    /// build without this method.
+    /// Switches every single-core keyed run to **sampled** execution (the
+    /// `--sample` knob, DESIGN.md §16): [`Sweep::run`] estimates each
+    /// [`AppRun`] through [`sampling::run_app_sampled`]. Sampled runs
+    /// digest under their own domain tag, so they can never alias full
+    /// runs in the stores or on disk. CMP runs ([`Sweep::run_cmp`]) stay
+    /// at full detail under it, keyed as without it. With `None` (the
+    /// default) every byte of every report is identical to a build
+    /// without this method.
     #[must_use]
     pub fn with_sample(mut self, sample: Option<SampleSpec>) -> Self {
         self.sample = sample;
@@ -431,17 +431,11 @@ impl Sweep {
         let kind = self.wrap_l4(kind_of(key));
         let cfg = ::cmp::CmpConfig::micro2003(cores);
         let apps = crate::cmp::cmp_profiles(cores);
-        let digest = match self.sample {
-            Some(spec) => {
-                crate::cmp::cmp_sampled_digest(&cfg, &apps, &kind, self.scale, spec)
-            }
-            None => crate::cmp::cmp_run_digest(&cfg, &apps, &kind, self.scale),
-        };
+        let digest = crate::cmp::cmp_run_digest(&cfg, &apps, &kind, self.scale);
         let label = format!("cmp{cores}x/{key}");
         self.keyed(&self.cmp_store, &CMP_RUNS, digest, &label, |opts| {
             self.traced(&label, digest, cmp_run_fields, |sink, snap| {
-                let (scale, sample) = (self.scale, self.sample);
-                crate::cmp::run_cmp_opts(key, cores, &kind, scale, sink, snap, opts, sample)
+                crate::cmp::run_cmp_opts(key, cores, &kind, self.scale, sink, snap, opts)
             })
         })
     }
@@ -2003,7 +1997,7 @@ mod tests {
     #[test]
     #[rustfmt::skip]
     fn digests_are_pinned_and_pairwise_distinct() {
-        use crate::cmp::{cmp_profiles, cmp_run_digest, cmp_sampled_digest, cmp_warmup_digest};
+        use crate::cmp::{cmp_profiles, cmp_run_digest, cmp_warmup_digest};
         use crate::sampling::{interval_digest, sampled_digest};
         let (app, s) = (by_name("galgel").unwrap(), Scale::quick());
         let (spec, nf4, sa4) = (SampleSpec::for_scale(s), kind_of("nf4"), kind_of("sa4"));
@@ -2029,7 +2023,6 @@ mod tests {
         got.extend([
             (cmp_run_digest(&cfg, &apps, &nf4, s), "12be64c21d564e7f0cfc45e824044b68"),
             (cmp_warmup_digest(&cfg, &apps, &nf4, s), "92d50e6f0970d89dfd266146bc12cfc9"),
-            (cmp_sampled_digest(&cfg, &apps, &nf4, s, spec), "359714be9c6f2426d01fea35ce66c2ba"),
             (sampled_digest(&app, &nf4, s, spec, 4), "241d61872c4fa91a61f112462826a163"),
             (sampled_digest(&app, &nf4, s, spec, 2), "ab0fbe605c4fa924e473b947af2e8925"),
             (interval_digest(&app, &nf4, s, 162_500), "83ad32a6ccbca9e3fc674d2f695bf865"),

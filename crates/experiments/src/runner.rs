@@ -292,31 +292,19 @@ impl AppRun {
 }
 
 /// Runs `profile` on the organization `kind` at `scale` with telemetry
-/// disabled (the common path; identical to
-/// [`run_app_telemetry`] with a disabled sink).
+/// disabled and the default [`RunOptions`] (the common path).
 pub fn run_app(profile: BenchProfile, kind: &L2Kind, scale: Scale) -> AppRun {
-    run_app_telemetry(profile, kind, scale, &TelemetrySink::disabled(), 0)
+    run_app_opts(profile, kind, scale, &TelemetrySink::disabled(), 0, RunOptions::default())
 }
 
-/// Runs `profile` on the organization `kind` at `scale`, recording
-/// metrics, cycle-stamped spans, and periodic progress snapshots (every
-/// `snap_every` cycles) into `sink`. Warm-up telemetry is discarded when
-/// the statistics reset, so the sink reflects the measured phase only —
-/// the same window the printed tables report.
-pub fn run_app_telemetry(
-    profile: BenchProfile,
-    kind: &L2Kind,
-    scale: Scale,
-    sink: &TelemetrySink,
-    snap_every: u64,
-) -> AppRun {
-    run_app_opts(profile, kind, scale, sink, snap_every, RunOptions::default())
-}
-
-/// The full-fat entry point: [`run_app_telemetry`] plus the warm-up mode,
-/// checkpoint store, and wall-clock channel of [`RunOptions`]. One
-/// measured-phase window through the engine ([`Phase`]), identical for
-/// every plugin.
+/// The full-fat entry point: runs `profile` on the organization `kind`
+/// at `scale`, recording metrics, cycle-stamped spans, and periodic
+/// progress snapshots (every `snap_every` cycles) into `sink`, with the
+/// warm-up mode, checkpoint store, and wall-clock channel of
+/// [`RunOptions`]. Warm-up telemetry is discarded at the drain barrier,
+/// so the sink reflects the measured phase only — the same window the
+/// printed tables report. One measured-phase window through the engine
+/// ([`Phase`]), identical for every plugin.
 pub fn run_app_opts(
     profile: BenchProfile,
     kind: &L2Kind,

@@ -42,14 +42,14 @@
 //! it. The estimator trades that for timing fidelity inside the windows
 //! only — the documented, quantified sampling error (`--exp sampling`).
 
-use crate::engine::{self, Counters, Phase, System};
+use crate::engine::{self, Counters, Phase};
 use crate::runner::{warmup_digest, AppRun, L2Kind, RunOptions, Scale};
 use simbase::digest::{Digest, Hasher128, Tag};
 use simsched::pool;
 use simtel::Telemetry;
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::{BenchProfile, TraceGenerator};
+use workloads::BenchProfile;
 
 /// The sampling regime: every `period` measured instructions, one
 /// detailed window of `warmup` discarded ops (out-of-order pipeline
@@ -357,32 +357,23 @@ pub fn run_app_sampled(
 
     // --- Phase 1: the snapshot chain (sequential functional prefix).
     // Interval i's snapshot is the architectural state at its first
-    // window's absolute trace offset. The chain is built lazily: a warm
-    // store answers every digest without touching `cur`; the first miss
-    // advances one functional system from wherever it stands (fresh, or
-    // the last offset a build left it at) — interval k−1's functional
-    // prefix, exactly.
+    // window's absolute trace offset. The chain is built lazily
+    // (`engine::snapshots`): a warm store answers every digest without
+    // simulating; the first miss advances one functional system from
+    // wherever it stands — interval k−1's functional prefix, exactly.
     let t_prefix = Instant::now();
-    let mut blobs: Vec<Arc<Vec<u8>>> = Vec::with_capacity(k as usize);
-    let mut cur: Option<(System, TraceGenerator)> = None;
-    for i in 0..k {
-        let abs = scale.warmup + w0(i) * spec.period;
-        let digest = if abs == scale.warmup {
-            warmup_digest(&profile, kind, scale)
-        } else {
-            interval_digest(&profile, kind, scale, abs)
-        };
-        let mut build = || {
-            let (core, gen) = cur.get_or_insert_with(|| engine::build(profile, kind));
-            core.warm_run_to(gen, abs);
-            engine::save_arch(core, gen)
-        };
-        let label = format!("{}@{abs}", profile.name);
-        let blob = engine::checkpoint(&opts, digest, &label, &mut build)
-            .unwrap_or_else(|| Arc::new(build()));
-        blobs.push(blob);
-    }
-    drop(cur);
+    let points: Vec<(u64, Digest)> = (0..k)
+        .map(|i| {
+            let abs = scale.warmup + w0(i) * spec.period;
+            let digest = if abs == scale.warmup {
+                warmup_digest(&profile, kind, scale)
+            } else {
+                interval_digest(&profile, kind, scale, abs)
+            };
+            (abs, digest)
+        })
+        .collect();
+    let blobs = engine::snapshots(profile, kind, &points, &opts);
     if let Some(w) = opts.wall {
         // The sampling-overhead track: how much wall time the snapshot
         // chain (the part a warm store eliminates) cost this run.

@@ -151,6 +151,16 @@ pub trait Organization: LowerCache {
     /// occupancy, memory queues) without touching architectural state.
     fn drain_timing(&mut self);
 
+    /// The organization's half of the drain barrier (DESIGN.md §11):
+    /// drains the timing state, zeroes the statistics, then attaches
+    /// `sink` for the measured phase. The single-core engine and the CMP
+    /// front-end both cross it through this one sequence.
+    fn drain_barrier(&mut self, sink: &TelemetrySink, snap_every: u64) {
+        self.drain_timing();
+        self.reset_stats();
+        self.set_telemetry(sink, snap_every);
+    }
+
     /// Serializes the full architectural state into `e` (checkpoint
     /// payload; see [`simbase::snapshot`]).
     fn save_state(&self, e: &mut Encoder);

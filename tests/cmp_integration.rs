@@ -2,7 +2,8 @@
 //! harness: CMP runs must be bit-identical across simsched worker-thread
 //! counts, across cold and warm checkpoint paths, and across artifact
 //! resume — the same determinism contract `simsched_integration.rs`
-//! pins for the single-core sweep.
+//! pins for the single-core sweep — and a sampled sweep runs them at
+//! full detail.
 
 use experiments::exps::Sweep;
 use experiments::{CmpRun, SampleSpec, Scale};
@@ -94,45 +95,27 @@ fn cmp_checkpoints_are_bit_identical_cold_and_warm() {
 }
 
 #[test]
-fn sampled_cmp_runs_are_bit_identical_across_threads_and_stores() {
-    // The `repro --cores 4 --sample` regime: 4-core CMP scenarios
-    // estimated from periodic detailed windows. The determinism contract
-    // is identical to the full-detail one — bit-identical CmpRuns across
-    // 1, 2, and 8 simsched worker threads and across cold and warm
-    // checkpoint stores.
+fn sampled_sweeps_run_cmp_at_full_detail_under_the_same_digest() {
+    // `--sample` estimates single-core runs only: a sampled sweep's CMP
+    // run is the full-detail run, keyed by the same digest, so it
+    // resumes from the full-detail sweep's artifact without simulating.
+    let scratch = Scratch::new("sampled");
     let spec = SampleSpec { period: 8_000, warmup: 400, measure: 1_600 };
-    let jobs: [(u32, &'static str); 2] = [(4, "nf4"), (4, "base")];
-    let sampled = |threads: usize| {
-        sweep(tiny()).with_threads(threads).with_sample(Some(spec))
-    };
-    let runs = |s: &Sweep| -> Vec<CmpRun> {
-        jobs.iter().map(|&(cores, key)| (*s.run_cmp(cores, key)).clone()).collect()
-    };
+    let full = sweep(tiny()).with_artifacts(&scratch.0).expect("artifact dir");
+    let want = (*full.run_cmp(4, "nf4")).clone();
+    drop(full);
 
-    let serial = sampled(1);
-    serial.prefetch_cmp(&jobs);
-    let want = runs(&serial);
-    for threads in [2usize, 8] {
-        let s = sampled(threads);
-        s.prefetch_cmp(&jobs);
-        assert_eq!(runs(&s), want, "{threads}-thread sampled CmpRuns differ from serial");
-    }
-
-    // Cold then warm checkpoint store, same directory.
-    let scratch = Scratch::new("sampled-chk");
-    let cold = sampled(2).with_checkpoints(&scratch.0).expect("checkpoint dir");
-    assert_eq!(runs(&cold), want, "cold-store sampled CmpRuns diverged");
-    drop(cold);
-    let warm = sampled(8).with_checkpoints(&scratch.0).expect("checkpoint dir");
-    assert_eq!(runs(&warm), want, "warm-store sampled CmpRuns diverged");
-
-    // And the sampled estimate is a genuinely different regime from the
-    // full-detail run, not an alias of it.
-    let full = sweep(tiny());
-    assert_ne!(
-        (*full.run_cmp(4, "nf4")).clone(),
-        want[0],
-        "sampled run must not alias the full-detail run"
+    let sampled = sweep(tiny()).with_sample(Some(spec));
+    assert_eq!(*sampled.run_cmp(4, "nf4"), want, "a sampled sweep changed the CMP run");
+    let resumed = sweep(tiny())
+        .with_sample(Some(spec))
+        .with_artifacts(&scratch.0)
+        .expect("artifact dir");
+    assert_eq!(*resumed.run_cmp(4, "nf4"), want);
+    assert_eq!(
+        (resumed.resumed(), resumed.simulated()),
+        (1, 0),
+        "a sampled sweep must key CMP runs by the full-detail digest"
     );
 }
 

@@ -14,6 +14,7 @@ use cpu::uop::TraceSource;
 use experiments::engine::build;
 use experiments::exps::kind_of;
 use simbase::digest::Hasher128;
+use simtel::TelemetrySink;
 use workloads::ROSTER;
 
 const WARMUP: u64 = 20_000;
@@ -45,10 +46,7 @@ fn core_timing_is_pinned() {
     for profile in ROSTER {
         let (mut core, mut gen) = build(profile, &kind);
         core.warm_run(&mut gen, WARMUP);
-        let mut core = core.drain_barrier(|org| {
-            org.drain_timing();
-            org.reset_stats();
-        });
+        let mut core = core.drain_barrier(|org| org.drain_barrier(&TelemetrySink::disabled(), 0));
         let mut h = Hasher128::new();
         for _ in 0..DETAILED {
             core.execute(gen.next_op());

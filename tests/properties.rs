@@ -531,7 +531,8 @@ fn counter_deltas_add_back_onto_their_base() {
 }
 
 /// One job of any digest family: the apps (one per core), organization,
-/// budget, sampling regime if sampled, and CMP scenario if CMP.
+/// budget, sampling regime if sampled (single-core only), and CMP
+/// scenario if CMP.
 #[derive(Debug, Clone)]
 struct Job(
     Vec<workloads::BenchProfile>,
@@ -555,15 +556,14 @@ impl Knobs for Job {
 impl Job {
     /// The digests keying this job's warm-up checkpoint and its result.
     fn digests(&self) -> (Digest, Digest) {
-        use experiments::cmp::{cmp_run_digest, cmp_sampled_digest, cmp_warmup_digest};
+        use experiments::cmp::{cmp_run_digest, cmp_warmup_digest};
         use experiments::{run_digest, sampling::sampled_digest, warmup_digest};
         let Job(apps, kind, s, spec, cmp) = self;
         let (app, s) = (&apps[0], *s);
         let run = match (cmp, spec) {
             (None, None) => run_digest(app, kind, s),
             (None, Some(spec)) => sampled_digest(app, kind, s, *spec, 2),
-            (Some(cfg), None) => cmp_run_digest(cfg, apps, kind, s),
-            (Some(cfg), Some(spec)) => cmp_sampled_digest(cfg, apps, kind, s, *spec),
+            (Some(cfg), _) => cmp_run_digest(cfg, apps, kind, s),
         };
         match cmp {
             None => (warmup_digest(app, kind, s), run),
@@ -579,9 +579,8 @@ impl Job {
             core.warm_run(&mut gen, scale.warmup);
             return experiments::engine::save_arch(&core, &gen);
         };
-        let seed = experiments::runner::TRACE_SEED;
-        let mut sys = cmp::CmpSystem::new(cfg, kind.build(), apps, seed);
-        sys.warm_run((scale.warmup / u64::from(cfg.cores)).max(1));
+        let opts = experiments::RunOptions::default();
+        let sys = experiments::cmp::warmed("", cfg, apps, kind, *scale, opts);
         let mut e = simbase::snapshot::Encoder::new();
         sys.save_state(&mut e);
         e.into_bytes()
@@ -623,7 +622,7 @@ fn knob_tags_match_digests_and_warm_state() {
                 },
                 kinds[org].clone(),
                 scale(warmup),
-                sampled.then(|| SampleSpec::for_scale(scale(warmup))),
+                (sampled && cores == 1).then(|| SampleSpec::for_scale(scale(warmup))),
                 (cores > 1).then(|| cmp::CmpConfig::micro2003(cores)),
             );
             let (warm, run) = job.digests();
