@@ -23,9 +23,10 @@
 //!               in detail; reports carry the same tables over estimated
 //!               runs. CMP runs stay at full detail, so --cores with
 //!               --sample is an error
-//!   --intervals with --sample: split each sampled run into K (1-64)
-//!               checkpoint-seeded intervals executed in parallel on the
-//!               worker pool; output is bit-identical for any K
+//!   --intervals with --sample (an error without it): split each sampled
+//!               run into K (1-64) checkpoint-seeded intervals, run in
+//!               order on the worker that owns the run; output is
+//!               bit-identical for any K
 //!   --simchk-prune with --checkpoints: evict least-recently-used
 //!               .simchk files beyond BYTES after each publish (also
 //!               $SIMCHK_MAX; default: keep everything)
@@ -78,7 +79,7 @@ fn main() {
     let mut cores: Option<u32> = None;
     let mut l4 = false;
     let mut sample = false;
-    let mut intervals: u64 = 1;
+    let mut intervals: Option<u64> = None;
     let mut quiet = false;
     let mut threads = default_threads();
     let mut artifacts = std::env::var("SIMSCHED_DIR").ok();
@@ -105,7 +106,7 @@ fn main() {
                 if !(1..=64).contains(&n) {
                     usage("--intervals must be between 1 and 64");
                 }
-                intervals = n;
+                intervals = Some(n);
             }
             "--simchk-prune" => {
                 i += 1;
@@ -163,6 +164,10 @@ fn main() {
         eprintln!("error: CMP runs are not sampled; --sample cannot be combined with --cores");
         std::process::exit(2);
     }
+    if !sample && intervals.is_some() {
+        eprintln!("error: --intervals splits sampled runs; it needs --sample");
+        std::process::exit(2);
+    }
     let scale = if quick {
         Scale::quick()
     } else if huge {
@@ -195,7 +200,7 @@ fn main() {
         .with_warmup(warmup)
         .with_l4(l4.then(experiments::L4Config::tdram))
         .with_sample(sample.then(|| experiments::SampleSpec::for_scale(scale)))
-        .with_intervals(intervals)
+        .with_intervals(intervals.unwrap_or(1))
         .with_observer(console_observer(console.clone(), Arc::clone(&counts), telemetry.clone()));
     if let Some(tel) = &telemetry {
         sweep = sweep.with_telemetry(Arc::clone(tel));

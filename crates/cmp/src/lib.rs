@@ -477,7 +477,13 @@ impl CmpSystem {
         let mut s = self.shared.borrow_mut();
         s.org.load_state(d)?;
         s.sharers.clear();
+        // Each entry is a u64 block and a u8 mask; bounding the count by
+        // the bytes left keeps a corrupt count from reserving a huge map.
         let n = d.u64()?;
+        if n > (d.remaining() / 9) as u64 {
+            return Err(SnapshotError::Malformed("sharer count exceeds remaining bytes"));
+        }
+        s.sharers.reserve(n as usize);
         for _ in 0..n {
             let block = d.u64()?;
             let mask = d.u8()?;

@@ -140,18 +140,9 @@ impl HybridPredictor {
     ///
     /// Returns [`SnapshotError::Malformed`] if any table size differs.
     pub fn load_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
-        let gshare = d.u8_slice()?;
-        let bimodal = d.u8_slice()?;
-        let chooser = d.u8_slice()?;
-        if gshare.len() != self.gshare.table.len()
-            || bimodal.len() != self.bimodal.table.len()
-            || chooser.len() != self.chooser.table.len()
-        {
-            return Err(SnapshotError::Malformed("predictor geometry mismatch"));
-        }
-        self.gshare.table = gshare;
-        self.bimodal.table = bimodal;
-        self.chooser.table = chooser;
+        d.u8_slice_into(&mut self.gshare.table)?;
+        d.u8_slice_into(&mut self.bimodal.table)?;
+        d.u8_slice_into(&mut self.chooser.table)?;
         self.history = d.u64()?;
         Ok(())
     }

@@ -398,8 +398,10 @@ impl Sweep {
     /// store, same artifact resume (the estimated [`AppRun`] reuses the
     /// plain `"app"` codec under the sampled digest), same telemetry
     /// recording — but the simulation is
-    /// [`sampling::run_app_sampled`] with the sweep's interval count,
-    /// fanning the intervals out on the sweep's worker-thread budget.
+    /// [`sampling::run_app_sampled`] with the sweep's interval count.
+    /// A prefetched run executes its intervals in order on the worker
+    /// that owns it (the pool has one level of parallelism); a run asked
+    /// for outside the pool spreads them over the sweep's threads.
     fn run_kind_sampled(
         &self,
         app: BenchProfile,

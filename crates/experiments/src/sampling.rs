@@ -18,7 +18,7 @@
 //!    windows converge on the full run's values, with the spread
 //!    reported as a 95% confidence interval by the [`Estimator`].
 //!
-//! 2. **Interval-parallel execution**: the window list is split into K
+//! 2. **Interval execution**: the window list is split into K
 //!    contiguous intervals. Interval k starts from the architectural
 //!    state at its first window's trace offset — produced by one
 //!    sequential functional prefix pass (interval k's snapshot continues
@@ -28,7 +28,12 @@
 //!    independent jobs on [`simsched::pool`], whose results come back in
 //!    job order for any thread count; stitching is therefore plain
 //!    concatenation in trace order, and the merged result is
-//!    bit-identical across 1/2/8 threads and cold/warm stores.
+//!    bit-identical across 1/2/8 threads and cold/warm stores. The pool
+//!    has one level of parallelism: a sampled run that is itself a pool
+//!    job (every run a [`crate::exps::Sweep`] prefetches) executes its
+//!    intervals in order on the worker that owns it, so a sweep of `T`
+//!    workers holds at most `T` interval systems at once. Only a caller
+//!    outside any pool spreads one run's intervals over threads.
 //!
 //! Interval 0's snapshot *is* the ordinary warm-up checkpoint (same
 //! digest, same payload layout), so sampled and unsampled runs share it.
@@ -317,7 +322,9 @@ pub fn sampled_digest(
 
 /// Runs `profile` on `kind` at `scale` under the sampling regime `spec`,
 /// split into `intervals` interval jobs executed on up to `threads`
-/// worker threads. The result is **bit-identical for any thread count
+/// worker threads. Called from inside a pool job (a sweep worker), the
+/// intervals run in order on that job's thread instead, whatever
+/// `threads` says. The result is **bit-identical for any thread count
 /// and for cold, warm, or absent checkpoint stores**: interval seeding
 /// always goes through the encoded snapshot bytes, and the window
 /// observations are stitched back in trace order (the worker pool
@@ -384,8 +391,9 @@ pub fn run_app_sampled(
         );
     }
 
-    // --- Phase 2: detailed interval jobs, fanned out on the pool and
-    // stitched back by concatenation (results arrive in job order).
+    // --- Phase 2: detailed interval jobs on the pool (inline when this
+    // run is already a pool job), stitched back by concatenation
+    // (results arrive in job order).
     let t_measure = Instant::now();
     let wall = opts.wall;
     let jobs: Vec<_> = (0..k)

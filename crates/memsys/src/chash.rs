@@ -172,13 +172,11 @@ impl BankMap {
         if d.u32()? != self.vnodes_per_bank {
             return Err(SnapshotError::Malformed("bank-map vnode-count mismatch"));
         }
-        let next_bank = d.u32()?;
-        let banks = d.u32_slice()?;
-        if banks.is_empty() || banks.iter().any(|&b| b >= next_bank) {
+        self.next_bank = d.u32()?;
+        d.u32_vec_into(&mut self.banks, self.next_bank as usize)?;
+        if self.banks.is_empty() || self.banks.iter().any(|&b| b >= self.next_bank) {
             return Err(SnapshotError::Malformed("bank-map id set inconsistent"));
         }
-        self.next_bank = next_bank;
-        self.banks = banks;
         self.rebuild_ring();
         Ok(())
     }

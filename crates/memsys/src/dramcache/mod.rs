@@ -612,26 +612,30 @@ impl L4DramCache {
         if slots != self.map.id_bound() as usize {
             return Err(SnapshotError::Malformed("L4 bank slot count mismatch"));
         }
-        let frames = self.sets_per_bank * self.cfg.assoc as usize;
-        let mut banks = Vec::with_capacity(slots);
-        for id in 0..slots {
-            let live = self.map.bank_ids().binary_search(&(id as u32)).is_ok();
-            match d.u8()? {
-                0 if !live => banks.push(None),
-                1 if live => {
-                    let tags = d.u64_slice()?;
-                    let dirty = d.u64_slice()?;
-                    if tags.len() != frames || dirty.len() != frames.div_ceil(64) {
-                        return Err(SnapshotError::Malformed("L4 bank geometry mismatch"));
-                    }
-                    let mut lru = LruTable::new(self.sets_per_bank, self.cfg.assoc);
-                    lru.load_state(d)?;
-                    banks.push(Some(BankDir { tags, dirty, lru }));
+        // Retired banks go first, so their directories are freed before
+        // any new one is built; live banks decode into the directories
+        // they already own.
+        let map = &self.map;
+        let live = |id: usize| map.bank_ids().binary_search(&(id as u32)).is_ok();
+        self.banks.resize_with(slots, || None);
+        for (id, slot) in self.banks.iter_mut().enumerate() {
+            if !live(id) {
+                *slot = None;
+            }
+        }
+        let (sets, assoc) = (self.sets_per_bank, self.cfg.assoc);
+        for (id, slot) in self.banks.iter_mut().enumerate() {
+            match (d.u8()?, live(id)) {
+                (0, false) => {}
+                (1, true) => {
+                    let dir = slot.get_or_insert_with(|| BankDir::new(sets, assoc));
+                    d.u64_slice_into(&mut dir.tags)?;
+                    d.u64_slice_into(&mut dir.dirty)?;
+                    dir.lru.load_state(d)?;
                 }
                 _ => return Err(SnapshotError::Malformed("L4 bank liveness disagrees with map")),
             }
         }
-        self.banks = banks;
         Ok(())
     }
 }

@@ -281,9 +281,7 @@ mod tests {
             e.put_u64_slice(&self.blocks);
         }
         fn load_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
-            let blocks = d.u64_slice()?;
-            self.blocks.copy_from_slice(&blocks);
-            Ok(())
+            d.u64_slice_into(&mut self.blocks)
         }
         fn report(&self) -> OrgReport {
             OrgReport {

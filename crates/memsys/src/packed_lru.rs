@@ -155,26 +155,12 @@ impl LruTable {
     /// is guaranteed by the container checksum, not re-validated here.
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
         match (&mut self.repr, d.u8()?) {
-            (Repr::Packed { words }, 0) => {
-                let loaded = d.u64_slice()?;
-                if loaded.len() != words.len() {
-                    return Err(SnapshotError::Malformed("LRU set count mismatch"));
-                }
-                *words = loaded;
-                Ok(())
-            }
+            (Repr::Packed { words }, 0) => d.u64_slice_into(words),
             (Repr::Wide { order }, 1) => {
                 if d.len()? != order.len() {
                     return Err(SnapshotError::Malformed("LRU set count mismatch"));
                 }
-                for o in order.iter_mut() {
-                    let loaded = d.u8_slice()?;
-                    if loaded.len() != o.len() {
-                        return Err(SnapshotError::Malformed("LRU order length mismatch"));
-                    }
-                    *o = loaded;
-                }
-                Ok(())
+                order.iter_mut().try_for_each(|o| d.u8_slice_into(o))
             }
             _ => Err(SnapshotError::Malformed("LRU representation mismatch")),
         }

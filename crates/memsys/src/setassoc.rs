@@ -223,13 +223,8 @@ impl SetAssocCache {
     /// Restores state written by [`SetAssocCache::save_state`] into a cache
     /// of identical geometry.
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-        let blocks = d.u64_slice()?;
-        let flags = d.u8_slice()?;
-        if blocks.len() != self.blocks.len() || flags.len() != self.flags.len() {
-            return Err(SnapshotError::Malformed("cache geometry mismatch"));
-        }
-        self.blocks = blocks;
-        self.flags = flags;
+        d.u64_slice_into(&mut self.blocks)?;
+        d.u8_slice_into(&mut self.flags)?;
         self.lru.load_state(d)
     }
 

@@ -511,24 +511,11 @@ impl DnucaCache {
     /// truncated payload.
     pub fn load_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
         self.use_clock = d.u64()?;
-        let blocks = d.u64_slice()?;
-        let flags = d.u8_slice()?;
-        let last_use = d.u64_slice()?;
-        if blocks.len() != self.blocks.len()
-            || flags.len() != self.flags.len()
-            || last_use.len() != self.last_use.len()
-        {
-            return Err(SnapshotError::Malformed("dnuca slot count mismatch"));
-        }
-        self.blocks = blocks;
-        self.flags = flags;
-        self.last_use = last_use;
+        d.u64_slice_into(&mut self.blocks)?;
+        d.u8_slice_into(&mut self.flags)?;
+        d.u64_slice_into(&mut self.last_use)?;
         self.ss.load_state(d)?;
-        let memo = d.u32_slice()?;
-        if memo.len() != self.memo.len() {
-            return Err(SnapshotError::Malformed("dnuca memo length mismatch"));
-        }
-        self.memo = memo;
+        d.u32_slice_into(&mut self.memo)?;
         self.memory.load_l4_state(d)
     }
 

@@ -135,12 +135,7 @@ impl SmartSearchArray {
     ///
     /// Returns [`SnapshotError::Malformed`] if the entry count differs.
     pub fn load_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
-        let entries = d.u8_slice()?;
-        if entries.len() != self.entries.len() {
-            return Err(SnapshotError::Malformed("ss array geometry mismatch"));
-        }
-        self.entries = entries;
-        Ok(())
+        d.u8_slice_into(&mut self.entries)
     }
 }
 

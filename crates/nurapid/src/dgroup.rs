@@ -345,25 +345,12 @@ impl DGroupArray {
     /// Restores state written by [`DGroupArray::save_state`] into a
     /// d-group of identical geometry and policy.
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-        let frames = d.u64_slice()?;
-        if frames.len() != self.frames.len() {
-            return Err(SnapshotError::Malformed("d-group frame count mismatch"));
-        }
-        self.frames = frames;
+        d.u64_slice_into(&mut self.frames)?;
         let fpr = self.frames_per_region as usize;
         for reg in self.regions.iter_mut() {
-            let free = d.u32_slice()?;
-            if free.len() > fpr {
-                return Err(SnapshotError::Malformed("free list exceeds region size"));
-            }
-            reg.free = free;
-            let prev = d.u32_slice()?;
-            let next = d.u32_slice()?;
-            if prev.len() != reg.lru.prev.len() || next.len() != reg.lru.next.len() {
-                return Err(SnapshotError::Malformed("d-group recency geometry mismatch"));
-            }
-            reg.lru.prev = prev;
-            reg.lru.next = next;
+            d.u32_vec_into(&mut reg.free, fpr)?;
+            d.u32_slice_into(&mut reg.lru.prev)?;
+            d.u32_slice_into(&mut reg.lru.next)?;
             reg.lru.head = d.u32()?;
             reg.lru.tail = d.u32()?;
             if d.len()? != reg.lru.linked.len() {

@@ -262,13 +262,8 @@ impl TagArray {
     /// Restores state written by [`TagArray::save_state`] into an array of
     /// identical geometry.
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-        let blocks = d.u64_slice()?;
-        let meta = d.u64_slice()?;
-        if blocks.len() != self.blocks.len() || meta.len() != self.meta.len() {
-            return Err(SnapshotError::Malformed("tag array geometry mismatch"));
-        }
-        self.blocks = blocks;
-        self.meta = meta;
+        d.u64_slice_into(&mut self.blocks)?;
+        d.u64_slice_into(&mut self.meta)?;
         self.lru.load_state(d)
     }
 }

@@ -36,8 +36,11 @@
 //! any other revision is `BadMagic`, and its owner rebuilds it.
 //!
 //! Payload contents are the owner's business; [`Encoder`] / [`Decoder`]
-//! provide the primitive layer (u8/u32/u64/bool, length-prefixed u8/u64
-//! slices) with every read bounds-checked against [`SnapshotError`].
+//! provide the primitive layer (u8/u32/u64/bool, length-prefixed u8/u32/
+//! u64 slices) with every read bounds-checked against [`SnapshotError`].
+//! The `*_into` readers decode a slice into a buffer the caller already
+//! owns and reject a stored length that differs from it, so a restore
+//! neither allocates nor repeats the geometry check by hand.
 
 use std::fmt;
 use std::io::{self, Write};
@@ -420,6 +423,60 @@ impl<'a> Decoder<'a> {
         (0..n).map(|_| self.u32()).collect()
     }
 
+    /// Reads the length prefix of a slice that must hold exactly `want`
+    /// elements.
+    fn slice_len(&mut self, want: usize) -> Result<(), SnapshotError> {
+        if self.u64()? != want as u64 {
+            return Err(SnapshotError::Malformed("slice length mismatch"));
+        }
+        Ok(())
+    }
+
+    /// Reads a length-prefixed byte slice into `dst`, which must have the
+    /// stored length. Restores decode into the buffers they already own
+    /// instead of building a second copy beside them.
+    pub fn u8_slice_into(&mut self, dst: &mut [u8]) -> Result<(), SnapshotError> {
+        self.slice_len(dst.len())?;
+        dst.copy_from_slice(self.take(dst.len())?);
+        Ok(())
+    }
+
+    /// Reads a length-prefixed `u32` slice into `dst`, which must have the
+    /// stored length.
+    pub fn u32_slice_into(&mut self, dst: &mut [u32]) -> Result<(), SnapshotError> {
+        self.slice_len(dst.len())?;
+        let src = self.take(dst.len() * 4)?;
+        for (v, b) in dst.iter_mut().zip(src.chunks_exact(4)) {
+            *v = u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        }
+        Ok(())
+    }
+
+    /// Reads a length-prefixed `u64` slice into `dst`, which must have the
+    /// stored length.
+    pub fn u64_slice_into(&mut self, dst: &mut [u64]) -> Result<(), SnapshotError> {
+        self.slice_len(dst.len())?;
+        let src = self.take(dst.len() * 8)?;
+        for (v, b) in dst.iter_mut().zip(src.chunks_exact(8)) {
+            *v = u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        }
+        Ok(())
+    }
+
+    /// Reads a length-prefixed `u32` slice of at most `max` elements into
+    /// `dst`, replacing its contents. The buffer is reused, so this
+    /// allocates only when the slice outgrows `dst`'s capacity.
+    pub fn u32_vec_into(&mut self, dst: &mut Vec<u32>, max: usize) -> Result<(), SnapshotError> {
+        let n = self.u64()?;
+        if n > max as u64 {
+            return Err(SnapshotError::Malformed("slice longer than its bound"));
+        }
+        let src = self.take(n as usize * 4)?;
+        dst.clear();
+        dst.extend(src.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))));
+        Ok(())
+    }
+
     /// Reads a section written by [`Encoder::put_section`], returning a
     /// sub-decoder over exactly the section's bytes. The outer decoder
     /// advances past the whole section, so calling this and ignoring
@@ -656,5 +713,70 @@ mod tests {
     fn truncated_section_length_prefix_is_detected() {
         let mut d = Decoder::new(&[0, 0, 0]);
         assert_eq!(d.section().err(), Some(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn in_place_readers_fill_exactly_sized_buffers() {
+        let mut e = Encoder::new();
+        e.put_u8_slice(&[1, 2, 3]);
+        e.put_u32_slice(&[9, 8]);
+        e.put_u64_slice(&[u64::MAX, 0, 42]);
+        e.put_u32_slice(&[5, 6, 7]);
+        let bytes = e.into_bytes();
+        let mut d = Decoder::new(&bytes);
+        let (mut a, mut b, mut c) = ([0u8; 3], [0u32; 2], [0u64; 3]);
+        d.u8_slice_into(&mut a).unwrap();
+        d.u32_slice_into(&mut b).unwrap();
+        d.u64_slice_into(&mut c).unwrap();
+        let mut v = Vec::with_capacity(4);
+        v.push(1);
+        d.u32_vec_into(&mut v, 4).unwrap();
+        d.finish().unwrap();
+        assert_eq!((a, b, c), ([1, 2, 3], [9, 8], [u64::MAX, 0, 42]));
+        assert_eq!(v, vec![5, 6, 7]);
+    }
+
+    /// Every in-place reader rejects a stored slice shorter or longer
+    /// than its buffer, and one whose bytes were cut off.
+    #[test]
+    fn in_place_readers_reject_short_long_and_truncated_slices() {
+        type Read = fn(&mut Decoder<'_>) -> Result<(), SnapshotError>;
+        fn check(write: impl Fn(&mut Encoder, usize), read: Read) {
+            for (len, what) in [(2, "short"), (4, "long")] {
+                let mut e = Encoder::new();
+                write(&mut e, len);
+                let bytes = e.into_bytes();
+                let got = read(&mut Decoder::new(&bytes));
+                assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{what}: {got:?}");
+            }
+            let mut e = Encoder::new();
+            write(&mut e, 3);
+            let bytes = e.into_bytes();
+            for cut in [4, 8, bytes.len() - 1] {
+                let got = read(&mut Decoder::new(&bytes[..cut]));
+                assert_eq!(got, Err(SnapshotError::Truncated), "cut at {cut}");
+            }
+        }
+        check(|e, n| e.put_u8_slice(&vec![7; n]), |d| d.u8_slice_into(&mut [0; 3]));
+        check(|e, n| e.put_u32_slice(&vec![7; n]), |d| d.u32_slice_into(&mut [0; 3]));
+        check(|e, n| e.put_u64_slice(&vec![7; n]), |d| d.u64_slice_into(&mut [0; 3]));
+        // The refilling reader takes any length up to its bound, so only
+        // a slice longer than the bound is malformed.
+        let mut v = vec![1, 2, 3, 4];
+        let mut e = Encoder::new();
+        e.put_u32_slice(&[7; 2]);
+        e.put_u32_slice(&[7; 4]);
+        let bytes = e.into_bytes();
+        let mut d = Decoder::new(&bytes);
+        d.u32_vec_into(&mut v, 3).unwrap();
+        assert_eq!(v, vec![7, 7]);
+        assert!(matches!(d.u32_vec_into(&mut v, 3), Err(SnapshotError::Malformed(_))));
+        let mut e = Encoder::new();
+        e.put_u32_slice(&[7; 3]);
+        let bytes = e.into_bytes();
+        for cut in [4, 8, bytes.len() - 1] {
+            let got = Decoder::new(&bytes[..cut]).u32_vec_into(&mut v, 3);
+            assert_eq!(got, Err(SnapshotError::Truncated), "cut at {cut}");
+        }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! - [`pool`] — a scoped `std::thread` worker pool that executes a batch
 //!   of jobs on N threads and returns results **in job order**, so output
-//!   is bit-identical regardless of thread count or completion order.
+//!   is bit-identical regardless of thread count or completion order. A
+//!   batch submitted from inside a job runs inline on that job's thread.
 //! - [`store`] — a concurrent, memoizing, **single-flight** run store:
 //!   every key is computed exactly once even when many threads request it
 //!   concurrently; later requesters block on the first computation

@@ -6,23 +6,52 @@
 //! job's original index; the returned `Vec` is therefore identical for
 //! any thread count, including 1. Panics in a job are propagated to the
 //! caller after the scope joins, as with plain `std::thread::scope`.
+//!
+//! Parallelism has one level. A batch submitted from inside a running
+//! job executes inline on that job's thread, in submission order, so a
+//! sweep of `T` workers whose jobs fan out again still holds at most `T`
+//! jobs' state at once rather than `T²`. A thread-local mark set while a
+//! job runs decides this; callers outside any pool keep their threads.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+thread_local! {
+    /// Set while this thread runs a job of some batch.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running a job until dropped, then
+/// restores the previous mark (also when the job unwinds).
+struct JobMark(bool);
+
+impl JobMark {
+    fn set() -> Self {
+        JobMark(IN_JOB.with(|m| m.replace(true)))
+    }
+}
+
+impl Drop for JobMark {
+    fn drop(&mut self) {
+        IN_JOB.with(|m| m.set(self.0));
+    }
+}
+
 /// Runs `jobs` on up to `threads` worker threads and returns their
 /// results in job order.
 ///
-/// `threads` is clamped to `[1, jobs.len()]`; passing 1 executes the
-/// batch on the calling thread's scope with no queueing overhead beyond
-/// the atomic cursor. The closure type is boxed-free: any `FnOnce`
-/// returning `T` works.
+/// `threads` is clamped to `[1, jobs.len()]`. With one worker, or when
+/// called from inside a job of another batch, the jobs run inline on the
+/// calling thread in submission order and no thread is spawned. The
+/// closure type is boxed-free: any `FnOnce` returning `T` works.
 ///
 /// # Panics
 ///
 /// If any job panics, the panic is re-raised on the calling thread after
-/// all workers have stopped claiming new jobs.
+/// all workers have stopped claiming new jobs. Inline, the first panic
+/// unwinds straight to the caller and later jobs never start.
 pub fn run_jobs<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -33,6 +62,10 @@ where
         return Vec::new();
     }
     let workers = threads.clamp(1, n);
+    if workers == 1 || IN_JOB.with(Cell::get) {
+        let _mark = JobMark::set();
+        return jobs.into_iter().map(|job| job()).collect();
+    }
 
     // Job slots: workers `take()` the closure they claimed. Result slots
     // are per-index so completion order cannot permute output order.
@@ -45,6 +78,7 @@ where
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             handles.push(scope.spawn(|| -> Result<(), Box<dyn std::any::Any + Send>> {
+                let _mark = JobMark::set();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -169,5 +203,60 @@ mod tests {
             run_jobs(2, vec![Box::new(|| 1u32) as Box<dyn FnOnce() -> u32 + Send>, Box::new(|| panic!("boom"))]);
         });
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ids = run_jobs(1, (0..3).map(|_| || std::thread::current().id()).collect());
+        assert_eq!(ids, vec![me; 3]);
+        // The batch is over: the caller is not left marked as a job.
+        assert!(!IN_JOB.with(Cell::get));
+    }
+
+    #[test]
+    fn nested_batches_run_inline_on_the_outer_worker_in_job_order() {
+        let outer: Vec<_> = (0u64..4)
+            .map(|o| {
+                move || {
+                    let worker = std::thread::current().id();
+                    let inner: Vec<_> = (0u64..6)
+                        .map(|i| {
+                            move || {
+                                if i % 2 == 0 {
+                                    std::thread::sleep(std::time::Duration::from_millis(1));
+                                }
+                                (std::thread::current().id(), o * 10 + i)
+                            }
+                        })
+                        .collect();
+                    (worker, run_jobs(8, inner))
+                }
+            })
+            .collect();
+        for (worker, inner) in run_jobs(4, outer) {
+            assert!(inner.iter().all(|&(id, _)| id == worker), "a nested job left its worker");
+            let values: Vec<u64> = inner.iter().map(|&(_, v)| v).collect();
+            let o = values[0] / 10;
+            assert_eq!(values, (0..6).map(|i| o * 10 + i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_nested_panic_reaches_the_caller() {
+        let r = std::panic::catch_unwind(|| {
+            let outer = (0..2)
+                .map(|o| {
+                    move || {
+                        let inner: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+                            vec![Box::new(|| 1), Box::new(move || if o == 1 { panic!("inner") } else { 2 })];
+                        run_jobs(2, inner)
+                    }
+                })
+                .collect();
+            run_jobs(2, outer)
+        });
+        assert!(r.is_err());
+        assert!(!IN_JOB.with(Cell::get), "an unwinding batch must clear its mark");
     }
 }

@@ -16,6 +16,10 @@
 //! detailed `execute` and functional `warm_execute` paths allocate
 //! nothing either once the system is past its warm-up.
 //!
+//! Checkpoint restores join it too: `Organization::load_state` decodes
+//! into the buffers an unfilled instance already owns, so restoring a
+//! warmed payload into one allocates nothing.
+//!
 //! The whole file is a single `#[test]` because the counter is
 //! process-global: parallel test threads would attribute their setup
 //! allocations to whichever window happens to be open.
@@ -26,6 +30,7 @@ use experiments::L2Kind;
 use memsys::org::Organization;
 use nuca::{CnucaConfig, SearchPolicy};
 use nurapid::NuRapidConfig;
+use simbase::snapshot::{Decoder, Encoder};
 use simbase::{AccessKind, BlockAddr, Cycle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,6 +78,27 @@ fn drive(cache: &mut Box<dyn Organization>, accesses: u64, footprint: u64) -> Cy
         t = out.complete_at + 1;
     }
     t
+}
+
+/// Saves a warmed `kind` and requires restoring the payload into an
+/// unfilled instance to allocate nothing.
+fn measure_restore(name: &str, kind: &L2Kind) {
+    let mut warm = kind.build();
+    warm.prefill();
+    drive(&mut warm, 50_000, 262_144);
+    warm.drain_timing();
+    let mut e = Encoder::new();
+    warm.save_state(&mut e);
+    let bytes = e.into_bytes();
+    drop(warm);
+
+    let mut bare = kind.build();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut d = Decoder::new(&bytes);
+    let restored = bare.load_state(&mut d).and_then(|()| d.finish());
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    restored.unwrap_or_else(|err| panic!("{name}: restore failed: {err:?}"));
+    assert_eq!(after - before, 0, "{name}: {} heap allocations in one restore", after - before);
 }
 
 fn measure(name: &str, cache: &mut Box<dyn Organization>, footprint: u64) {
@@ -132,6 +158,7 @@ fn steady_state_access_paths_do_not_allocate() {
         ("cnuca", L2Kind::Cnuca(CnucaConfig::micro2003())),
     ];
     for (name, kind) in roster {
+        measure_restore(name, &kind);
         let mut org = kind.build();
         org.prefill();
         measure(name, &mut org, 262_144);

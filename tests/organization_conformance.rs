@@ -172,6 +172,61 @@ fn restoring_into_an_unprefilled_instance_resaves_the_same_bytes() {
     }
 }
 
+/// Restores decode in place, into the buffers the instance already owns,
+/// so nothing from before a restore may survive it: a payload restored
+/// into an instance that already ran a different stream re-saves the
+/// same bytes as one restored into an unfilled instance. Under the L4
+/// tier the used instance is also resized to more banks than the payload
+/// holds, and to fewer, so the restore both retires and rebuilds bank
+/// directories.
+#[test]
+fn restoring_over_a_used_instance_resaves_the_same_bytes() {
+    let save = |org: &dyn Organization| {
+        let mut e = Encoder::new();
+        org.save_state(&mut e);
+        e.into_bytes()
+    };
+    let restore = |org: &mut Box<dyn Organization>, bytes: &[u8], name: &str| {
+        let mut d = Decoder::new(bytes);
+        org.load_state(&mut d)
+            .and_then(|()| d.finish())
+            .unwrap_or_else(|err| panic!("{name}: restore failed: {err:?}"));
+    };
+    let plain = roster().into_iter().map(|(name, kind)| (name.to_string(), kind, None));
+    let l4 = l4_roster().into_iter().flat_map(|(name, kind)| {
+        [(2, 7), (7, 2)].map(|banks| (name.clone(), kind.clone(), Some(banks)))
+    });
+    for (name, kind, banks) in plain.chain(l4) {
+        let mut org = kind.build();
+        org.prefill();
+        warm_drive(&mut org, 4_000);
+        if let Some((saved, _)) = banks {
+            resize_l4(&mut org, saved, Cycle::ZERO);
+        }
+        org.drain_timing();
+        let bytes = save(org.as_ref());
+
+        let mut bare = kind.build();
+        restore(&mut bare, &bytes, &name);
+
+        let mut used = kind.build();
+        used.prefill();
+        let (_, t) = drive(&mut used, 6_000, Cycle::ZERO);
+        if let Some((_, other)) = banks {
+            resize_l4(&mut used, other, t);
+            drive(&mut used, 2_000, t);
+        }
+        used.drain_timing();
+        restore(&mut used, &bytes, &name);
+
+        assert!(save(bare.as_ref()) == bytes, "{name}: an unfilled restore re-saves other bytes");
+        assert!(
+            save(used.as_ref()) == bytes,
+            "{name} {banks:?}: a restore over a used instance re-saves other bytes"
+        );
+    }
+}
+
 /// A geometry-mismatched payload must be rejected, not silently loaded:
 /// feeding one organization's snapshot to a different one errors for
 /// every cross pair (this is the safety net under checkpoint keying).
