@@ -10,44 +10,64 @@
 //! one checkpoint, and the measured phase restored from a checkpoint is
 //! bit-identical to one that warmed up in-process (DESIGN.md §11).
 //!
-//! The store is single-flight per process: concurrent sweep workers
-//! wanting the same checkpoint block on one loader or builder and share
-//! its payload. The store itself holds a served payload only weakly, so
-//! a payload lives exactly as long as some run holds it; once the last
-//! one drops it, a later request re-reads the file (still a hit). On disk,
-//! each checkpoint is one `<digest>.simchk` file written via
-//! temp-file-and-rename, so a crashed or concurrent writer can never
-//! publish a torn file; unreadable or stale-version files are rebuilt,
+//! Checkpoints stream between a system and its file: a restore decodes
+//! straight from the file through one [`snapshot::CHUNK`]-byte buffer, and
+//! a build encodes straight into a temp file, so the store never holds a
+//! payload whole in memory. A stream that fails — a bad header, a cut
+//! file, a checksum mismatch found at the end, trailing bytes — leaves its
+//! target half-written, so the target is reset and the checkpoint rebuilt,
 //! never trusted.
+//!
+//! The store is single-flight per process for builders: concurrent sweep
+//! workers missing the same checkpoint wait for one builder, then stream
+//! the file it published. On disk, each checkpoint is one
+//! `<digest>.simchk` file written via temp-file-and-rename, so a crashed
+//! or concurrent writer can never publish a torn file.
 
 use simbase::digest::Digest;
-use simbase::snapshot;
-use std::collections::HashMap;
+use simbase::snapshot::{self, Decoder, Encoder, SnapshotError};
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Version tag of the checkpoint payload layout. Bump whenever any
 /// `save_state` encoding or the payload ordering changes; old files then
-/// fail [`snapshot::open`] and are transparently rebuilt.
+/// fail to open and are transparently rebuilt.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// File extension of sealed checkpoints.
 pub const CHECKPOINT_EXT: &str = "simchk";
 
-/// The in-process state of one checkpoint digest.
-enum Flight {
-    /// A thread is loading or building the payload; requesters wait.
-    Running,
-    /// The payload last served, alive only while some run holds it.
-    Served(Weak<Vec<u8>>),
+/// State the store streams into and out of a checkpoint file.
+pub(crate) trait Checkpointed {
+    /// Encodes the architectural state as the checkpoint payload.
+    fn save(&self, e: &mut Encoder<'_>);
+
+    /// Decodes a [`Checkpointed::save`] payload over the current state.
+    /// After an error the state is half-written and must not be used.
+    ///
+    /// # Errors
+    ///
+    /// The first decode error.
+    fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError>;
 }
 
-/// A directory of sealed warm-up checkpoints with single-flight loading
+/// Why [`CheckpointStore::restore`] served nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unserved {
+    /// No usable file: it is missing, or its header or size is wrong. The
+    /// target was not touched.
+    Absent,
+    /// The stream failed part-way, so the target is half-written.
+    Damaged,
+}
+
+/// A directory of sealed warm-up checkpoints with single-flight building
 /// in front of it.
 pub struct CheckpointStore {
     dir: PathBuf,
-    flights: Mutex<HashMap<u128, Flight>>,
+    building: Mutex<HashSet<u128>>,
     landed: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -57,10 +77,9 @@ pub struct CheckpointStore {
 }
 
 /// Holds a checkpoint file pinned against [`CheckpointStore::prune_to_budget`]
-/// for as long as the guard lives. [`CheckpointStore::get_or_build`] pins
-/// internally for its own duration; long-running consumers (an interval
-/// chain re-reading its seed blob, a differential harness comparing
-/// files on disk) pin explicitly.
+/// for as long as the guard lives. Every stream from or to a file pins it
+/// for its own duration; long-running consumers (the interval jobs of a
+/// sampled run, seeded from their snapshots' files) pin explicitly.
 pub struct PinGuard<'a> {
     store: &'a CheckpointStore,
     key: u128,
@@ -78,6 +97,34 @@ impl Drop for PinGuard<'_> {
     }
 }
 
+/// Holds the single flight of one digest's build; landing it on drop (a
+/// publish, a failure or a panic alike) wakes the waiters to read the file.
+struct Flight<'a> {
+    store: &'a CheckpointStore,
+    key: u128,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.store.building().remove(&self.key);
+        self.store.landed.notify_all();
+    }
+}
+
+/// A raw payload as [`CheckpointStore::get_or_build`] serves it.
+struct Payload(Vec<u8>);
+
+impl Checkpointed for Payload {
+    fn save(&self, e: &mut Encoder<'_>) {
+        e.put_bytes(&self.0);
+    }
+
+    fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        self.0.resize(d.remaining(), 0);
+        d.bytes_into(&mut self.0)
+    }
+}
+
 impl CheckpointStore {
     /// Opens (creating if needed) the checkpoint directory.
     ///
@@ -89,7 +136,7 @@ impl CheckpointStore {
         std::fs::create_dir_all(&dir)?;
         Ok(CheckpointStore {
             dir,
-            flights: Mutex::new(HashMap::new()),
+            building: Mutex::new(HashSet::new()),
             landed: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -102,10 +149,9 @@ impl CheckpointStore {
     /// Sets a byte budget for the on-disk store (the `--simchk-prune` /
     /// `SIMCHK_MAX` knob). After every fresh build the store evicts
     /// least-recently-used `.simchk` files until the directory fits the
-    /// budget, never touching files a live [`PinGuard`] holds. A payload
-    /// pruned from disk and requested again in the same process, once no
-    /// run still holds it, is rebuilt: one more miss. `None` (the
-    /// default) never prunes.
+    /// budget, never touching files a live [`PinGuard`] holds. A
+    /// checkpoint pruned from disk and requested again is rebuilt: one
+    /// more miss. `None` (the default) never prunes.
     #[must_use]
     pub fn with_budget(mut self, budget: Option<u64>) -> Self {
         self.budget = budget;
@@ -137,107 +183,126 @@ impl CheckpointStore {
         self.dir.join(format!("{}.{}", digest.hex(), CHECKPOINT_EXT))
     }
 
+    /// Streams `digest`'s checkpoint into `sys`, running `build` only if
+    /// no valid file exists. Returns `true` on a hit.
+    ///
+    /// Every requester streams from the file; only a miss takes the
+    /// digest's single flight, so concurrent requesters wait for one
+    /// builder and then stream the file it published. A file that fails
+    /// part-way through its stream leaves `sys` half-written: `reset`
+    /// returns it to a state `build` can start from, and the checkpoint is
+    /// rebuilt. The builder encodes `sys` straight into a temp file and
+    /// publishes it. Publishing is best-effort: a write failure does not
+    /// fail the run and leaves no temp file behind, and the next request
+    /// builds again.
+    pub(crate) fn restore_or_build<S: Checkpointed>(
+        &self,
+        digest: Digest,
+        sys: &mut S,
+        reset: impl Fn(&mut S),
+        build: impl FnOnce(&mut S),
+    ) -> bool {
+        let _pin = self.pin(digest);
+        let served = |sys: &mut S| match self.restore(digest, sys) {
+            Ok(()) => true,
+            Err(Unserved::Damaged) => {
+                reset(sys);
+                false
+            }
+            Err(Unserved::Absent) => false,
+        };
+        let flight = loop {
+            if served(sys) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+            if let Some(flight) = self.take_flight(digest.raw()) {
+                // A builder may have landed between the read and the flight.
+                if served(sys) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return true;
+                }
+                break flight;
+            }
+        };
+        build(sys);
+        self.publish(digest, |e| sys.save(e));
+        drop(flight);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        // A fresh publish is the only event that grows the directory, so
+        // it is the only prune trigger needed to hold the budget.
+        self.prune_to_budget();
+        false
+    }
+
     /// Returns the checkpoint payload for `digest`, running `build` only
-    /// if no valid checkpoint exists in memory or on disk. A payload
-    /// another run still holds is shared; otherwise the file is read and
-    /// its envelope stripped in place. A freshly built payload is sealed
-    /// straight into a temp file and published to disk. Publishing is
-    /// best-effort: a write failure does not fail the run and leaves no
-    /// temp file behind, but once every holder drops that payload a
-    /// later request builds it again. The returned flag is `true` on a
-    /// hit.
+    /// if no valid checkpoint file exists, and whether it was a hit. This
+    /// is the streaming restore-or-build path with the payload's raw bytes
+    /// as the state. The store keeps nothing: every hit reads its own copy
+    /// of the file.
     pub fn get_or_build(
         &self,
         digest: Digest,
         build: impl FnOnce() -> Vec<u8>,
     ) -> (Arc<Vec<u8>>, bool) {
+        let mut payload = Payload(Vec::new());
+        let hit = self.restore_or_build(digest, &mut payload, |_| {}, |p| p.0 = build());
+        (Arc::new(payload.0), hit)
+    }
+
+    /// Streams `digest`'s file into `sys` and checks its envelope, pinning
+    /// the file while it reads; counts neither a hit nor a miss. A file
+    /// whose size disagrees with its header is refused before anything is
+    /// decoded.
+    pub(crate) fn restore<S: Checkpointed>(
+        &self,
+        digest: Digest,
+        sys: &mut S,
+    ) -> Result<(), Unserved> {
         let _pin = self.pin(digest);
-        let key = digest.raw();
-        let mut flights = self.flights();
-        loop {
-            match flights.get(&key) {
-                Some(Flight::Running) => {
-                    flights = self.landed.wait(flights).unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(Flight::Served(held)) => match held.upgrade() {
-                    Some(payload) => {
-                        drop(flights);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return (payload, true);
-                    }
-                    None => break,
-                },
-                None => break,
-            }
-        }
-        flights.insert(key, Flight::Running);
-        drop(flights);
-
-        // Lands the flight however this thread leaves: served on success,
-        // cleared (so a waiter retries) if loading or building panics.
-        struct Landing<'a> {
-            store: &'a CheckpointStore,
-            key: u128,
-            served: Option<Weak<Vec<u8>>>,
-        }
-        impl Drop for Landing<'_> {
-            fn drop(&mut self) {
-                let mut flights = self.store.flights();
-                match self.served.take() {
-                    Some(held) => flights.insert(self.key, Flight::Served(held)),
-                    None => flights.remove(&self.key),
-                };
-                self.store.landed.notify_all();
-            }
-        }
-        let mut landing = Landing {
-            store: self,
-            key,
-            served: None,
-        };
-        let (payload, built) = match self.load(digest) {
-            Some(payload) => (payload, false),
-            None => (self.build_and_publish(digest, build), true),
-        };
-        let payload = Arc::new(payload);
-        landing.served = Some(Arc::downgrade(&payload));
-        drop(landing);
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            // A fresh publish is the only event that grows the directory,
-            // so it is the only prune trigger needed to hold the budget.
-            self.prune_to_budget();
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (payload, !built)
-    }
-
-    /// Locks the flight table. Every update to it is one insert or
-    /// remove, so the table stays valid even if a thread panicked while
-    /// holding the lock; recovering the guard keeps one failed run from
-    /// wedging the rest, and keeps the landing's `Drop` from panicking.
-    fn flights(&self) -> MutexGuard<'_, HashMap<u128, Flight>> {
-        self.flights.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The payload of `digest`'s file, if it exists and opens as a valid
-    /// seal of this payload version.
-    fn load(&self, digest: Digest) -> Option<Vec<u8>> {
         let path = self.path_of(digest);
-        let payload = snapshot::open_owned(std::fs::read(&path).ok()?, CHECKPOINT_VERSION).ok()?;
+        let mut file = std::fs::File::open(&path).map_err(|_| Unserved::Absent)?;
+        let size = file.metadata().map_err(|_| Unserved::Absent)?.len();
+        let mut d = Decoder::stream(&mut file, CHECKPOINT_VERSION).map_err(|_| Unserved::Absent)?;
+        if (d.remaining() + snapshot::OVERHEAD) as u64 != size {
+            return Err(Unserved::Absent);
+        }
+        sys.restore(&mut d)
+            .and_then(|()| d.finish())
+            .map_err(|_| Unserved::Damaged)?;
         // Refresh the file's recency so the LRU pruner ranks live
         // checkpoints above abandoned ones (best-effort; a read-only
         // directory just loses recency).
         if let Ok(f) = std::fs::File::options().append(true).open(&path) {
             let _ = f.set_modified(std::time::SystemTime::now());
         }
-        Some(payload)
+        Ok(())
     }
 
-    /// Runs `build` and publishes its payload as `digest`'s file.
-    fn build_and_publish(&self, digest: Digest, build: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
-        let payload = build();
+    /// Takes `key`'s build flight, or, if another thread holds it, waits
+    /// for that builder to land and returns `None`.
+    fn take_flight(&self, key: u128) -> Option<Flight<'_>> {
+        let mut building = self.building();
+        if building.insert(key) {
+            return Some(Flight { store: self, key });
+        }
+        while building.contains(&key) {
+            building = self.landed.wait(building).unwrap_or_else(PoisonError::into_inner);
+        }
+        None
+    }
+
+    /// Locks the build table. Every update to it is one insert or remove,
+    /// so the table stays valid even if a thread panicked while holding
+    /// the lock; recovering the guard keeps one failed run from wedging
+    /// the rest, and keeps the flight's `Drop` from panicking.
+    fn building(&self) -> MutexGuard<'_, HashSet<u128>> {
+        self.building.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Seals the payload `save` encodes straight into a temp file and
+    /// renames it into place as `digest`'s file.
+    fn publish(&self, digest: Digest, save: impl Fn(&mut Encoder<'_>)) {
         // The temp name must be unique per writer: the in-process
         // store single-flights builders, but two *stores* over the
         // same directory (two `repro` processes, a sweep racing a CI
@@ -256,19 +321,18 @@ impl CheckpointStore {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let published = std::fs::File::create(&tmp)
-            .and_then(|mut f| snapshot::seal_into(&mut f, CHECKPOINT_VERSION, &payload))
+            .and_then(|mut f| snapshot::seal_streamed(&mut f, CHECKPOINT_VERSION, save))
             .and_then(|()| std::fs::rename(&tmp, self.path_of(digest)));
         if published.is_err() {
             // `prune_to_budget` counts only `.simchk` files, so a
             // leaked temp file would never be reclaimed.
             let _ = std::fs::remove_file(&tmp);
         }
-        payload
     }
 
     /// Evicts least-recently-used `.simchk` files until the directory
     /// fits the configured budget, skipping files currently pinned (by a
-    /// live [`PinGuard`] or an in-flight [`CheckpointStore::get_or_build`]).
+    /// live [`PinGuard`], which every stream from or to a file holds).
     /// Returns the bytes removed; a no-op without a budget. Eviction
     /// order is mtime then file name, so concurrent pruners converge on
     /// the same survivors.
@@ -318,7 +382,7 @@ impl CheckpointStore {
         freed
     }
 
-    /// Requests served without building (from memory or disk).
+    /// Requests served by streaming a valid file, without building.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -531,11 +595,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The store holds a served payload only weakly: once its holders
-    /// drop it nothing keeps it resident, and the next request re-reads
-    /// the file and counts as a hit.
+    /// A hit holds no payload: the store keeps nothing once a request
+    /// returns, so every hit reads its own copy of the file.
     #[test]
-    fn served_payloads_are_freed_with_their_last_holder() {
+    fn hits_hold_no_payload() {
         let dir = temp_dir("resident");
         let store = CheckpointStore::open(&dir).expect("open");
         let (built, _) = store.get_or_build(digest(50), || vec![6; 64]);
@@ -543,16 +606,69 @@ mod tests {
         drop(built);
         assert!(held.upgrade().is_none(), "the store kept a built payload alive");
 
-        let (loaded, hit) = store.get_or_build(digest(50), || panic!("must re-read the file"));
-        assert!(hit);
-        assert_eq!(*loaded, vec![6; 64]);
-        // While a run holds the payload, requests share it.
-        let (shared, hit) = store.get_or_build(digest(50), || panic!("must share"));
-        assert!(hit && Arc::ptr_eq(&loaded, &shared));
-        let held = Arc::downgrade(&loaded);
-        drop((loaded, shared));
-        assert!(held.upgrade().is_none(), "the store kept a loaded payload alive");
+        let (a, hit_a) = store.get_or_build(digest(50), || panic!("must read the file"));
+        let (b, hit_b) = store.get_or_build(digest(50), || panic!("must read the file"));
+        assert!(hit_a && hit_b);
+        assert_eq!((&*a, Arc::strong_count(&a)), (&vec![6; 64], 1));
+        assert!(!Arc::ptr_eq(&a, &b), "two hits shared one payload");
         assert_eq!((store.hits(), store.misses()), (2, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Words that count how often a failed stream reset them.
+    #[derive(Default)]
+    struct Words {
+        v: Vec<u64>,
+        resets: usize,
+    }
+
+    impl Checkpointed for Words {
+        fn save(&self, e: &mut Encoder<'_>) {
+            e.put_u64_slice(&self.v);
+        }
+
+        fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+            self.v = d.u64_slice()?;
+            Ok(())
+        }
+    }
+
+    /// A file damaged past its header streams part-way, so the target is
+    /// reset before the rebuild; a file whose size disagrees with its
+    /// header is refused before the target is touched. Either way the
+    /// checkpoint is rebuilt and republished whole.
+    #[test]
+    fn damaged_files_are_rebuilt_and_reset_a_half_written_target() {
+        let dir = temp_dir("damaged");
+        let store = CheckpointStore::open(&dir).expect("open");
+        let words = |n: u64| (0..n).collect::<Vec<_>>();
+        let reset = |w: &mut Words| {
+            w.v.clear();
+            w.resets += 1;
+        };
+        let path = store.path_of(digest(80));
+        let sealed = snapshot::seal(CHECKPOINT_VERSION, &{
+            let mut e = Encoder::new();
+            e.put_u64_slice(&words(100));
+            e.into_bytes()
+        });
+        let mut flipped = sealed.clone();
+        flipped[100] ^= 1;
+        let cut = &sealed[..sealed.len() - 1];
+        // The requester reads the file once before taking the build flight
+        // and once after, so a damaged file resets the target twice.
+        for (damage, bytes, resets) in [("flipped", &flipped[..], 2), ("cut", cut, 0)] {
+            std::fs::write(&path, bytes).expect("plant the damage");
+            let mut w = Words::default();
+            let hit = store.restore_or_build(digest(80), &mut w, reset, |w| w.v = words(100));
+            assert!(!hit, "{damage}: a damaged file must miss");
+            assert_eq!((w.v.clone(), w.resets), (words(100), resets), "{damage}");
+            assert_eq!(std::fs::read(&path).expect("republished"), sealed, "{damage}");
+        }
+        let mut w = Words::default();
+        assert!(store.restore_or_build(digest(80), &mut w, reset, |_| panic!("must hit")));
+        assert_eq!((w.v, w.resets), (words(100), 0));
+        assert_eq!((store.hits(), store.misses()), (1, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,12 +11,13 @@
 //! warm-up is always the functional fast-forward (see [`warmed`]), and
 //! the measured phase always runs at full detail.
 
+use crate::checkpoint::Checkpointed;
 use crate::engine;
 use crate::report::{f2, pct, rel, TextTable};
 use crate::runner::{L2Kind, RunOptions, Scale, TRACE_SEED};
 use ::cmp::{CmpConfig, CmpResult, CmpSystem};
 use simbase::digest::{Digest, Hasher128};
-use simbase::snapshot::{Decoder, Encoder};
+use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simtel::TelemetrySink;
 use std::time::Instant;
 use workloads::profiles::{self, BenchProfile};
@@ -134,21 +135,19 @@ pub fn per_core(n: u64, cores: u32) -> u64 {
     (n / u64::from(cores)).max(1)
 }
 
+impl Checkpointed for CmpSystem {
+    fn save(&self, e: &mut Encoder<'_>) {
+        self.save_state(e);
+    }
+
+    fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        self.load_state(d)
+    }
+}
+
 impl engine::Warm for CmpSystem {
     fn prefill(&mut self) {
         CmpSystem::prefill(self);
-    }
-
-    fn save(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        self.save_state(&mut e);
-        e.into_bytes()
-    }
-
-    fn restore(&mut self, blob: &[u8]) {
-        let mut d = Decoder::new(blob);
-        self.load_state(&mut d).expect("cmp checkpoint: state");
-        d.finish().expect("cmp checkpoint: trailing bytes");
     }
 }
 
@@ -167,11 +166,10 @@ pub fn warmed(
     scale: Scale,
     opts: RunOptions<'_>,
 ) -> CmpSystem {
-    let mut sys = CmpSystem::unfilled(cfg, kind.build(), apps, TRACE_SEED);
+    let unfilled = || CmpSystem::unfilled(cfg, kind.build(), apps, TRACE_SEED);
     let digest = cmp_warmup_digest(&cfg, apps, kind, scale);
     let ops = per_core(scale.warmup, cfg.cores);
-    engine::warm_up(&mut sys, &opts, digest, label, "warmup-cmp", ops, CmpSystem::warm_run);
-    sys
+    engine::warm_up(unfilled, &opts, digest, label, "warmup-cmp", ops, CmpSystem::warm_run)
 }
 
 /// Runs one CMP scenario: [`warmed`], across the drain barrier with

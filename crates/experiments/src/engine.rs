@@ -10,7 +10,8 @@
 //! - the L4 resize-transient run ([`crate::runner::run_app_transient`]):
 //!   equal instruction windows;
 //! - the SMARTS interval jobs of [`crate::sampling`]: a system seeded
-//!   from snapshot bytes, fast-forwarded between detailed windows.
+//!   from a snapshot, streamed from the checkpoint store or held in
+//!   memory, fast-forwarded between detailed windows.
 //!
 //! A window's result is the exact difference of two [`Counters`]
 //! snapshots taken at its boundaries, and a phase is priced once, by
@@ -18,6 +19,7 @@
 //! inner loop is the trace generator feeding [`OooCore::execute`] plus
 //! the L4 resize cursor.
 
+use crate::checkpoint::{CheckpointStore, Checkpointed, PinGuard, Unserved};
 use crate::runner::{warmup_digest, L2Kind, RunOptions, Scale, WarmupMode, TRACE_SEED};
 use cpu::uop::TraceSource;
 use cpu::{CoreParams, CoreResult, OooCore};
@@ -27,9 +29,8 @@ use memsys::dramcache::L4Stats;
 use memsys::l1::CoreMemSystem;
 use memsys::org::{OrgReport, Organization};
 use simbase::digest::Digest;
-use simbase::snapshot::{Decoder, Encoder};
+use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simtel::TelemetrySink;
-use std::sync::Arc;
 use std::time::Instant;
 use workloads::{BenchProfile, TraceGenerator};
 
@@ -45,7 +46,7 @@ pub fn build(profile: BenchProfile, kind: &L2Kind) -> (System, TraceGenerator) {
     (core, gen)
 }
 
-/// [`build`] without the prefill: the system a [`save_arch`] payload is
+/// [`build`] without the prefill: the system a checkpoint payload is
 /// restored into, since the restore overwrites every byte a prefill
 /// would write.
 fn build_unfilled(profile: BenchProfile, kind: &L2Kind) -> (System, TraceGenerator) {
@@ -56,143 +57,177 @@ fn build_unfilled(profile: BenchProfile, kind: &L2Kind) -> (System, TraceGenerat
     (core, TraceGenerator::new(profile, TRACE_SEED))
 }
 
-/// Serialises the architectural state in checkpoint-payload order:
+/// Encodes the architectural state in checkpoint-payload order:
 /// generator, predictor, L1s, organization. Warm-up checkpoints and
 /// sampled-interval snapshots share this layout, so interval 0 of a
 /// sampled run *is* the ordinary warm-up checkpoint.
+fn save_into(core: &System, gen: &TraceGenerator, e: &mut Encoder<'_>) {
+    gen.save_state(e);
+    core.predictor().save_state(e);
+    core.mem().save_l1_state(e);
+    core.mem().lower().save_state(e);
+}
+
+/// The checkpoint payload of `core` and `gen`, in memory.
 pub fn save_arch(core: &System, gen: &TraceGenerator) -> Vec<u8> {
     let mut e = Encoder::new();
-    gen.save_state(&mut e);
-    core.predictor().save_state(&mut e);
-    core.mem().save_l1_state(&mut e);
-    core.mem().lower().save_state(&mut e);
+    save_into(core, gen, &mut e);
     e.into_bytes()
 }
 
-/// Serves `digest` from the checkpoint store in `opts`, building the
-/// payload with `build` on a miss, and marks the outcome on the wall
-/// channel as `simchk` `hit/<label>` or `miss/<label>`. Returns `None`
-/// without a store; the caller then warms up in place.
-fn checkpoint(
-    opts: &RunOptions<'_>,
-    digest: Digest,
-    label: &str,
-    build: impl FnOnce() -> Vec<u8>,
-) -> Option<Arc<Vec<u8>>> {
-    let store = opts.checkpoints?;
-    let (blob, hit) = store.get_or_build(digest, build);
+/// Marks a checkpoint request's outcome on the wall channel as `simchk`
+/// `hit/<label>` or `miss/<label>`.
+fn mark(opts: &RunOptions<'_>, hit: bool, label: &str) {
     if let Some(w) = opts.wall {
         let outcome = if hit { "hit" } else { "miss" };
         w.wall_mark("simchk", &format!("{outcome}/{label}"));
     }
-    Some(blob)
 }
 
 /// A system the engine warms up: the single-core system with its trace
 /// generator, or a CMP system.
-pub(crate) trait Warm {
+pub(crate) trait Warm: Checkpointed {
     /// Fills the organization to steady-state occupancy.
     fn prefill(&mut self);
+}
 
-    /// The architectural state, as checkpoint payload bytes.
-    fn save(&self) -> Vec<u8>;
+impl Checkpointed for (System, TraceGenerator) {
+    fn save(&self, e: &mut Encoder<'_>) {
+        save_into(&self.0, &self.1, e);
+    }
 
-    /// Restores a [`Warm::save`] payload into the unfilled system.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a payload of another configuration. The checkpoint store
-    /// verifies every blob's checksum and keys it by a digest of the whole
-    /// architectural configuration, so this only fires on a digest bug.
-    fn restore(&mut self, blob: &[u8]);
+    fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        let (core, gen) = self;
+        gen.load_state(d)?;
+        core.predictor_mut().load_state(d)?;
+        core.mem_mut().load_l1_state(d)?;
+        core.mem_mut().lower_mut().load_state(d)
+    }
 }
 
 impl Warm for (System, TraceGenerator) {
     fn prefill(&mut self) {
         self.0.mem_mut().lower_mut().prefill();
     }
-
-    fn save(&self) -> Vec<u8> {
-        save_arch(&self.0, &self.1)
-    }
-
-    fn restore(&mut self, blob: &[u8]) {
-        let (core, gen) = self;
-        let mut d = Decoder::new(blob);
-        gen.load_state(&mut d).expect("checkpoint: generator state");
-        core.predictor_mut()
-            .load_state(&mut d)
-            .expect("checkpoint: predictor state");
-        core.mem_mut()
-            .load_l1_state(&mut d)
-            .expect("checkpoint: L1 state");
-        core.mem_mut()
-            .lower_mut()
-            .load_state(&mut d)
-            .expect("checkpoint: lower-cache state");
-        d.finish().expect("checkpoint: trailing bytes");
-    }
 }
 
 /// The one warm-up path, taken by [`Phase::warmed`] and the CMP driver:
-/// `sys` arrives unfilled and leaves warm, ready for its drain barrier.
+/// returns a system built by `unfilled` and warmed, ready for its drain
+/// barrier.
 ///
-/// With a checkpoint store in `opts`, the payload keyed by `digest` is
-/// restored into `sys`. On a miss it is built first by warming `sys` in
-/// place, so cold and warm runs both come out of decoded bytes. Without a
-/// store `sys` is warmed in place. Warming in place prefills, then calls
-/// `run(sys, ops)`. The store's outcome is marked as `simchk`
+/// With a checkpoint store in `opts`, the checkpoint keyed by `digest` is
+/// streamed into the system. On a miss the system is warmed in place and
+/// streamed into the checkpoint's file, then restored from that file, so
+/// cold and warm runs both come out of decoded bytes. A stream that fails
+/// part-way leaves the system half-written, so it is dropped for a fresh
+/// unfilled one and warmed again. Without a store, or if the publish
+/// failed, the system stays warmed in place. Warming in place prefills,
+/// then calls `run(sys, ops)`. The store's outcome is marked as `simchk`
 /// `hit/<label>` or `miss/<label>`, and the wall time as a `cat` span
 /// named `<label>/<ops>-ops`.
 pub(crate) fn warm_up<S: Warm>(
-    sys: &mut S,
+    unfilled: impl Fn() -> S,
     opts: &RunOptions<'_>,
     digest: Digest,
     label: &str,
     cat: &'static str,
     ops: u64,
     run: impl Fn(&mut S, u64),
-) {
+) -> S {
     let t_warm = Instant::now();
     let warm = |sys: &mut S| {
         sys.prefill();
         run(sys, ops);
     };
-    match checkpoint(opts, digest, label, || {
-        warm(sys);
-        sys.save()
-    }) {
-        Some(blob) => sys.restore(&blob),
-        None => warm(sys),
+    let mut sys = unfilled();
+    match opts.checkpoints {
+        Some(store) => {
+            let hit = store.restore_or_build(digest, &mut sys, |s| *s = unfilled(), warm);
+            mark(opts, hit, label);
+            if !hit && store.restore(digest, &mut sys) == Err(Unserved::Damaged) {
+                sys = unfilled();
+                warm(&mut sys);
+            }
+        }
+        None => warm(&mut sys),
     }
     if let Some(w) = opts.wall {
         let name = format!("{label}/{ops}-ops");
         w.wall_span(cat, &name, t_warm.elapsed().as_nanos() as u64);
     }
+    sys
 }
 
-/// The architectural snapshots of `profile` on `kind` at each absolute
-/// trace offset of `points` (ascending), each keyed by its digest and
-/// marked `<app>@<offset>`. The checkpoint store in `opts` serves what it
-/// holds; every other snapshot is built by one functional system that
-/// advances from wherever the previous build left it.
-pub(crate) fn snapshots(
+/// Where a sampled interval's starting state comes from.
+pub(crate) enum Seed<'s> {
+    /// A snapshot file in the checkpoint store, pinned for the run, taken
+    /// at absolute trace offset `offset`.
+    Stored {
+        store: &'s CheckpointStore,
+        digest: Digest,
+        offset: u64,
+        _pin: PinGuard<'s>,
+    },
+    /// Snapshot bytes held in memory, when there is no store to stream
+    /// from.
+    Held(Vec<u8>),
+}
+
+/// One point of a sampled run's snapshot chain as the store serves it:
+/// a hit streams the stored file through its checksum without decoding
+/// it, and a miss publishes the state of the chain's functional system,
+/// which the build has advanced to the point.
+struct Point<'c>(&'c mut Option<(System, TraceGenerator)>);
+
+impl Checkpointed for Point<'_> {
+    fn save(&self, e: &mut Encoder<'_>) {
+        self.0.as_ref().expect("the chain reached the point").save(e);
+    }
+
+    fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        d.skip(d.remaining())
+    }
+}
+
+/// The seeds of `profile` on `kind` at each absolute trace offset of
+/// `points` (ascending), each keyed by its digest and marked
+/// `<app>@<offset>`. With a checkpoint store in `opts` each seed is a
+/// pinned file in the store: a file the store holds is a hit, and every
+/// other one is built by one functional system that advances from wherever
+/// the previous build left it. Without a store the same system's
+/// snapshots are held in memory.
+pub(crate) fn snapshots<'s>(
     profile: BenchProfile,
     kind: &L2Kind,
     points: &[(u64, Digest)],
-    opts: &RunOptions<'_>,
-) -> Vec<Arc<Vec<u8>>> {
-    let mut cur: Option<(System, TraceGenerator)> = None;
+    opts: &RunOptions<'s>,
+) -> Vec<Seed<'s>> {
+    let mut chain = None;
+    let advance = |chain: &mut Option<(System, TraceGenerator)>, abs| {
+        let (core, gen) = chain.get_or_insert_with(|| build(profile, kind));
+        core.warm_run_to(gen, abs);
+    };
     points
         .iter()
-        .map(|&(abs, digest)| {
-            let mut build = || {
-                let (core, gen) = cur.get_or_insert_with(|| build(profile, kind));
-                core.warm_run_to(gen, abs);
-                save_arch(core, gen)
-            };
-            let label = format!("{}@{abs}", profile.name);
-            checkpoint(opts, digest, &label, &mut build).unwrap_or_else(|| Arc::new(build()))
+        .map(|&(abs, digest)| match opts.checkpoints {
+            Some(store) => {
+                let pin = store.pin(digest);
+                let hit = store.restore_or_build(digest, &mut Point(&mut chain), |_| {}, |p| {
+                    advance(p.0, abs)
+                });
+                mark(opts, hit, &format!("{}@{abs}", profile.name));
+                Seed::Stored {
+                    store,
+                    digest,
+                    offset: abs,
+                    _pin: pin,
+                }
+            }
+            None => {
+                advance(&mut chain, abs);
+                let (core, gen) = chain.as_ref().expect("just advanced");
+                Seed::Held(save_arch(core, gen))
+            }
         })
         .collect()
 }
@@ -297,7 +332,6 @@ impl<'k> Phase<'k> {
         snap_every: u64,
         opts: RunOptions<'_>,
     ) -> Phase<'k> {
-        let mut sys = build_unfilled(profile, kind);
         let digest = warmup_digest(&profile, kind, scale);
         let cat = match opts.mode {
             WarmupMode::FastForward => "warmup-ff",
@@ -307,8 +341,8 @@ impl<'k> Phase<'k> {
             WarmupMode::FastForward => core.warm_run(gen, n),
             WarmupMode::Timed => core.run(gen, n),
         };
-        warm_up(&mut sys, &opts, digest, profile.name, cat, scale.warmup, run);
-        let (core, gen) = sys;
+        let unfilled = || build_unfilled(profile, kind);
+        let (core, gen) = warm_up(unfilled, &opts, digest, profile.name, cat, scale.warmup, run);
         Phase::at_barrier(core, gen, kind.resize_schedule(), sink, snap_every)
     }
 
@@ -316,7 +350,28 @@ impl<'k> Phase<'k> {
     /// barrier: a sampled interval's start. No resize schedule applies.
     pub fn seeded(profile: BenchProfile, kind: &L2Kind, blob: &[u8]) -> Phase<'static> {
         let mut sys = build_unfilled(profile, kind);
-        sys.restore(blob);
+        let mut d = Decoder::new(blob);
+        sys.restore(&mut d)
+            .and_then(|()| d.finish())
+            .expect("snapshot bytes of this configuration");
+        let (core, gen) = sys;
+        Phase::at_barrier(core, gen, &[], &TelemetrySink::disabled(), 0)
+    }
+
+    /// [`Phase::seeded`] from a sampled interval's [`Seed`]: a stored
+    /// seed streams from its file.
+    pub(crate) fn from_seed(profile: BenchProfile, kind: &L2Kind, seed: &Seed<'_>) -> Phase<'static> {
+        let (store, digest, offset) = match seed {
+            Seed::Held(blob) => return Phase::seeded(profile, kind, blob),
+            Seed::Stored { store, digest, offset, .. } => (store, *digest, *offset),
+        };
+        let mut sys = build_unfilled(profile, kind);
+        if store.restore(digest, &mut sys).is_err() {
+            // The pinned file went missing or bad under another process:
+            // derive its state again, functionally.
+            sys = build(profile, kind);
+            sys.0.warm_run_to(&mut sys.1, offset);
+        }
         let (core, gen) = sys;
         Phase::at_barrier(core, gen, &[], &TelemetrySink::disabled(), 0)
     }

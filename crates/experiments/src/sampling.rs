@@ -24,11 +24,14 @@
 //!    sequential functional prefix pass (interval k's snapshot continues
 //!    from where interval k−1's left off) and keyed by
 //!    [`interval_digest`] in the [`crate::CheckpointStore`], so a warm store
-//!    skips the prefix entirely. The detailed intervals then run as
-//!    independent jobs on [`simsched::pool`], whose results come back in
-//!    job order for any thread count; stitching is therefore plain
-//!    concatenation in trace order, and the merged result is
-//!    bit-identical across 1/2/8 threads and cold/warm stores. The pool
+//!    skips the prefix entirely. With a store each interval streams its
+//!    snapshot from the store's file, so no snapshot is held in memory;
+//!    without one the prefix pass holds them for the run. The detailed
+//!    intervals then run as independent jobs on [`simsched::pool`],
+//!    whose results come back in job order for any thread count;
+//!    stitching is therefore plain concatenation in trace order, and the
+//!    merged result is bit-identical across 1/2/8 threads and cold/warm
+//!    stores. The pool
 //!    has one level of parallelism: a sampled run that is itself a pool
 //!    job (every run a [`crate::exps::Sweep`] prefetches) executes its
 //!    intervals in order on the worker that owns it, so a sweep of `T`
@@ -47,12 +50,11 @@
 //! it. The estimator trades that for timing fidelity inside the windows
 //! only — the documented, quantified sampling error (`--exp sampling`).
 
-use crate::engine::{self, Counters, Phase};
+use crate::engine::{self, Counters, Phase, Seed};
 use crate::runner::{warmup_digest, AppRun, L2Kind, RunOptions, Scale};
 use simbase::digest::{Digest, Hasher128, Tag};
 use simsched::pool;
 use simtel::Telemetry;
-use std::sync::Arc;
 use std::time::Instant;
 use workloads::BenchProfile;
 
@@ -380,7 +382,7 @@ pub fn run_app_sampled(
             (abs, digest)
         })
         .collect();
-    let blobs = engine::snapshots(profile, kind, &points, &opts);
+    let seeds = engine::snapshots(profile, kind, &points, &opts);
     if let Some(w) = opts.wall {
         // The sampling-overhead track: how much wall time the snapshot
         // chain (the part a warm store eliminates) cost this run.
@@ -398,9 +400,9 @@ pub fn run_app_sampled(
     let wall = opts.wall;
     let jobs: Vec<_> = (0..k)
         .map(|i| {
-            let blob = Arc::clone(&blobs[i as usize]);
+            let seed = &seeds[i as usize];
             let (first, last) = (w0(i), w0(i + 1));
-            move || run_interval(profile, kind, scale, spec, &blob, first, last, wall)
+            move || run_interval(profile, kind, scale, spec, seed, first, last, wall)
         })
         .collect();
     let observations: Vec<WindowObs> =
@@ -431,7 +433,7 @@ pub fn run_app_sampled(
     }
 }
 
-/// Seeds one interval from its snapshot bytes, crosses the same drain
+/// Seeds one interval from its snapshot, crosses the same drain
 /// barrier as every unsampled run (DESIGN.md §11), and executes its
 /// windows: functional fast-forward to each period start, a discarded
 /// detailed pipeline warm-up, then the observed ops as one window delta.
@@ -441,12 +443,12 @@ fn run_interval(
     kind: &L2Kind,
     scale: Scale,
     spec: SampleSpec,
-    blob: &[u8],
+    seed: &Seed<'_>,
     first: u64,
     last: u64,
     wall: Option<&Telemetry>,
 ) -> Vec<WindowObs> {
-    let mut phase = Phase::seeded(profile, kind, blob);
+    let mut phase = Phase::from_seed(profile, kind, seed);
     (first..last)
         .map(|w| {
             let start = w * spec.period;

@@ -1,6 +1,6 @@
 //! Versioned binary checkpoint codec for architectural state.
 //!
-//! The warm-up engine (`experiments::runner`) snapshots the complete
+//! The warm-up engine (`experiments::engine`) snapshots the complete
 //! architectural state of a warmed system — tag arrays, d-group contents,
 //! LRU orders, forward/reverse pointers, RNG streams — so later runs that
 //! share a warm-up configuration can restore it instead of re-warming.
@@ -41,9 +41,18 @@
 //! The `*_into` readers decode a slice into a buffer the caller already
 //! owns and reject a stored length that differs from it, so a restore
 //! neither allocates nor repeats the geometry check by hand.
+//!
+//! Both ends also stream, so a container never has to be whole in memory.
+//! [`seal_streamed`] encodes a payload straight into a writer, and
+//! [`Decoder::stream`] decodes one straight from a reader; each holds one
+//! [`CHUNK`] of payload at a time and folds the checksum as the bytes
+//! pass. The bytes are those [`seal_into`] writes and [`open`] reads. A
+//! streaming decoder meets the checksum only at [`Decoder::finish`], after
+//! the owner has decoded every field into its target, so after any error
+//! from a stream the target is half-written and must be discarded.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
 /// Container magic: "SIMCHK" plus a two-byte layout revision.
 pub const MAGIC: [u8; 8] = *b"SIMCHK\x00\x02";
@@ -54,10 +63,18 @@ const HEADER: usize = 8 + 4 + 8;
 /// Bytes of framing around a payload (header + checksum).
 pub const OVERHEAD: usize = HEADER + 16;
 
+/// Payload bytes a streaming [`Encoder`] or [`Decoder`] holds at once.
+pub const CHUNK: usize = 64 << 10;
+
+/// Bytes per checksum stripe. Streams hand the lanes whole stripes, so
+/// the fold is the one [`seal_into`] computes over the whole payload.
+const STRIPE: usize = 32;
+
 /// Why a snapshot failed to open or decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The byte stream ended before the declared content did.
+    /// The byte stream ended before the declared content did. A streaming
+    /// decoder also reports a failed read this way.
     Truncated,
     /// The container does not start with [`MAGIC`].
     BadMagic,
@@ -128,7 +145,7 @@ impl Lanes {
     }
 
     #[inline(always)]
-    fn stripe(&mut self, s: &[u8; 32]) {
+    fn stripe(&mut self, s: &[u8; STRIPE]) {
         for (i, lane) in self.0.iter_mut().enumerate() {
             let word = u64::from_le_bytes(s[8 * i..8 * i + 8].try_into().expect("8 bytes"));
             *lane = round(*lane, word);
@@ -136,18 +153,30 @@ impl Lanes {
     }
 
     /// Absorbs `bytes` stripe by stripe, the tail zero-padded to a last
-    /// stripe.
+    /// stripe. Only the last piece of a section may end mid-stripe.
     fn absorb(&mut self, bytes: &[u8]) {
-        let mut stripes = bytes.chunks_exact(32);
+        let mut stripes = bytes.chunks_exact(STRIPE);
         for s in &mut stripes {
             self.stripe(s.try_into().expect("32 bytes"));
         }
         let tail = stripes.remainder();
         if !tail.is_empty() {
-            let mut last = [0u8; 32];
+            let mut last = [0u8; STRIPE];
             last[..tail.len()].copy_from_slice(tail);
             self.stripe(&last);
         }
+    }
+
+    /// The checksum of the `covered` bytes absorbed so far.
+    fn digest(&self, covered: usize) -> [u8; 16] {
+        let covered = covered as u64;
+        let [a, b, c, d] = self.0;
+        let lo = fold([a, b, c, d], covered);
+        let hi = fold([d, c, b, a], covered ^ P3);
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&lo.to_le_bytes());
+        out[8..].copy_from_slice(&hi.to_le_bytes());
+        out
     }
 }
 
@@ -156,46 +185,23 @@ fn checksum(header: &[u8], payload: &[u8]) -> [u8; 16] {
     let mut lanes = Lanes::new();
     lanes.absorb(header);
     lanes.absorb(payload);
-    let covered = (header.len() + payload.len()) as u64;
-    let [a, b, c, d] = lanes.0;
-    let lo = fold([a, b, c, d], covered);
-    let hi = fold([d, c, b, a], covered ^ P3);
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&lo.to_le_bytes());
-    out[8..].copy_from_slice(&hi.to_le_bytes());
-    out
+    lanes.digest(header.len() + payload.len())
 }
 
-/// Writes `payload` to `w` as a versioned, checksummed container,
-/// without copying the payload into a sealed buffer first.
-///
-/// # Errors
-///
-/// Propagates the first write error.
-pub fn seal_into(w: &mut impl Write, version: u32, payload: &[u8]) -> io::Result<()> {
+/// The container header of a `len`-byte payload.
+fn header(version: u32, len: usize) -> [u8; HEADER] {
     let mut header = [0u8; HEADER];
     header[..8].copy_from_slice(&MAGIC);
     header[8..12].copy_from_slice(&version.to_le_bytes());
-    header[12..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.write_all(&checksum(&header, payload))
+    header[12..].copy_from_slice(&(len as u64).to_le_bytes());
+    header
 }
 
-/// Wraps `payload` in the versioned, checksummed container.
-pub fn seal(version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + OVERHEAD);
-    seal_into(&mut out, version, payload).expect("writing to a Vec cannot fail");
-    out
-}
-
-/// Validates a sealed container and returns its payload slice.
-///
-/// Checks, in order: magic, version, declared length against the actual
-/// byte count, and the trailing checksum. The checks are ordered so the
-/// most informative error wins — a snapshot from an older codec reports
+/// Checks as much of a container's header as `bytes` holds and returns
+/// the declared payload length. The checks are ordered so the most
+/// informative error wins — a snapshot from an older codec reports
 /// [`SnapshotError::VersionMismatch`], not a checksum failure.
-pub fn open(bytes: &[u8], expected_version: u32) -> Result<&[u8], SnapshotError> {
+fn parse_header(bytes: &[u8], expected_version: u32) -> Result<usize, SnapshotError> {
     if bytes.len() < 8 {
         return Err(if bytes == &MAGIC[..bytes.len()] {
             SnapshotError::Truncated
@@ -213,10 +219,85 @@ pub fn open(bytes: &[u8], expected_version: u32) -> Result<&[u8], SnapshotError>
     if version != expected_version {
         return Err(SnapshotError::VersionMismatch { found: version, expected: expected_version });
     }
-    let len = u64::from_le_bytes(bytes[12..HEADER].try_into().expect("8 bytes")) as usize;
-    let Some(total) = len.checked_add(OVERHEAD) else {
-        return Err(SnapshotError::Malformed("payload length overflows"));
-    };
+    let len = u64::from_le_bytes(bytes[12..HEADER].try_into().expect("8 bytes"));
+    match usize::try_from(len).ok().and_then(|n| n.checked_add(OVERHEAD)) {
+        Some(_) => Ok(len as usize),
+        None => Err(SnapshotError::Malformed("payload length overflows")),
+    }
+}
+
+/// Writes `payload` to `w` as a versioned, checksummed container,
+/// without copying the payload into a sealed buffer first.
+///
+/// # Errors
+///
+/// Propagates the first write error.
+pub fn seal_into(w: &mut impl Write, version: u32, payload: &[u8]) -> io::Result<()> {
+    let header = header(version, payload.len());
+    w.write_all(&header)?;
+    w.write_all(payload)?;
+    w.write_all(&checksum(&header, payload))
+}
+
+/// Wraps `payload` in the versioned, checksummed container.
+pub fn seal(version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + OVERHEAD);
+    seal_into(&mut out, version, payload).expect("writing to a Vec cannot fail");
+    out
+}
+
+/// Seals the payload `fill` encodes straight into `w`, holding at most
+/// [`CHUNK`] payload bytes at once, and writes exactly what [`seal_into`]
+/// writes for that payload. The header carries the payload length, so
+/// `fill` runs twice: once to size the payload, once to write it. It must
+/// encode the same bytes both times.
+///
+/// # Errors
+///
+/// Propagates the first write error, and fails with
+/// [`io::ErrorKind::InvalidData`] if the two passes differ in length.
+pub fn seal_streamed(
+    w: &mut impl Write,
+    version: u32,
+    fill: impl Fn(&mut Encoder<'_>),
+) -> io::Result<()> {
+    let mut sizing = Encoder::chunked(Vec::with_capacity(CHUNK), None);
+    fill(&mut sizing);
+    let len = sizing.len();
+    let mut buf = sizing.buf;
+    buf.clear();
+
+    let header = header(version, len);
+    w.write_all(&header)?;
+    let mut lanes = Lanes::new();
+    lanes.absorb(&header);
+    let mut e = Encoder::chunked(buf, Some(Sink { w, lanes, failed: None }));
+    fill(&mut e);
+    let written = e.len();
+    e.spill_all();
+    let Sink { lanes, failed, .. } = e.sink.take().expect("a sealing encoder keeps its sink");
+    drop(e);
+    if let Some(err) = failed {
+        return Err(err);
+    }
+    if written != len {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "the payload changed length between the sizing and the writing pass",
+        ));
+    }
+    w.write_all(&lanes.digest(HEADER + len))
+}
+
+/// Validates a sealed container and returns its payload slice.
+///
+/// Checks, in order: magic, version, declared length against the actual
+/// byte count, and the trailing checksum. The checks are ordered so the
+/// most informative error wins — a snapshot from an older codec reports
+/// [`SnapshotError::VersionMismatch`], not a checksum failure.
+pub fn open(bytes: &[u8], expected_version: u32) -> Result<&[u8], SnapshotError> {
+    let len = parse_header(bytes, expected_version)?;
+    let total = len + OVERHEAD;
     if bytes.len() < total {
         return Err(SnapshotError::Truncated);
     }
@@ -231,60 +312,144 @@ pub fn open(bytes: &[u8], expected_version: u32) -> Result<&[u8], SnapshotError>
     Ok(payload)
 }
 
-/// [`open`] over an owned container: on success the envelope is stripped
-/// in place and the buffer becomes the payload, with no second copy.
-pub fn open_owned(mut bytes: Vec<u8>, expected_version: u32) -> Result<Vec<u8>, SnapshotError> {
-    let len = open(&bytes, expected_version)?.len();
-    bytes.truncate(HEADER + len);
-    bytes.drain(..HEADER);
-    Ok(bytes)
+/// Where a sealing [`Encoder`] sends its payload: the writer, and the
+/// checksum lanes folded over every byte handed to it.
+struct Sink<'a> {
+    w: &'a mut dyn Write,
+    lanes: Lanes,
+    /// The first write error; later writes are skipped.
+    failed: Option<io::Error>,
+}
+
+impl Sink<'_> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.lanes.absorb(bytes);
+        if self.failed.is_none() {
+            if let Err(err) = self.w.write_all(bytes) {
+                self.failed = Some(err);
+            }
+        }
+    }
 }
 
 /// Little-endian primitive writer for snapshot payloads.
-#[derive(Debug, Default)]
-pub struct Encoder {
+///
+/// [`Encoder::new`] collects the payload in memory. Inside
+/// [`seal_streamed`] an encoder instead holds at most [`CHUNK`] bytes and
+/// hands whole checksum stripes on to the writer as it fills.
+pub struct Encoder<'a> {
     buf: Vec<u8>,
+    /// Payload bytes handed on ahead of `buf`.
+    spilled: usize,
+    /// The most bytes `buf` holds: unbounded in memory, [`CHUNK`] when
+    /// streaming.
+    limit: usize,
+    /// The writer of a sealing encoder; a sizing one has none and drops
+    /// what it spills.
+    sink: Option<Sink<'a>>,
 }
 
-impl Encoder {
+impl fmt::Debug for Encoder<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Encoder")
+            .field("len", &self.len())
+            .field("streaming", &(self.limit == CHUNK))
+            .finish()
+    }
+}
+
+impl Default for Encoder<'_> {
+    fn default() -> Self {
+        Encoder {
+            buf: Vec::new(),
+            spilled: 0,
+            limit: usize::MAX,
+            sink: None,
+        }
+    }
+}
+
+impl<'a> Encoder<'a> {
     /// A fresh, empty encoder.
     pub fn new() -> Self {
         Encoder::default()
     }
 
-    /// The encoded payload.
+    /// An encoder that holds at most [`CHUNK`] bytes in `buf`.
+    fn chunked(buf: Vec<u8>, sink: Option<Sink<'a>>) -> Self {
+        Encoder {
+            buf,
+            spilled: 0,
+            limit: CHUNK,
+            sink,
+        }
+    }
+
+    /// The encoded payload of an in-memory encoder.
     pub fn into_bytes(self) -> Vec<u8> {
+        debug_assert_eq!(self.spilled, 0, "a streaming encoder's payload is not in memory");
         self.buf
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.spilled + self.buf.len()
     }
 
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    /// Hands every whole stripe in `buf` on, keeping the tail.
+    #[cold]
+    fn spill(&mut self) {
+        let n = self.buf.len() / STRIPE * STRIPE;
+        if let Some(sink) = &mut self.sink {
+            sink.write(&self.buf[..n]);
+        }
+        self.spilled += n;
+        self.buf.drain(..n);
+    }
+
+    /// Hands the whole buffer on, its tail as the payload's last stripe.
+    fn spill_all(&mut self) {
+        if let Some(sink) = &mut self.sink {
+            sink.write(&self.buf);
+        }
+        self.spilled += self.buf.len();
+        self.buf.clear();
+    }
+
+    /// Makes room for `n` more bytes (at most one stripe).
+    #[inline(always)]
+    fn reserve(&mut self, n: usize) {
+        if self.buf.len() + n > self.limit {
+            self.spill();
+        }
     }
 
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
+        self.reserve(1);
         self.buf.push(v);
     }
 
     /// Writes a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
+        self.reserve(4);
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
+        self.reserve(8);
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `bool` as one byte (0 or 1).
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+        self.put_u8(v as u8);
     }
 
     /// Writes a `usize` as a `u64` (platform-independent framing).
@@ -292,26 +457,54 @@ impl Encoder {
         self.put_u64(v as u64);
     }
 
+    /// Writes `bytes` as they are, with no length prefix.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            if self.buf.len() == self.limit {
+                self.spill();
+            }
+            let (now, later) = rest.split_at(rest.len().min(self.limit - self.buf.len()));
+            self.buf.extend_from_slice(now);
+            rest = later;
+        }
+    }
+
+    /// Writes `vs` as `W`-byte words, as many at a time as the buffer
+    /// holds: in memory, all of them at once.
+    #[inline(always)]
+    fn put_words<T: Copy, const W: usize>(&mut self, vs: &[T], le: impl Fn(T) -> [u8; W]) {
+        let mut rest = vs;
+        while !rest.is_empty() {
+            let fit = (self.limit - self.buf.len()) / W;
+            if fit == 0 {
+                self.spill();
+                continue;
+            }
+            let (now, later) = rest.split_at(fit.min(rest.len()));
+            for &v in now {
+                self.buf.extend_from_slice(&le(v));
+            }
+            rest = later;
+        }
+    }
+
     /// Writes a length-prefixed byte slice.
     pub fn put_u8_slice(&mut self, vs: &[u8]) {
         self.put_len(vs.len());
-        self.buf.extend_from_slice(vs);
+        self.put_bytes(vs);
     }
 
     /// Writes a length-prefixed `u64` slice.
     pub fn put_u64_slice(&mut self, vs: &[u64]) {
         self.put_len(vs.len());
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        self.put_words(vs, u64::to_le_bytes);
     }
 
     /// Writes a length-prefixed `u32` slice.
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.put_len(vs.len());
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        self.put_words(vs, u32::to_le_bytes);
     }
 
     /// Writes a length-prefixed *section*: `fill` populates a nested
@@ -320,41 +513,191 @@ impl Encoder {
     /// [`Decoder::section`]; one that doesn't can still skip it, which
     /// is what lets a snapshot owner append optional trailing sections
     /// without breaking older readers. An empty `fill` writes a valid
-    /// zero-length section (just the 8-byte length prefix).
-    pub fn put_section(&mut self, fill: impl FnOnce(&mut Encoder)) {
+    /// zero-length section (just the 8-byte length prefix). The nested
+    /// encoder is in memory, so a section is held whole while it is built.
+    pub fn put_section(&mut self, fill: impl FnOnce(&mut Encoder<'_>)) {
         let mut inner = Encoder::new();
         fill(&mut inner);
         self.put_u8_slice(&inner.buf);
     }
 }
 
+/// A container read through one chunk: the payload bytes buffered in
+/// `buf[pos..end]`, `unread` more behind them in the reader, and the
+/// checksum folded over every byte read so far.
+struct Stream<'a> {
+    buf: Box<[u8]>,
+    pos: usize,
+    end: usize,
+    unread: usize,
+    /// The reader and its envelope; `None` for a section copied out of a
+    /// stream, whose bytes are all in `buf`.
+    src: Option<Source<'a>>,
+}
+
+struct Source<'a> {
+    r: &'a mut dyn Read,
+    lanes: Lanes,
+    /// Header and payload bytes the checksum covers.
+    covered: usize,
+}
+
+impl<'a> Stream<'a> {
+    /// Buffers at least `n` bytes (at most one stripe), moving the
+    /// unconsumed ones to the front and reading whole stripes behind them.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, n: usize) -> Result<(), SnapshotError> {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        let src = match &mut self.src {
+            Some(src) if self.unread > 0 => src,
+            _ => return Err(SnapshotError::Truncated),
+        };
+        let room = (self.buf.len() - self.end) / STRIPE * STRIPE;
+        let got = &mut self.buf[self.end..self.end + room.min(self.unread)];
+        src.r.read_exact(got).map_err(|_| SnapshotError::Truncated)?;
+        src.lanes.absorb(got);
+        self.end += got.len();
+        self.unread -= got.len();
+        if self.end < n {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(())
+    }
+
+    /// The next `N` bytes, if they are buffered.
+    #[inline(always)]
+    fn buffered<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let head = *self.buf[self.pos..self.end].first_chunk::<N>()?;
+        self.pos += N;
+        Some(head)
+    }
+
+    /// The next run of at most `max` bytes: at least `w` of them, and a
+    /// multiple of `w`.
+    fn window(&mut self, max: usize, w: usize) -> Result<&[u8], SnapshotError> {
+        if self.end - self.pos < w {
+            self.fill(w)?;
+        }
+        let n = max.min((self.end - self.pos) / w * w);
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
+    }
+
+    fn remaining(&self) -> usize {
+        self.end - self.pos + self.unread
+    }
+
+    /// Fails unless the payload was consumed exactly; then checks the
+    /// stored checksum and that nothing follows it.
+    fn finish(self) -> Result<(), SnapshotError> {
+        if self.remaining() != 0 {
+            return Err(SnapshotError::Malformed("unconsumed payload bytes"));
+        }
+        let Some(src) = self.src else { return Ok(()) };
+        let mut stored = [0u8; 16];
+        src.r.read_exact(&mut stored).map_err(|_| SnapshotError::Truncated)?;
+        if src.lanes.digest(src.covered) != stored {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
+        let mut probe = [0u8; 1];
+        loop {
+            return match src.r.read(&mut probe) {
+                Ok(0) => Ok(()),
+                Ok(_) => Err(SnapshotError::Malformed("trailing bytes after checksum")),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => Err(SnapshotError::Truncated),
+            };
+        }
+    }
+}
+
 /// Bounds-checked little-endian reader over a snapshot payload.
-#[derive(Debug)]
+///
+/// [`Decoder::new`] reads a payload slice in memory. [`Decoder::stream`]
+/// reads a whole container from a reader through one [`CHUNK`]: reads of
+/// bytes already buffered take the fast path, and only a read that runs
+/// past the buffer refills it.
 pub struct Decoder<'a> {
+    /// The unread payload of a slice decoder; empty when streaming.
     bytes: &'a [u8],
+    stream: Option<Stream<'a>>,
+}
+
+impl fmt::Debug for Decoder<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decoder")
+            .field("remaining", &self.remaining())
+            .field("streaming", &self.stream.is_some())
+            .finish()
+    }
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder over `bytes` (typically the slice [`open`] returned).
     pub fn new(bytes: &'a [u8]) -> Self {
-        Decoder { bytes }
+        Decoder { bytes, stream: None }
+    }
+
+    /// A decoder over the payload of the container `r` reads, through one
+    /// [`CHUNK`]-byte buffer (its only allocation). The header is checked
+    /// here as [`open`] checks it; the checksum and the end of the
+    /// container are checked by [`Decoder::finish`], so after any error
+    /// the target the payload was decoded into is half-written.
+    ///
+    /// # Errors
+    ///
+    /// `BadMagic`, `VersionMismatch`, `Truncated` or `Malformed` for a
+    /// header that [`open`] would refuse.
+    pub fn stream<R: Read>(r: &'a mut R, expected_version: u32) -> Result<Self, SnapshotError> {
+        let mut header = [0u8; HEADER];
+        let mut got = 0;
+        while got < HEADER {
+            match r.read(&mut header[got..]) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(SnapshotError::Truncated),
+            }
+        }
+        let len = parse_header(&header[..got], expected_version)?;
+        let mut lanes = Lanes::new();
+        lanes.absorb(&header);
+        Ok(Decoder {
+            bytes: &[],
+            stream: Some(Stream {
+                buf: vec![0; CHUNK].into_boxed_slice(),
+                pos: 0,
+                end: 0,
+                unread: len,
+                src: Some(Source {
+                    r,
+                    lanes,
+                    covered: HEADER + len,
+                }),
+            }),
+        })
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.bytes.len()
+        self.bytes.len() + self.stream.as_ref().map_or(0, Stream::remaining)
     }
 
     /// Fails unless every byte was consumed — catches payload/decoder
-    /// drift that would otherwise misalign every later field.
+    /// drift that would otherwise misalign every later field. A streaming
+    /// decoder then checks the container's checksum and end.
     pub fn finish(self) -> Result<(), SnapshotError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Malformed("unconsumed payload bytes"))
+        if !self.bytes.is_empty() {
+            return Err(SnapshotError::Malformed("unconsumed payload bytes"));
         }
+        self.stream.map_or(Ok(()), Stream::finish)
     }
 
+    /// The next `n` bytes of a slice decoder.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.bytes.len() < n {
             return Err(SnapshotError::Truncated);
@@ -364,19 +707,76 @@ impl<'a> Decoder<'a> {
         Ok(head)
     }
 
+    /// The next `N` bytes, converted by `from`. Bytes already in memory,
+    /// in the slice or in the stream's chunk, are read without a call, so
+    /// a read that needs no refill keeps no stack frame.
+    #[inline(always)]
+    fn read<T, const N: usize>(&mut self, from: impl Fn([u8; N]) -> T) -> Result<T, SnapshotError> {
+        if let Some((head, tail)) = self.bytes.split_first_chunk::<N>() {
+            self.bytes = tail;
+            return Ok(from(*head));
+        }
+        if let Some(head) = self.stream.as_mut().and_then(Stream::buffered) {
+            return Ok(from(head));
+        }
+        self.refill_read(from)
+    }
+
+    /// [`Decoder::read`] once the buffered bytes run out: refills a
+    /// stream's chunk, or fails a slice decoder.
+    #[cold]
+    #[inline(never)]
+    fn refill_read<T, const N: usize>(
+        &mut self,
+        from: impl Fn([u8; N]) -> T,
+    ) -> Result<T, SnapshotError> {
+        let s = self.stream.as_mut().ok_or(SnapshotError::Truncated)?;
+        s.fill(N)?;
+        Ok(from(s.buffered().expect("just filled")))
+    }
+
+    /// The next run of at most `max` bytes, a multiple of `w`: all `max`
+    /// at once from a slice, the buffered part of them from a stream.
+    #[inline]
+    fn window(&mut self, max: usize, w: usize) -> Result<&[u8], SnapshotError> {
+        if self.stream.is_none() {
+            return self.take(max);
+        }
+        self.stream.as_mut().expect("a streaming decoder").window(max, w)
+    }
+
+    /// Decodes `dst.len()` little-endian `W`-byte words into `dst`.
+    #[inline(always)]
+    fn words_into<T, const W: usize>(
+        &mut self,
+        dst: &mut [T],
+        from: impl Fn([u8; W]) -> T,
+    ) -> Result<(), SnapshotError> {
+        let mut done = 0;
+        while done < dst.len() {
+            let src = self.window((dst.len() - done) * W, W)?;
+            let n = src.len() / W;
+            for (v, b) in dst[done..done + n].iter_mut().zip(src.chunks_exact(W)) {
+                *v = from(b.try_into().expect("W bytes"));
+            }
+            done += n;
+        }
+        Ok(())
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        self.read(|[b]: [u8; 1]| b)
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.read(u32::from_le_bytes)
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        self.read(u64::from_le_bytes)
     }
 
     /// Reads a `bool`, rejecting anything but 0 or 1.
@@ -393,34 +793,60 @@ impl<'a> Decoder<'a> {
     /// huge allocation.
     pub fn len(&mut self) -> Result<usize, SnapshotError> {
         let v = self.u64()?;
-        if v > self.bytes.len() as u64 {
+        if v > self.remaining() as u64 {
             return Err(SnapshotError::Malformed("length exceeds remaining bytes"));
         }
         Ok(v as usize)
     }
 
+    /// Reads `dst.len()` bytes as they are, with no length prefix.
+    pub fn bytes_into(&mut self, dst: &mut [u8]) -> Result<(), SnapshotError> {
+        let mut done = 0;
+        while done < dst.len() {
+            let src = self.window(dst.len() - done, 1)?;
+            dst[done..done + src.len()].copy_from_slice(src);
+            done += src.len();
+        }
+        Ok(())
+    }
+
+    /// Consumes `n` bytes unread (a streaming decoder still folds them
+    /// into the checksum).
+    pub fn skip(&mut self, n: usize) -> Result<(), SnapshotError> {
+        let mut left = n;
+        while left > 0 {
+            left -= self.window(left, 1)?.len();
+        }
+        Ok(())
+    }
+
     /// Reads a length-prefixed byte slice.
     pub fn u8_slice(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
+        let mut v = vec![0; self.len()?];
+        self.bytes_into(&mut v)?;
+        Ok(v)
     }
 
     /// Reads a length-prefixed `u64` slice.
     pub fn u64_slice(&mut self) -> Result<Vec<u64>, SnapshotError> {
         let n = self.u64()?;
-        if n > (self.bytes.len() / 8) as u64 {
+        if n > (self.remaining() / 8) as u64 {
             return Err(SnapshotError::Malformed("length exceeds remaining bytes"));
         }
-        (0..n).map(|_| self.u64()).collect()
+        let mut v = vec![0; n as usize];
+        self.words_into(&mut v, u64::from_le_bytes)?;
+        Ok(v)
     }
 
     /// Reads a length-prefixed `u32` slice.
     pub fn u32_slice(&mut self) -> Result<Vec<u32>, SnapshotError> {
         let n = self.u64()?;
-        if n > (self.bytes.len() / 4) as u64 {
+        if n > (self.remaining() / 4) as u64 {
             return Err(SnapshotError::Malformed("length exceeds remaining bytes"));
         }
-        (0..n).map(|_| self.u32()).collect()
+        let mut v = vec![0; n as usize];
+        self.words_into(&mut v, u32::from_le_bytes)?;
+        Ok(v)
     }
 
     /// Reads the length prefix of a slice that must hold exactly `want`
@@ -437,30 +863,21 @@ impl<'a> Decoder<'a> {
     /// instead of building a second copy beside them.
     pub fn u8_slice_into(&mut self, dst: &mut [u8]) -> Result<(), SnapshotError> {
         self.slice_len(dst.len())?;
-        dst.copy_from_slice(self.take(dst.len())?);
-        Ok(())
+        self.bytes_into(dst)
     }
 
     /// Reads a length-prefixed `u32` slice into `dst`, which must have the
     /// stored length.
     pub fn u32_slice_into(&mut self, dst: &mut [u32]) -> Result<(), SnapshotError> {
         self.slice_len(dst.len())?;
-        let src = self.take(dst.len() * 4)?;
-        for (v, b) in dst.iter_mut().zip(src.chunks_exact(4)) {
-            *v = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-        }
-        Ok(())
+        self.words_into(dst, u32::from_le_bytes)
     }
 
     /// Reads a length-prefixed `u64` slice into `dst`, which must have the
     /// stored length.
     pub fn u64_slice_into(&mut self, dst: &mut [u64]) -> Result<(), SnapshotError> {
         self.slice_len(dst.len())?;
-        let src = self.take(dst.len() * 8)?;
-        for (v, b) in dst.iter_mut().zip(src.chunks_exact(8)) {
-            *v = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        }
-        Ok(())
+        self.words_into(dst, u64::from_le_bytes)
     }
 
     /// Reads a length-prefixed `u32` slice of at most `max` elements into
@@ -471,10 +888,9 @@ impl<'a> Decoder<'a> {
         if n > max as u64 {
             return Err(SnapshotError::Malformed("slice longer than its bound"));
         }
-        let src = self.take(n as usize * 4)?;
         dst.clear();
-        dst.extend(src.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))));
-        Ok(())
+        dst.resize(n as usize, 0);
+        self.words_into(dst, u32::from_le_bytes)
     }
 
     /// Reads a section written by [`Encoder::put_section`], returning a
@@ -484,9 +900,24 @@ impl<'a> Decoder<'a> {
     /// sub-decoder whose [`Decoder::finish`] succeeds immediately; the
     /// length prefix is bounds-checked like every other length, so a
     /// corrupt prefix fails here rather than overrunning the payload.
+    /// A streaming decoder copies the section out of its stream.
     pub fn section(&mut self) -> Result<Decoder<'a>, SnapshotError> {
         let n = self.len()?;
-        Ok(Decoder::new(self.take(n)?))
+        if self.stream.is_none() {
+            return Ok(Decoder::new(self.take(n)?));
+        }
+        let mut held = vec![0; n];
+        self.bytes_into(&mut held)?;
+        Ok(Decoder {
+            bytes: &[],
+            stream: Some(Stream {
+                buf: held.into_boxed_slice(),
+                pos: 0,
+                end: n,
+                unread: 0,
+                src: None,
+            }),
+        })
     }
 }
 
@@ -583,17 +1014,6 @@ mod tests {
         h.write_bytes(&old);
         old.extend_from_slice(&h.digest().raw().to_le_bytes());
         assert_eq!(open(&old, 2), Err(SnapshotError::BadMagic));
-    }
-
-    #[test]
-    fn open_owned_strips_the_envelope_in_place() {
-        for n in [0usize, 1, 31, 32, 33, 1000] {
-            let payload: Vec<u8> = (0..n).map(|i| i as u8).collect();
-            assert_eq!(open_owned(seal(3, &payload), 3), Ok(payload));
-        }
-        let mut bad = seal(3, b"payload");
-        bad[22] ^= 4;
-        assert_eq!(open_owned(bad, 3), Err(SnapshotError::ChecksumMismatch));
     }
 
     #[test]
@@ -778,5 +1198,172 @@ mod tests {
             let got = Decoder::new(&bytes[..cut]).u32_vec_into(&mut v, 3);
             assert_eq!(got, Err(SnapshotError::Truncated), "cut at {cut}");
         }
+    }
+
+    /// A payload of `n` bytes that no shifted copy of itself matches.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 37 + i / 251 + 11) as u8).collect()
+    }
+
+    /// Decodes the whole payload of a streamed container byte by byte, so
+    /// a corrupt length cannot size an allocation.
+    fn stream_open(mut sealed: &[u8], version: u32) -> Result<Vec<u8>, SnapshotError> {
+        let mut d = Decoder::stream(&mut sealed, version)?;
+        let mut payload = Vec::new();
+        while d.remaining() > 0 {
+            payload.push(d.u8()?);
+        }
+        d.finish()?;
+        Ok(payload)
+    }
+
+    /// A streamed publish writes exactly the container `seal_into` writes,
+    /// at sizes around a stripe and around a chunk, whether the payload
+    /// arrives as one run of bytes or as words that straddle the chunk.
+    #[test]
+    fn streamed_seal_writes_what_seal_into_writes() {
+        for n in [0, 1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1] {
+            let payload = pattern(n);
+            let mut out = Vec::new();
+            seal_streamed(&mut out, 7, |e| e.put_bytes(&payload)).unwrap();
+            assert_eq!(out, seal(7, &payload), "{n} bytes");
+            assert_eq!(stream_open(&out, 7), Ok(payload), "{n} bytes read back");
+        }
+        let fill = |e: &mut Encoder<'_>| {
+            e.put_u8(3);
+            e.put_u64_slice(&(0..9_000u64).map(|i| i * 0x9E37_79B9).collect::<Vec<_>>());
+            e.put_bool(true);
+            e.put_u32_slice(&(0..20_000u32).collect::<Vec<_>>());
+            e.put_section(|s| s.put_u8_slice(&pattern(70_000)));
+            e.put_u64(u64::MAX);
+        };
+        let mut whole = Encoder::new();
+        fill(&mut whole);
+        let mut out = Vec::new();
+        seal_streamed(&mut out, 7, fill).unwrap();
+        assert_eq!(out, seal(7, &whole.into_bytes()));
+    }
+
+    /// A fill that encodes a different length the second time is refused.
+    #[test]
+    fn streamed_seal_refuses_a_payload_that_changes_length() {
+        let passes = std::cell::Cell::new(0);
+        let got = seal_streamed(&mut Vec::new(), 1, |e| {
+            passes.set(passes.get() + 1);
+            e.put_bytes(&vec![0; passes.get()]);
+        });
+        assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Hands out at most `step` bytes per read, so reads end mid-word.
+    struct Trickle<'b> {
+        bytes: &'b [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The streaming decoder reads exactly what the slice decoder reads:
+    /// every reader, words and slices split across chunk refills, a
+    /// section copied out of the stream, and reads that come back short.
+    #[test]
+    fn streaming_decoder_reads_what_the_slice_decoder_reads() {
+        let big: Vec<u64> = (0..20_000u64).map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D)).collect();
+        let mut e = Encoder::new();
+        e.put_u8(9);
+        e.put_u64_slice(&big);
+        e.put_u32(0xDEAD_BEEF);
+        e.put_u8_slice(&pattern(CHUNK + 5));
+        e.put_bool(false);
+        e.put_u32_slice(&(0..30_000u32).rev().collect::<Vec<_>>());
+        e.put_section(|s| {
+            s.put_u64(42);
+            s.put_u8_slice(&pattern(100));
+        });
+        e.put_u32_slice(&[4, 5, 6]);
+        e.put_u64(7);
+        let payload = e.into_bytes();
+        let sealed = seal(5, &payload);
+
+        type Read = (u8, Vec<u64>, u32, Vec<u8>, bool, Vec<u32>, u64, Vec<u8>, Vec<u32>, u64);
+        let read = |d: &mut Decoder<'_>| -> Result<Read, SnapshotError> {
+            let a = d.u8()?;
+            let mut b = vec![0; big.len()];
+            d.u64_slice_into(&mut b)?;
+            let c = d.u32()?;
+            let bytes = d.u8_slice()?;
+            let flag = d.bool()?;
+            let words = d.u32_slice()?;
+            let mut s = d.section()?;
+            let (s64, s8) = (s.u64()?, s.u8_slice()?);
+            s.finish()?;
+            let mut v = Vec::new();
+            d.u32_vec_into(&mut v, 3)?;
+            Ok((a, b, c, bytes, flag, words, s64, s8, v, d.u64()?))
+        };
+        let mut slice = Decoder::new(&payload);
+        let want = read(&mut slice).unwrap();
+        slice.finish().unwrap();
+        for step in [usize::MAX, 7, 4_099] {
+            let mut src = Trickle { bytes: &sealed, step };
+            let mut d = Decoder::stream(&mut src, 5).unwrap();
+            assert_eq!(d.remaining(), payload.len());
+            assert_eq!(read(&mut d).unwrap(), want, "reads of {step} bytes");
+            d.finish().unwrap();
+        }
+    }
+
+    /// Every damaged container fails to stream: a cut at every point, a
+    /// flipped byte at every offset, version skew, and trailing bytes.
+    #[test]
+    fn every_damaged_container_fails_to_stream() {
+        let payload = pattern(267);
+        let sealed = seal(9, &payload);
+        assert_eq!(stream_open(&sealed, 9), Ok(payload));
+        for cut in 0..sealed.len() {
+            assert!(stream_open(&sealed[..cut], 9).is_err(), "cut at {cut} streamed");
+        }
+        for at in 0..sealed.len() {
+            let mut bad = sealed.clone();
+            bad[at] ^= 0x5A;
+            assert!(stream_open(&bad, 9).is_err(), "flipping byte {at} streamed");
+        }
+        assert_eq!(
+            stream_open(&sealed, 8),
+            Err(SnapshotError::VersionMismatch { found: 9, expected: 8 })
+        );
+        let mut long = sealed.clone();
+        long.push(0);
+        assert_eq!(
+            stream_open(&long, 9),
+            Err(SnapshotError::Malformed("trailing bytes after checksum"))
+        );
+        // A payload past one chunk fails at cuts and flips on both sides
+        // of every refill.
+        let sealed = seal(9, &pattern(2 * CHUNK + 100));
+        for at in [0, 19, 20, 21, CHUNK, CHUNK + 20, CHUNK + 21, 2 * CHUNK + 40, sealed.len() - 1] {
+            assert!(stream_open(&sealed[..at], 9).is_err(), "cut at {at} streamed");
+            let mut bad = sealed.clone();
+            bad[at] ^= 1;
+            assert!(stream_open(&bad, 9).is_err(), "flipping byte {at} streamed");
+        }
+    }
+
+    /// A payload the decoder does not consume fails `finish` before the
+    /// checksum is read, as with a slice.
+    #[test]
+    fn streaming_finish_requires_the_whole_payload() {
+        let sealed = seal(1, &pattern(40));
+        let mut src = &sealed[..];
+        let mut d = Decoder::stream(&mut src, 1).unwrap();
+        d.skip(39).unwrap();
+        assert_eq!(d.finish(), Err(SnapshotError::Malformed("unconsumed payload bytes")));
     }
 }

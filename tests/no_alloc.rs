@@ -18,7 +18,8 @@
 //!
 //! Checkpoint restores join it too: `Organization::load_state` decodes
 //! into the buffers an unfilled instance already owns, so restoring a
-//! warmed payload into one allocates nothing.
+//! warmed payload into one allocates nothing, and streaming it from a
+//! sealed container allocates only the decoder's one chunk buffer.
 //!
 //! The whole file is a single `#[test]` because the counter is
 //! process-global: parallel test threads would attribute their setup
@@ -30,7 +31,7 @@ use experiments::L2Kind;
 use memsys::org::Organization;
 use nuca::{CnucaConfig, SearchPolicy};
 use nurapid::NuRapidConfig;
-use simbase::snapshot::{Decoder, Encoder};
+use simbase::snapshot::{self, Decoder, Encoder};
 use simbase::{AccessKind, BlockAddr, Cycle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,7 +82,8 @@ fn drive(cache: &mut Box<dyn Organization>, accesses: u64, footprint: u64) -> Cy
 }
 
 /// Saves a warmed `kind` and requires restoring the payload into an
-/// unfilled instance to allocate nothing.
+/// unfilled instance to allocate nothing, and streaming it from a sealed
+/// container to allocate only the decoder's chunk buffer.
 fn measure_restore(name: &str, kind: &L2Kind) {
     let mut warm = kind.build();
     warm.prefill();
@@ -99,6 +101,21 @@ fn measure_restore(name: &str, kind: &L2Kind) {
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     restored.unwrap_or_else(|err| panic!("{name}: restore failed: {err:?}"));
     assert_eq!(after - before, 0, "{name}: {} heap allocations in one restore", after - before);
+
+    let sealed = snapshot::seal(1, &bytes);
+    let mut bare = kind.build();
+    let mut src = &sealed[..];
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let restored = Decoder::stream(&mut src, 1)
+        .and_then(|mut d| bare.load_state(&mut d).and_then(|()| d.finish()));
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    restored.unwrap_or_else(|err| panic!("{name}: streamed restore failed: {err:?}"));
+    assert_eq!(
+        after - before,
+        1,
+        "{name}: {} heap allocations in one streamed restore, not just the chunk buffer",
+        after - before
+    );
 }
 
 fn measure(name: &str, cache: &mut Box<dyn Organization>, footprint: u64) {

@@ -9,8 +9,9 @@
 //! what the pin can't cover: every payload length, every cut point an
 //! interrupted write could leave behind, every single-byte corruption,
 //! and arbitrary typed-field sequences through `Encoder` / `Decoder`.
-//! One end-to-end case checks that a checkpoint file of the previous
-//! layout revision is rebuilt by the store, never decoded.
+//! End-to-end cases check that a checkpoint file of the previous layout
+//! revision is rebuilt by the store, never decoded, and that a damaged
+//! file streamed into a system is rebuilt and never reused.
 
 use simbase::snapshot::{open, seal, Decoder, Encoder, SnapshotError, MAGIC, OVERHEAD};
 use simkit::prop::{
@@ -176,6 +177,70 @@ fn simchk_previous_revision_file_is_rebuilt_not_decoded() {
     assert_eq!(&rewritten[..8], &MAGIC, "the file was not overwritten");
     assert_eq!(open(&rewritten, CHECKPOINT_VERSION), Ok(payload.as_slice()));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// 5b. A damaged checkpoint file streams until the damage shows, then is
+/// rebuilt: cuts across the header and payload, a byte flipped anywhere
+/// from the magic to the checksum, version skew, and trailing bytes. A
+/// flip deep in the payload decodes into the system before the checksum
+/// at the end catches it, so each run that meets the damage must print
+/// what a run without a store prints: the half-decoded system was dropped
+/// and rebuilt, never reused. Each leaves a whole checkpoint behind.
+#[test]
+fn simchk_damaged_files_are_rebuilt_not_reused() {
+    use experiments::checkpoint::{CHECKPOINT_EXT, CHECKPOINT_VERSION};
+    use experiments::runner::run_app_opts;
+    use experiments::{warmup_digest, CheckpointStore, L2Kind, L4Config, RunOptions, Scale};
+    use simtel::TelemetrySink;
+
+    let app = workloads::profiles::by_name("parser").expect("in roster");
+    let scale = Scale {
+        warmup: 20_000,
+        measure: 10_000,
+    };
+    let sink = TelemetrySink::disabled();
+    let nf4 = L2Kind::NuRapid(nurapid::NuRapidConfig::micro2003(4));
+    for kind in [nf4.clone(), L2Kind::L4(Box::new(nf4), L4Config::tdram())] {
+        let direct = run_app_opts(app, &kind, scale, &sink, 0, RunOptions::default());
+        let dir = std::env::temp_dir().join(format!("simchk-damaged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("open store");
+        let opts = RunOptions {
+            checkpoints: Some(&store),
+            ..Default::default()
+        };
+        assert_eq!(run_app_opts(app, &kind, scale, &sink, 0, opts), direct, "cold run");
+        let digest = warmup_digest(&app, &kind, scale);
+        let path = dir.join(format!("{}.{CHECKPOINT_EXT}", digest.hex()));
+        let good = std::fs::read(&path).expect("checkpoint published");
+        let n = good.len();
+
+        let mut damaged: Vec<(String, Vec<u8>)> = [0, 7, 20, 21, n / 2, n - 17, n - 1]
+            .into_iter()
+            .map(|cut| (format!("cut at {cut}"), good[..cut].to_vec()))
+            .collect();
+        for at in [0, 9, 13, 20, 21, 60, 100, n / 3, n / 2, 2 * n / 3, n - 40, n - 17, n - 1] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x40;
+            damaged.push((format!("byte {at} flipped"), bad));
+        }
+        let mut skewed = good.clone();
+        skewed[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
+        damaged.push(("version skew".into(), skewed));
+        let mut long = good.clone();
+        long.push(0);
+        damaged.push(("a trailing byte".into(), long));
+
+        for (what, bytes) in damaged {
+            std::fs::write(&path, &bytes).expect("plant the damage");
+            let (hits, misses) = (store.hits(), store.misses());
+            let run = run_app_opts(app, &kind, scale, &sink, 0, opts);
+            assert_eq!(run, direct, "{what}: the run reused a damaged system");
+            assert_eq!((store.hits() - hits, store.misses() - misses), (0, 1), "{what}");
+            assert_eq!(std::fs::read(&path).expect("republished"), good, "{what}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// One arbitrary typed field for the Encoder/Decoder layer.
