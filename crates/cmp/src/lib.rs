@@ -14,8 +14,8 @@
 //!   is charged *before* the organization's own geometry latencies (the
 //!   access reaches the tag/data arrays only once its bank is free).
 //! - **Invalidation-lite sharing** — a per-block sharer bitmask tracks
-//!   which cores hold copies of each lower-level block in their private
-//!   L1s. A write from one core drops the block from every other
+//!   which cores may hold copies of each lower-level block in their
+//!   private L1s. A write from one core drops the block from every other
 //!   sharer's L1 (no writeback: the writer's update is authoritative).
 //!   Sharer tracking is architectural — it runs identically on the
 //!   timed and warm-up paths — so CMP warm-ups checkpoint exactly like
@@ -24,6 +24,9 @@
 //!   passthrough: no bank occupancy, no sharer bookkeeping, no stream
 //!   offsetting. A 1-core CMP run is bit-identical to the single-core
 //!   runner on the same organization.
+//!
+//! The bitmasks live in a packed open-addressing directory, one `u64`
+//! word per tracked block (`directory`).
 //!
 //! Everything lives on one simulation thread: cores share the
 //! organization through `Rc<RefCell<_>>`, and a whole CMP run is one
@@ -41,9 +44,13 @@ use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::{AccessKind, BlockAddr, Cycle};
 use simtel::{percore, TelemetrySink};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use workloads::{BenchProfile, CoreStream};
+
+mod directory;
+
+use directory::{Directory, BLOCK_LIMIT};
 
 /// The largest supported core count (the sharer bitmask is a byte and
 /// the per-core metric tables are sized to match).
@@ -96,7 +103,7 @@ struct SharedInner {
     org: Box<dyn Organization>,
     banks: BankQueues,
     /// Per-block sharer bitmask (bit `i` = core `i` may hold L1 copies).
-    sharers: HashMap<u64, u8>,
+    sharers: Directory,
     /// Invalidations produced by writes, drained by the stepping loop.
     pending_inv: VecDeque<(u64, u8)>,
     cores: u32,
@@ -110,15 +117,13 @@ impl SharedInner {
     /// the timed and warm paths.
     fn note_sharing(&mut self, core: usize, block: u64, kind: AccessKind) {
         let bit = 1u8 << core;
-        let mask = self.sharers.entry(block).or_insert(0);
         if kind.is_write() {
-            let others = *mask & !bit;
+            let others = self.sharers.update(block, |_| bit) & !bit;
             if others != 0 {
                 self.pending_inv.push_back((block, others));
             }
-            *mask = bit;
         } else {
-            *mask |= bit;
+            self.sharers.update(block, |mask| mask | bit);
         }
     }
 }
@@ -266,7 +271,7 @@ impl CmpSystem {
         let shared = Rc::new(RefCell::new(SharedInner {
             org,
             banks: BankQueues::new(cfg.n_banks, cfg.bank),
-            sharers: HashMap::new(),
+            sharers: Directory::new(),
             pending_inv: VecDeque::new(),
             cores: cfg.cores,
             bank_stalls: [0; MAX_CORES],
@@ -429,8 +434,9 @@ impl CmpSystem {
 
     /// Serializes the architectural state at a quiesced point (typically
     /// the end of warm-up): per-core stream/predictor/L1 state in core
-    /// order, then the shared organization, then the sharer map in block
-    /// order. Timing state (banks, MSHRs) is never part of a snapshot.
+    /// order, then the shared organization, then the sharer directory in
+    /// block order. Timing state (banks, MSHRs) is never part of a
+    /// snapshot.
     ///
     /// # Panics
     ///
@@ -446,13 +452,11 @@ impl CmpSystem {
             self.cores[i].mem().save_l1_state(e);
         }
         s.org.save_state(e);
-        let mut blocks: Vec<(u64, u8)> = s.sharers.iter().map(|(&b, &m)| (b, m)).collect();
-        blocks.sort_unstable();
-        e.put_u64(blocks.len() as u64);
-        for (b, m) in blocks {
+        e.put_u64(s.sharers.len() as u64);
+        s.sharers.for_each_sorted(|b, m| {
             e.put_u64(b);
             e.put_u8(m);
-        }
+        });
     }
 
     /// Restores state written by [`CmpSystem::save_state`] into a system
@@ -461,7 +465,9 @@ impl CmpSystem {
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on a truncated payload, a non-CMP blob,
-    /// a core-count mismatch, or an organization mismatch.
+    /// a core-count mismatch, an organization mismatch, or a sharer
+    /// record `save_state` never writes: a block of 2^56 or more, a mask
+    /// of 0, or blocks out of strictly ascending order.
     pub fn load_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
         if d.u64()? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::Malformed("not a CMP snapshot"));
@@ -476,18 +482,28 @@ impl CmpSystem {
         }
         let mut s = self.shared.borrow_mut();
         s.org.load_state(d)?;
-        s.sharers.clear();
         // Each entry is a u64 block and a u8 mask; bounding the count by
-        // the bytes left keeps a corrupt count from reserving a huge map.
+        // the bytes left keeps a corrupt count from sizing a huge table.
         let n = d.u64()?;
         if n > (d.remaining() / 9) as u64 {
             return Err(SnapshotError::Malformed("sharer count exceeds remaining bytes"));
         }
-        s.sharers.reserve(n as usize);
+        s.sharers.clear_for(n as usize);
+        let mut next = 0; // the least block the next record may hold
         for _ in 0..n {
             let block = d.u64()?;
             let mask = d.u8()?;
-            s.sharers.insert(block, mask);
+            if block < next {
+                return Err(SnapshotError::Malformed("sharer blocks not strictly ascending"));
+            }
+            if block >= BLOCK_LIMIT {
+                return Err(SnapshotError::Malformed("sharer block out of range"));
+            }
+            if mask == 0 {
+                return Err(SnapshotError::Malformed("sharer mask is empty"));
+            }
+            s.sharers.update(block, |_| mask);
+            next = block + 1;
         }
         Ok(())
     }
@@ -655,6 +671,78 @@ mod tests {
         let mut other = CmpSystem::new(CmpConfig::micro2003(4), base_org(), &profiles(4), SEED);
         let mut d = Decoder::new(&bytes);
         assert!(other.load_state(&mut d).is_err());
+    }
+
+    /// A 2-core payload whose sharer section is `records`, spliced onto
+    /// the payload of a system that tracks no block yet.
+    fn with_sharers(records: &[(u64, u8)]) -> Vec<u8> {
+        let sys = CmpSystem::unfilled(CmpConfig::micro2003(2), base_org(), &profiles(2), SEED);
+        let mut e = Encoder::new();
+        sys.save_state(&mut e);
+        let mut bytes = e.into_bytes();
+        let empty = bytes.split_off(bytes.len() - 8);
+        assert_eq!(empty, [0; 8], "an unfilled system tracks no block");
+        let mut e = Encoder::new();
+        e.put_u64(records.len() as u64);
+        for &(b, m) in records {
+            e.put_u64(b);
+            e.put_u8(m);
+        }
+        bytes.extend(e.into_bytes());
+        bytes
+    }
+
+    fn restore(bytes: &[u8]) -> Result<CmpSystem, SnapshotError> {
+        let mut sys = CmpSystem::unfilled(CmpConfig::micro2003(2), base_org(), &profiles(2), SEED);
+        let mut d = Decoder::new(bytes);
+        sys.load_state(&mut d)?;
+        d.finish()?;
+        Ok(sys)
+    }
+
+    #[test]
+    fn hand_built_sharer_records_restore_and_resave() {
+        let bytes = with_sharers(&[(0, 1), (5, 3), (BLOCK_LIMIT - 1, 2)]);
+        let sys = restore(&bytes).expect("well-formed records load");
+        let mut e = Encoder::new();
+        sys.save_state(&mut e);
+        assert_eq!(e.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn snapshot_rejects_a_block_past_the_packable_range() {
+        let bytes = with_sharers(&[(5, 1), (BLOCK_LIMIT, 1)]);
+        assert_eq!(
+            restore(&bytes).err(),
+            Some(SnapshotError::Malformed("sharer block out of range"))
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_an_empty_sharer_mask() {
+        let bytes = with_sharers(&[(5, 1), (7, 0)]);
+        assert_eq!(restore(&bytes).err(), Some(SnapshotError::Malformed("sharer mask is empty")));
+    }
+
+    #[test]
+    fn snapshot_rejects_sharer_blocks_out_of_order() {
+        for records in [[(5, 1), (5, 2)], [(6, 1), (5, 1)]] {
+            assert_eq!(
+                restore(&with_sharers(&records)).err(),
+                Some(SnapshotError::Malformed("sharer blocks not strictly ascending")),
+                "{records:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_sharer_count_past_the_payload() {
+        let mut bytes = with_sharers(&[(5, 1)]);
+        bytes.truncate(bytes.len() - 9);
+        assert_eq!(
+            restore(&bytes).err(),
+            Some(SnapshotError::Malformed("sharer count exceeds remaining bytes"))
+        );
     }
 
     #[test]

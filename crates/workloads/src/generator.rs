@@ -232,10 +232,8 @@ impl TraceGenerator {
     pub fn load_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
         let rng_state = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
         let i = d.u64()?;
-        let recent = d.u64_slice()?;
-        if recent.len() != RECENT_LINES {
-            return Err(SnapshotError::Malformed("recent-line ring size mismatch"));
-        }
+        let mut recent = [0; RECENT_LINES];
+        d.u64_slice_into(&mut recent)?;
         let recent_n = d.u64()? as usize;
         let stream_pos = d.u64()?;
         // Nothing has streamed yet at 0, even in an empty footprint.
@@ -256,7 +254,7 @@ impl TraceGenerator {
         let in_new_burst = d.bool()?;
         self.rng = SimRng::from_state(rng_state);
         self.i = i;
-        self.recent.copy_from_slice(&recent);
+        self.recent = recent;
         self.recent_n = recent_n;
         self.stream_pos = stream_pos;
         self.burst_left = burst_left;

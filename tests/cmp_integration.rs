@@ -3,10 +3,16 @@
 //! counts, across cold and warm checkpoint paths, and across artifact
 //! resume — the same determinism contract `simsched_integration.rs`
 //! pins for the single-core sweep — and a sampled sweep runs them at
-//! full detail.
+//! full detail. The warm-up payload a `CmpSystem` checkpoints is pinned
+//! byte for byte, sharer directory included.
 
-use experiments::exps::Sweep;
+use cmp::{CmpConfig, CmpSystem};
+use experiments::cmp::cmp_profiles;
+use experiments::exps::{kind_of, Sweep};
+use experiments::runner::TRACE_SEED;
 use experiments::{CmpRun, SampleSpec, Scale};
+use simbase::digest::Hasher128;
+use simbase::snapshot::Encoder;
 use std::path::PathBuf;
 
 fn tiny() -> Scale {
@@ -134,4 +140,36 @@ fn cmp_artifacts_resume_bit_identically() {
     assert_eq!(resumed.resumed() as usize, JOBS.len(), "artifacted CMP jobs should load");
     assert_eq!(resumed.simulated(), 0, "fully-artifacted CMP sweep must not re-simulate");
     assert_eq!(runs_of(&resumed), runs_of(&reference), "resumed CmpRuns diverged");
+}
+
+/// Pins the FNV-1a-128 digest of the warm-up payload of a 2-, 4- and
+/// 8-core system over `base` and `nf4`, the experiment's per-core roster
+/// warmed for 20 000 ops per core. The payload ends with the sharer
+/// directory in block order, so any change to how sharers are tracked,
+/// ordered or serialized moves a digest; a faster directory must leave
+/// every one untouched.
+#[test]
+fn cmp_warmup_payloads_are_pinned() {
+    const PINNED: [(u32, &str, &str); 6] = [
+        (2, "base", "b0c27d03fe5f95aa254de716ac73caff"),
+        (2, "nf4", "969d5edb900df9ebd0ff3031614a9f68"),
+        (4, "base", "720c7af05b297b61b9966a0aacb7daf5"),
+        (4, "nf4", "6750ed0174bd862c1a14a8d3a9b079f1"),
+        (8, "base", "82f625b9e1c35bc3f71553af0eef2b3c"),
+        (8, "nf4", "33d5a1be0cea41a7805c8b7207771c10"),
+    ];
+    for (cores, key, want) in PINNED {
+        let mut sys = CmpSystem::new(
+            CmpConfig::micro2003(cores),
+            kind_of(key).build(),
+            &cmp_profiles(cores),
+            TRACE_SEED,
+        );
+        sys.warm_run(20_000);
+        let mut e = Encoder::new();
+        sys.save_state(&mut e);
+        let mut h = Hasher128::new();
+        h.write_bytes(&e.into_bytes());
+        assert_eq!(h.digest().hex(), want, "{cores} cores over {key}: payload drifted");
+    }
 }

@@ -19,14 +19,20 @@
 //! Checkpoint restores join it too: `Organization::load_state` decodes
 //! into the buffers an unfilled instance already owns, so restoring a
 //! warmed payload into one allocates nothing, and streaming it from a
-//! sealed container allocates only the decoder's one chunk buffer.
+//! sealed container allocates only the decoder's one chunk buffer. A
+//! CMP restore allocates only its sharer directory, once, at the size
+//! the stored block count needs, and nothing when the directory it
+//! restores over already has room.
 //!
 //! The whole file is a single `#[test]` because the counter is
 //! process-global: parallel test threads would attribute their setup
 //! allocations to whichever window happens to be open.
 
+use cmp::{CmpConfig, CmpSystem};
 use cpu::uop::{MicroOp, TraceSource};
+use experiments::cmp::cmp_profiles;
 use experiments::exps::kind_of;
+use experiments::runner::TRACE_SEED;
 use experiments::L2Kind;
 use memsys::org::Organization;
 use nuca::{CnucaConfig, SearchPolicy};
@@ -118,6 +124,35 @@ fn measure_restore(name: &str, kind: &L2Kind) {
     );
 }
 
+/// Saves a warmed 4-core system over `nf4`, whose sharer directory grew
+/// through many doublings, then restores it twice into one unfilled
+/// system: the first restore allocates the directory once, the second
+/// reuses it and allocates nothing.
+fn measure_cmp_restore() {
+    let cores = 4;
+    let apps = cmp_profiles(cores);
+    let build = || {
+        CmpSystem::unfilled(CmpConfig::micro2003(cores), kind_of("nf4").build(), &apps, TRACE_SEED)
+    };
+    let mut warm = build();
+    warm.prefill();
+    warm.warm_run(20_000);
+    let mut e = Encoder::new();
+    warm.save_state(&mut e);
+    let bytes = e.into_bytes();
+    drop(warm);
+
+    let mut bare = build();
+    for (pass, want) in [("into an unfilled system", 1), ("over the same system", 0)] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut d = Decoder::new(&bytes);
+        let restored = bare.load_state(&mut d).and_then(|()| d.finish());
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        restored.unwrap_or_else(|err| panic!("CMP restore {pass} failed: {err:?}"));
+        assert_eq!(after - before, want, "CMP restore {pass}: {} heap allocations", after - before);
+    }
+}
+
 fn measure(name: &str, cache: &mut Box<dyn Organization>, footprint: u64) {
     // Warm-up: fill the cache, drain every free list, and let internal
     // buffers (port schedule, memory queue) reach steady capacity.
@@ -180,6 +215,7 @@ fn steady_state_access_paths_do_not_allocate() {
         org.prefill();
         measure(name, &mut org, 262_144);
     }
+    measure_cmp_restore();
 
     // The L4 DRAM-cache tier joins the contract: after a shrink (which
     // may allocate while it retires banks and flushes dirty blocks) and
