@@ -40,9 +40,10 @@
 //!   --threads   worker threads for the run sweep (default:
 //!               $SIMSCHED_THREADS, else the machine's parallelism;
 //!               output is bit-identical for any value)
-//!   --artifacts write every completed run to DIR/runs.jsonl and resume
-//!               from digest-matching records (default: $SIMSCHED_DIR,
-//!               else disabled)
+//!   --artifacts seal every finished run into DIR as <run digest>.simchk
+//!               and resume from the whole ones (default: $SIMSCHED_DIR,
+//!               else disabled); never the warm-up store, and a
+//!               runs.jsonl left there by older builds is not read
 //!   --checkpoints reuse/publish warm-up checkpoints in DIR (default:
 //!               $SIMCHK_DIR, else disabled); results are bit-identical
 //!               with a cold, warm, or absent store — only wall time
@@ -54,6 +55,10 @@
 //!               with --telemetry, the lines still land on the wall
 //!               channel
 //! ```
+//!
+//! `$SIMSCHED_THREADS` and `$SIMCHK_MAX` must be integers and
+//! `$SIMCHK_WARMUP` must be `timed` when set (unset: fast-forward warm-up);
+//! a malformed value exits 2 naming the variable, as a bad flag does.
 //!
 //! Tables are always rendered in the same serial order; the thread count
 //! only affects how fast the run store warms up. Progress events go to
@@ -85,7 +90,12 @@ fn main() {
     let mut artifacts = std::env::var("SIMSCHED_DIR").ok();
     let mut checkpoints = std::env::var("SIMCHK_DIR").ok();
     let mut simchk_budget: Option<u64> =
-        std::env::var("SIMCHK_MAX").ok().and_then(|v| v.parse().ok());
+        env_value("SIMCHK_MAX", "a byte count", |v| v.parse().ok());
+    // $SIMCHK_WARMUP=timed re-enables the full-timing warm-up (the
+    // differential oracle for the default functional fast-forward; the
+    // report is bit-identical either way, only slower).
+    let timed = |v: &str| (v == "timed").then_some(WarmupMode::Timed);
+    let warmup = env_value("SIMCHK_WARMUP", "`timed`", timed).unwrap_or(WarmupMode::FastForward);
     let mut telemetry_dir = std::env::var("SIMTEL_DIR").ok();
     let mut i = 0;
     while i < args.len() {
@@ -188,13 +198,6 @@ fn main() {
         console = console.with_mirror(Arc::clone(tel));
     }
     let counts = Counts::new();
-    // $SIMCHK_WARMUP=timed re-enables the full-timing warm-up (the
-    // differential oracle for the default functional fast-forward; the
-    // report is bit-identical either way, only slower).
-    let warmup = match std::env::var("SIMCHK_WARMUP").as_deref() {
-        Ok("timed") => WarmupMode::Timed,
-        _ => WarmupMode::FastForward,
-    };
     let mut sweep = Sweep::new(scale)
         .with_threads(threads)
         .with_warmup(warmup)
@@ -208,7 +211,7 @@ fn main() {
     if let Some(dir) = &artifacts {
         sweep = match sweep.with_artifacts(dir) {
             Ok(s) => {
-                console.status(&format!("[simsched] artifacts: {dir}/runs.jsonl"));
+                console.status(&format!("[simsched] results: {dir}/<run digest>.simchk"));
                 s
             }
             Err(e) => usage(&format!("cannot open artifact dir {dir:?}: {e}")),
@@ -275,12 +278,22 @@ fn main() {
 /// Default worker-thread count: `$SIMSCHED_THREADS`, else the machine's
 /// available parallelism.
 fn default_threads() -> usize {
-    std::env::var("SIMSCHED_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        })
+    env_value("SIMSCHED_THREADS", "a thread count", |v| v.parse().ok()).unwrap_or_else(|| {
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    })
+}
+
+/// The environment variable `name` through `parse`: `None` when unset, and
+/// a set value `parse` rejects exits 2 with one line naming the variable
+/// and what it `wants`.
+fn env_value<T>(name: &str, wants: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let raw = std::env::var_os(name)?;
+    let parsed = raw.to_str().and_then(&parse);
+    if parsed.is_none() {
+        eprintln!("error: ${name} is {raw:?}; it must be {wants}");
+        std::process::exit(2);
+    }
+    parsed
 }
 
 fn usage(err: &str) -> ! {

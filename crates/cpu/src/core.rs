@@ -4,6 +4,7 @@ use crate::branch::HybridPredictor;
 use crate::uop::{MicroOp, OpClass, TraceSource};
 use memsys::l1::CoreMemSystem;
 use memsys::lower::LowerCache;
+use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::{Addr, BlockGeometry, Cycle};
 use simtel::TelemetrySink;
 
@@ -183,6 +184,41 @@ impl CoreResult {
     #[must_use]
     pub fn plus(&self, other: &CoreResult) -> CoreResult {
         self.zip(other, |a, b| a + b)
+    }
+
+    /// Encodes every counter, in declaration order.
+    pub fn save_state(&self, e: &mut Encoder) {
+        e.put_u64_slice(&[
+            self.instructions,
+            self.cycles,
+            self.loads,
+            self.stores,
+            self.branches,
+            self.mispredicts,
+            self.int_ops,
+            self.fp_ops,
+        ]);
+    }
+
+    /// Decodes a [`CoreResult::save_state`] encoding.
+    ///
+    /// # Errors
+    ///
+    /// The first decode error.
+    pub fn load_state(d: &mut Decoder) -> Result<CoreResult, SnapshotError> {
+        let mut w = [0; 8];
+        d.u64_slice_into(&mut w)?;
+        let [instructions, cycles, loads, stores, branches, mispredicts, int_ops, fp_ops] = w;
+        Ok(CoreResult {
+            instructions,
+            cycles,
+            loads,
+            stores,
+            branches,
+            mispredicts,
+            int_ops,
+            fp_ops,
+        })
     }
 
     /// Applies `f` field by field.

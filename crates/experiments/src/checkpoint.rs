@@ -1,4 +1,4 @@
-//! On-disk warm-up checkpoint store.
+//! On-disk checkpoint store: warm-up checkpoints, and finished runs.
 //!
 //! A checkpoint is the serialised architectural state at the end of the
 //! warm-up phase — trace-generator position, trained branch predictor,
@@ -18,18 +18,26 @@
 //! target half-written, so the target is reset and the checkpoint rebuilt,
 //! never trusted.
 //!
-//! The store is single-flight per process for builders: concurrent sweep
-//! workers missing the same checkpoint wait for one builder, then stream
-//! the file it published. On disk, each checkpoint is one
-//! `<digest>.simchk` file written via temp-file-and-rename, so a crashed
-//! or concurrent writer can never publish a torn file.
+//! The store is single-flight per process for builders
+//! ([`simsched::Flights`]): concurrent sweep workers missing the same
+//! checkpoint wait for one builder, then stream the file it published. On
+//! disk, each checkpoint is one `<digest>.simchk` file written via
+//! temp-file-and-rename, so a crashed or concurrent writer can never
+//! publish a torn file.
+//!
+//! The same store, opened with [`CheckpointStore::open_results`], holds
+//! finished runs: each [`Finished`] result encodes its integer counters
+//! under [`RESULTS_VERSION`], keyed by its run digest. A sweep over such a
+//! store loads a run whose file is whole and simulates (and republishes)
+//! one whose file is missing or damaged.
 
 use simbase::digest::Digest;
 use simbase::snapshot::{self, Decoder, Encoder, SnapshotError};
-use std::collections::{HashMap, HashSet};
+use simsched::Flights;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Version tag of the checkpoint payload layout. Bump whenever any
 /// `save_state` encoding or the payload ordering changes; old files then
@@ -53,6 +61,48 @@ pub(crate) trait Checkpointed {
     fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError>;
 }
 
+/// Version tag of the finished-run payloads a results store holds
+/// ([`CheckpointStore::open_results`]). Bump whenever a [`Finished`]
+/// encoding changes; old files then fail to open and their runs are
+/// simulated again.
+pub const RESULTS_VERSION: u32 = 1;
+
+/// A finished run a results store persists under its run digest.
+pub(crate) trait Finished: Sized {
+    /// Encodes the run.
+    fn save(&self, e: &mut Encoder<'_>);
+
+    /// Decodes a [`Finished::save`] payload.
+    ///
+    /// # Errors
+    ///
+    /// The first decode error, or a value the run cannot hold.
+    fn load(d: &mut Decoder<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// A finished run as a results store streams it: `None` until a file is
+/// decoded into it or the run is simulated.
+impl<T: Finished> Checkpointed for Option<T> {
+    fn save(&self, e: &mut Encoder<'_>) {
+        self.as_ref().expect("a finished run").save(e);
+    }
+
+    fn restore(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        *self = Some(T::load(d)?);
+        Ok(())
+    }
+}
+
+/// An application name from a results payload, resolved in the roster.
+pub(crate) fn load_app(d: &mut Decoder<'_>) -> Result<&'static str, SnapshotError> {
+    let name = d.u8_slice()?;
+    std::str::from_utf8(&name)
+        .ok()
+        .and_then(workloads::profiles::by_name)
+        .map(|p| p.name)
+        .ok_or(SnapshotError::Malformed("application not in the roster"))
+}
+
 /// Why [`CheckpointStore::restore`] served nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Unserved {
@@ -63,12 +113,12 @@ pub(crate) enum Unserved {
     Damaged,
 }
 
-/// A directory of sealed warm-up checkpoints with single-flight building
-/// in front of it.
+/// A directory of sealed checkpoints with single-flight building in front
+/// of it.
 pub struct CheckpointStore {
     dir: PathBuf,
-    building: Mutex<HashSet<u128>>,
-    landed: Condvar,
+    version: u32,
+    building: Flights<u128>,
     hits: AtomicU64,
     misses: AtomicU64,
     budget: Option<u64>,
@@ -97,20 +147,6 @@ impl Drop for PinGuard<'_> {
     }
 }
 
-/// Holds the single flight of one digest's build; landing it on drop (a
-/// publish, a failure or a panic alike) wakes the waiters to read the file.
-struct Flight<'a> {
-    store: &'a CheckpointStore,
-    key: u128,
-}
-
-impl Drop for Flight<'_> {
-    fn drop(&mut self) {
-        self.store.building().remove(&self.key);
-        self.store.landed.notify_all();
-    }
-}
-
 /// A raw payload as [`CheckpointStore::get_or_build`] serves it.
 struct Payload(Vec<u8>);
 
@@ -132,12 +168,28 @@ impl CheckpointStore {
     ///
     /// Propagates the I/O error if the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
+        Self::open_versioned(dir, CHECKPOINT_VERSION)
+    }
+
+    /// Opens (creating if needed) a store of sealed finished runs, keyed
+    /// by run digest under [`RESULTS_VERSION`]. It is kept apart from the
+    /// warm-up store, which only restores state into runs that are still
+    /// simulated.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the I/O error if the directory cannot be created.
+    pub fn open_results(dir: impl AsRef<Path>) -> std::io::Result<Self> {
+        Self::open_versioned(dir, RESULTS_VERSION)
+    }
+
+    fn open_versioned(dir: impl AsRef<Path>, version: u32) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         Ok(CheckpointStore {
             dir,
-            building: Mutex::new(HashSet::new()),
-            landed: Condvar::new(),
+            version,
+            building: Flights::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             budget: None,
@@ -216,7 +268,7 @@ impl CheckpointStore {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
-            if let Some(flight) = self.take_flight(digest.raw()) {
+            if let Some(flight) = self.building.take(&digest.raw()) {
                 // A builder may have landed between the read and the flight.
                 if served(sys) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -263,7 +315,7 @@ impl CheckpointStore {
         let path = self.path_of(digest);
         let mut file = std::fs::File::open(&path).map_err(|_| Unserved::Absent)?;
         let size = file.metadata().map_err(|_| Unserved::Absent)?.len();
-        let mut d = Decoder::stream(&mut file, CHECKPOINT_VERSION).map_err(|_| Unserved::Absent)?;
+        let mut d = Decoder::stream(&mut file, self.version).map_err(|_| Unserved::Absent)?;
         if (d.remaining() + snapshot::OVERHEAD) as u64 != size {
             return Err(Unserved::Absent);
         }
@@ -277,27 +329,6 @@ impl CheckpointStore {
             let _ = f.set_modified(std::time::SystemTime::now());
         }
         Ok(())
-    }
-
-    /// Takes `key`'s build flight, or, if another thread holds it, waits
-    /// for that builder to land and returns `None`.
-    fn take_flight(&self, key: u128) -> Option<Flight<'_>> {
-        let mut building = self.building();
-        if building.insert(key) {
-            return Some(Flight { store: self, key });
-        }
-        while building.contains(&key) {
-            building = self.landed.wait(building).unwrap_or_else(PoisonError::into_inner);
-        }
-        None
-    }
-
-    /// Locks the build table. Every update to it is one insert or remove,
-    /// so the table stays valid even if a thread panicked while holding
-    /// the lock; recovering the guard keeps one failed run from wedging
-    /// the rest, and keeps the flight's `Drop` from panicking.
-    fn building(&self) -> MutexGuard<'_, HashSet<u128>> {
-        self.building.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Seals the payload `save` encodes straight into a temp file and
@@ -321,7 +352,7 @@ impl CheckpointStore {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let published = std::fs::File::create(&tmp)
-            .and_then(|mut f| snapshot::seal_streamed(&mut f, CHECKPOINT_VERSION, save))
+            .and_then(|mut f| snapshot::seal_streamed(&mut f, self.version, save))
             .and_then(|()| std::fs::rename(&tmp, self.path_of(digest)));
         if published.is_err() {
             // `prune_to_budget` counts only `.simchk` files, so a

@@ -4,18 +4,20 @@
 //!
 //! This module is the experiments-layer twin of the single-core
 //! [`crate::runner`]: the same digest discipline (a run digest keying
-//! the run store and artifacts, a warm-up digest keying the checkpoint
-//! store), the same construction seam ([`crate::runner::L2Kind::build`]),
+//! the run store and the results store, a warm-up digest keying the
+//! checkpoint store), the same construction seam ([`crate::runner::L2Kind::build`]),
 //! the engine's one warm-up path and the organization's one drain
 //! barrier — grown a core dimension through [`::cmp::CmpSystem`]. CMP
 //! warm-up is always the functional fast-forward (see [`warmed`]), and
 //! the measured phase always runs at full detail.
 
-use crate::checkpoint::Checkpointed;
+use crate::checkpoint::{load_app, Checkpointed, Finished};
 use crate::engine;
 use crate::report::{f2, pct, rel, TextTable};
 use crate::runner::{L2Kind, RunOptions, Scale, TRACE_SEED};
 use ::cmp::{CmpConfig, CmpResult, CmpSystem};
+use cpu::CoreResult;
+use memsys::org::OrgReport;
 use simbase::digest::{Digest, Hasher128};
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simtel::TelemetrySink;
@@ -86,9 +88,62 @@ impl CmpRun {
     }
 }
 
+impl Finished for CmpRun {
+    fn save(&self, e: &mut Encoder<'_>) {
+        let r = &self.result;
+        e.put_u8_slice(self.key.as_bytes());
+        e.put_u32(self.cores);
+        for app in &self.apps {
+            e.put_u8_slice(app.as_bytes());
+        }
+        for core in &r.per_core {
+            core.save_state(e);
+        }
+        r.report.save_state(e);
+        e.put_u64(r.bank_conflicts);
+        e.put_u64(r.bank_stall_cycles);
+        e.put_u64_slice(&r.per_core_bank_stalls);
+        e.put_u64_slice(&r.invalidations);
+    }
+
+    /// Decodes a run whose key is one of [`CMP_KEYS`] and whose per-core
+    /// vectors all hold `cores` entries.
+    fn load(d: &mut Decoder<'_>) -> Result<CmpRun, SnapshotError> {
+        let key = std::str::from_utf8(&d.u8_slice()?)
+            .ok()
+            .and_then(|k| CMP_KEYS.iter().copied().find(|&c| c == k))
+            .ok_or(SnapshotError::Malformed("not a CMP configuration"))?;
+        let cores = d.u32()?;
+        if !(1..=8).contains(&cores) {
+            return Err(SnapshotError::Malformed("CMP core count"));
+        }
+        let apps = (0..cores).map(|_| load_app(d)).collect::<Result<_, _>>()?;
+        let per_core = (0..cores).map(|_| CoreResult::load_state(d)).collect::<Result<_, _>>()?;
+        let report = OrgReport::load_state(d)?;
+        let (bank_conflicts, bank_stall_cycles) = (d.u64()?, d.u64()?);
+        let mut per_core_bank_stalls = vec![0; cores as usize];
+        d.u64_slice_into(&mut per_core_bank_stalls)?;
+        let mut invalidations = vec![0; cores as usize];
+        d.u64_slice_into(&mut invalidations)?;
+        Ok(CmpRun {
+            key,
+            cores,
+            apps,
+            result: CmpResult {
+                per_core,
+                report,
+                bank_conflicts,
+                bank_stall_cycles,
+                per_core_bank_stalls,
+                invalidations,
+            },
+        })
+    }
+}
+
 /// Digest of one CMP job: every knob of the scenario, the per-core
 /// profiles in core order, the organization, and the budget, plus the
-/// seed. Keys the CMP run store and the on-disk artifacts.
+/// seed. Keys the CMP run store and the results store.
 pub fn cmp_run_digest(
     cfg: &CmpConfig,
     apps: &[BenchProfile],
@@ -279,13 +334,6 @@ impl CmpTable {
     }
 }
 
-/// Resolves a configuration name from an artifact payload back to its
-/// `'static` key, or `None` for a name outside [`CMP_KEYS`] (the caller
-/// then re-simulates).
-pub(crate) fn key_of(name: &str) -> Option<&'static str> {
-    CMP_KEYS.iter().copied().find(|&k| k == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +372,27 @@ mod tests {
         assert!(a.result.bank_conflicts > 0, "8 cores must show bank conflicts");
         assert!(a.bank_stalls_per_ki() > 0.0);
         assert_eq!(a.apps.len(), 8);
+    }
+
+    /// A stored CMP run decodes to itself; one whose core count disagrees
+    /// with its per-core vectors, or whose key names no CMP configuration,
+    /// is refused (the sweep then simulates the run again).
+    #[test]
+    fn malformed_cmp_payloads_are_refused() {
+        let sink = TelemetrySink::disabled();
+        let run = run_cmp_opts("nf4", 2, &kind_of("nf4"), tiny(), &sink, 0, RunOptions::default());
+        let mut e = Encoder::new();
+        run.save(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(CmpRun::load(&mut Decoder::new(&bytes)), Ok(run));
+        // The key "nf4" is framed by its 8-byte length; the core count follows.
+        let mut more_cores = bytes.clone();
+        more_cores[11..15].copy_from_slice(&4u32.to_le_bytes());
+        let mut other_key = bytes.clone();
+        other_key[8..11].copy_from_slice(b"nf9");
+        for bad in [more_cores, other_key] {
+            assert!(CmpRun::load(&mut Decoder::new(&bad)).is_err());
+        }
     }
 
     #[test]

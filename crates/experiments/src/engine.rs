@@ -288,6 +288,36 @@ impl Counters {
         }
     }
 
+    /// Encodes every counter: the core's, the L1 accesses, the
+    /// organization's report, and the L4 events when there are any.
+    pub fn save_state(&self, e: &mut Encoder<'_>) {
+        self.core.save_state(e);
+        e.put_u64(self.l1_accesses);
+        self.org.save_state(e);
+        e.put_bool(self.l4.is_some());
+        if let Some(l4) = &self.l4 {
+            l4.save_state(e);
+        }
+    }
+
+    /// Decodes a [`Counters::save_state`] encoding, equal to the saved
+    /// counters bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// The first decode error.
+    pub fn load_state(d: &mut Decoder<'_>) -> Result<Counters, SnapshotError> {
+        Ok(Counters {
+            core: CoreResult::load_state(d)?,
+            l1_accesses: d.u64()?,
+            org: OrgReport::load_state(d)?,
+            l4: match d.bool()? {
+                true => Some(L4Stats::load_state(d)?),
+                false => None,
+            },
+        })
+    }
+
     /// Prices the full-system energy tally: core, L1, and memory from the
     /// paper's per-event models, the L2 from the organization's report.
     /// With an L4 attached the memory tier is priced by

@@ -6,9 +6,9 @@
 //! Figure 9 reuse the same base-case runs — including when they request
 //! them concurrently from the simsched worker pool.
 
-use crate::artifact;
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{CheckpointStore, Finished};
 use crate::cmp::CmpRun;
+use crate::engine::Counters;
 use crate::report::{f2, pct, rel, TextTable};
 use crate::runner::{
     run_app_opts, run_app_transient, run_digest, AppRun, L2Kind, RunOptions, Scale,
@@ -20,12 +20,12 @@ use memsys::dramcache::L4Config;
 use nuca::{CnucaConfig, SearchPolicy};
 use nurapid::{DistanceVictimPolicy, NuRapidConfig, PromotionPolicy};
 use simbase::digest::{Digest, Hasher128};
+use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::stats::GeoMean;
 use simbase::Capacity;
-use simsched::json::Json;
+use simsched::pool;
 use simsched::progress::{Event, EventKind, Observer, Outcome};
 use simsched::store::RunStore;
-use simsched::{pool, ArtifactStore};
 use simtel::{Telemetry, TelemetrySink, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,40 +33,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use workloads::profiles::{BenchProfile, LoadClass, ROSTER};
 
-/// How the sweep stores one run family as artifacts, and the telemetry
-/// summary a resumed run of it records (for families that export one).
-struct Family<T: 'static> {
-    decode: fn(&Json) -> Option<T>,
-    encode: fn(&T) -> Json,
-    fields: Option<Fields<T>>,
-}
-
 /// A run's telemetry summary fields.
 type Fields<T> = fn(&T) -> Vec<(&'static str, Value)>;
-
-const APP_RUNS: Family<AppRun> = Family {
-    decode: artifact::decode,
-    encode: artifact::encode,
-    fields: Some(run_fields),
-};
-
-const CMP_RUNS: Family<CmpRun> = Family {
-    decode: artifact::decode_cmp,
-    encode: artifact::encode_cmp,
-    fields: Some(cmp_run_fields),
-};
-
-const DRAM_RUNS: Family<DramRun> = Family {
-    decode: artifact::decode_dram,
-    encode: artifact::encode_dram,
-    fields: None,
-};
-
-const SAMPLED_RUNS: Family<SampledRun> = Family {
-    decode: artifact::decode_sampled,
-    encode: artifact::encode_sampled,
-    fields: None,
-};
 
 /// A store of full-system runs keyed by the **digest of the full
 /// configuration** (application profile + organization + scale + seed),
@@ -80,9 +48,10 @@ const SAMPLED_RUNS: Family<SampledRun> = Family {
 ///   process-wide, even under concurrent requests (single-flight);
 /// - keys are digests, so two distinct configurations can never alias
 ///   through a shared label (the old `(&str, &str)` keying hazard);
-/// - with [`Sweep::with_artifacts`], completed runs are appended to a
-///   JSON-lines manifest and a later sweep *resumes*, loading
-///   digest-matching artifacts instead of re-simulating.
+/// - with [`Sweep::with_artifacts`], finished runs are sealed into a
+///   results store, one `<run digest>.simchk` file each, and a later
+///   sweep *resumes*, loading digest-matching runs instead of
+///   re-simulating.
 pub struct Sweep {
     scale: Scale,
     apps: Vec<BenchProfile>,
@@ -94,7 +63,7 @@ pub struct Sweep {
     l4: Option<L4Config>,
     sample: Option<SampleSpec>,
     intervals: u64,
-    artifacts: Option<ArtifactStore>,
+    results: Option<CheckpointStore>,
     checkpoints: Option<Arc<CheckpointStore>>,
     warmup: WarmupMode,
     observer: Option<Observer>,
@@ -123,7 +92,7 @@ impl Sweep {
             l4: None,
             sample: None,
             intervals: 1,
-            artifacts: None,
+            results: None,
             checkpoints: None,
             warmup: WarmupMode::default(),
             observer: None,
@@ -142,11 +111,12 @@ impl Sweep {
         self
     }
 
-    /// Attaches a run-artifact directory: completed runs are appended to
-    /// its JSON-lines manifest, and runs whose digest already appears
-    /// there are loaded instead of simulated (resume).
+    /// Attaches a results directory ([`CheckpointStore::open_results`]):
+    /// every finished run is sealed into it under its run digest, and a
+    /// run whose file is there and whole is loaded instead of simulated
+    /// (resume). A missing or damaged file means one more simulation.
     pub fn with_artifacts(mut self, dir: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        self.artifacts = Some(ArtifactStore::open(dir)?);
+        self.results = Some(CheckpointStore::open_results(dir)?);
         Ok(self)
     }
 
@@ -281,14 +251,14 @@ impl Sweep {
     }
 
     /// One keyed job through the sweep: single-flight on `digest` in
-    /// `store`, resumed from a digest-matching artifact of `family` when
-    /// one decodes, otherwise simulated by `simulate` and appended to the
-    /// artifact manifest. Progress events bracket the job under `label`
-    /// either way.
-    fn keyed<T>(
+    /// `store`, loaded from the results store when its file there is
+    /// whole, otherwise simulated by `simulate` and sealed into it. A
+    /// loaded run records its `fields`, when given, as its telemetry
+    /// summary. Progress events bracket the job under `label` either way.
+    fn keyed<T: Finished>(
         &self,
         store: &RunStore<u128, T>,
-        family: &Family<T>,
+        fields: Option<Fields<T>>,
         digest: Digest,
         label: &str,
         simulate: impl FnOnce(RunOptions<'_>) -> T,
@@ -300,31 +270,32 @@ impl Sweep {
         // the request from another requester's completed computation.
         let mut outcome = None;
         let run = store.get_or_compute(digest.raw(), || {
-            let artifact = self
-                .artifacts
-                .as_ref()
-                .and_then(|a| a.lookup(&digest.hex()));
-            if let Some(run) = artifact.as_ref().and_then(family.decode) {
+            let fresh = || {
+                let run = simulate(RunOptions {
+                    mode: self.warmup,
+                    checkpoints: self.checkpoints.as_deref(),
+                    wall: self.telemetry.as_deref(),
+                });
+                self.simulated.fetch_add(1, Ordering::Relaxed);
+                outcome = Some(Outcome::Simulated);
+                run
+            };
+            let Some(results) = &self.results else {
+                return fresh();
+            };
+            let mut run = None;
+            let hit = results.restore_or_build(digest, &mut run, |r| *r = None, |r| {
+                *r = Some(fresh());
+            });
+            let run = run.expect("a loaded or simulated run");
+            if hit {
                 self.resumed.fetch_add(1, Ordering::Relaxed);
-                if let (Some(tel), Some(fields)) = (&self.telemetry, family.fields) {
+                if let (Some(tel), Some(fields)) = (&self.telemetry, fields) {
                     let sink = TelemetrySink::disabled();
                     tel.record_run(label, &digest.hex(), fields(&run), &sink);
                 }
                 outcome = Some(Outcome::Resumed);
-                return run;
             }
-            let run = simulate(RunOptions {
-                mode: self.warmup,
-                checkpoints: self.checkpoints.as_deref(),
-                wall: self.telemetry.as_deref(),
-            });
-            self.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(store) = &self.artifacts {
-                // Best-effort: an unwritable artifact dir degrades to a
-                // plain in-memory sweep rather than failing the run.
-                let _ = store.append(&digest.hex(), (family.encode)(&run));
-            }
-            outcome = Some(Outcome::Simulated);
             run
         });
 
@@ -387,7 +358,7 @@ impl Sweep {
     fn run_kind_full(&self, app: BenchProfile, label: &str, kind: &L2Kind) -> Arc<AppRun> {
         let digest = run_digest(&app, kind, self.scale);
         let label = format!("{label}/{}", app.name);
-        self.keyed(&self.store, &APP_RUNS, digest, &label, |opts| {
+        self.keyed(&self.store, Some(run_fields), digest, &label, |opts| {
             self.traced(&label, digest, run_fields, |sink, snap_every| {
                 run_app_opts(app, kind, self.scale, sink, snap_every, opts)
             })
@@ -395,8 +366,8 @@ impl Sweep {
     }
 
     /// The sampled twin of [`Sweep::run_kind_full`]: same single-flight
-    /// store, same artifact resume (the estimated [`AppRun`] reuses the
-    /// plain `"app"` codec under the sampled digest), same telemetry
+    /// store, same resume (the estimated [`AppRun`] is stored as any
+    /// other under the sampled digest), same telemetry
     /// recording — but the simulation is
     /// [`sampling::run_app_sampled`] with the sweep's interval count.
     /// A prefetched run executes its intervals in order on the worker
@@ -411,7 +382,7 @@ impl Sweep {
     ) -> Arc<AppRun> {
         let digest = sampling::sampled_digest(&app, kind, self.scale, spec, self.intervals);
         let label = format!("{label}/{}", app.name);
-        self.keyed(&self.store, &APP_RUNS, digest, &label, |opts| {
+        self.keyed(&self.store, Some(run_fields), digest, &label, |opts| {
             let (scale, intervals, threads) = (self.scale, self.intervals, self.threads);
             let run =
                 sampling::run_app_sampled(app, kind, scale, spec, intervals, threads, opts).run;
@@ -426,7 +397,7 @@ impl Sweep {
     /// Runs (or returns the stored run of) the CMP scenario with `cores`
     /// cores sharing the configuration named `key` (see [`crate::cmp`]).
     /// CMP runs live in their own digest-keyed single-flight store with
-    /// the same artifact-resume and checkpoint behavior as [`Sweep::run`];
+    /// the same resume and checkpoint behavior as [`Sweep::run`];
     /// the `simulated`/`resumed` counters are shared, so status lines and
     /// the CI resume proof account for both families.
     pub fn run_cmp(&self, cores: u32, key: &'static str) -> Arc<CmpRun> {
@@ -435,7 +406,7 @@ impl Sweep {
         let apps = crate::cmp::cmp_profiles(cores);
         let digest = crate::cmp::cmp_run_digest(&cfg, &apps, &kind, self.scale);
         let label = format!("cmp{cores}x/{key}");
-        self.keyed(&self.cmp_store, &CMP_RUNS, digest, &label, |opts| {
+        self.keyed(&self.cmp_store, Some(cmp_run_fields), digest, &label, |opts| {
             self.traced(&label, digest, cmp_run_fields, |sink, snap| {
                 crate::cmp::run_cmp_opts(key, cores, &kind, self.scale, sink, snap, opts)
             })
@@ -459,13 +430,13 @@ impl Sweep {
     /// scenario for `app`: [`dram_kind`] (NuRAPID + L4 with the shrink-
     /// then-grow schedule) through [`run_app_transient`] with
     /// [`DRAM_WINDOWS`] windows. Transient runs live in their own
-    /// digest-keyed single-flight store with the same artifact-resume
-    /// and checkpoint behavior as [`Sweep::run`].
+    /// digest-keyed single-flight store with the same resume and
+    /// checkpoint behavior as [`Sweep::run`].
     pub fn run_dram(&self, app: BenchProfile) -> Arc<DramRun> {
         let kind = dram_kind(self.scale);
         let digest = dram_digest(&app, &kind, self.scale, DRAM_WINDOWS);
         let label = format!("dram/{}", app.name);
-        self.keyed(&self.dram_store, &DRAM_RUNS, digest, &label, |opts| {
+        self.keyed(&self.dram_store, None, digest, &label, |opts| {
             let (run, windows) = run_app_transient(app, &kind, self.scale, DRAM_WINDOWS, opts);
             DramRun { run, windows }
         })
@@ -488,9 +459,9 @@ impl Sweep {
     /// full per-window observation list — the sampled leg of the error
     /// study, which needs the windows for confidence intervals. Lives in
     /// its own digest-keyed single-flight store (under a study-specific
-    /// domain tag, so its `"sampled_app"` artifacts can never collide
-    /// with the plain estimates of [`Sweep::with_sample`] runs) with the
-    /// same artifact-resume behavior as every other family.
+    /// domain tag, so its stored runs can never collide with the plain
+    /// estimates of [`Sweep::with_sample`] runs) with the same resume
+    /// behavior as every other family.
     pub fn run_sampled(
         &self,
         app: BenchProfile,
@@ -500,7 +471,7 @@ impl Sweep {
         let kind = self.wrap_l4(kind_of(key));
         let digest = sampled_study_digest(&app, &kind, self.scale, spec, self.intervals);
         let label = format!("sampled-{key}/{}", app.name);
-        self.keyed(&self.sampled_store, &SAMPLED_RUNS, digest, &label, |opts| {
+        self.keyed(&self.sampled_store, None, digest, &label, |opts| {
             let (scale, intervals, threads) = (self.scale, self.intervals, self.threads);
             sampling::run_app_sampled(app, &kind, scale, spec, intervals, threads, opts)
         })
@@ -532,7 +503,7 @@ impl Sweep {
     }
 
     /// Number of distinct completed runs across all stores (single-core,
-    /// CMP, and DRAM transient; simulated plus resumed from artifacts).
+    /// CMP, DRAM transient and sampled; simulated plus resumed).
     pub fn runs(&self) -> usize {
         self.store.completed()
             + self.cmp_store.completed()
@@ -545,7 +516,7 @@ impl Sweep {
         self.simulated.load(Ordering::Relaxed)
     }
 
-    /// Number of runs loaded from digest-matching artifacts.
+    /// Number of runs loaded from the results store.
     pub fn resumed(&self) -> u64 {
         self.resumed.load(Ordering::Relaxed)
     }
@@ -558,7 +529,7 @@ impl fmt::Debug for Sweep {
             .field("apps", &self.apps.len())
             .field("threads", &self.threads)
             .field("runs", &self.runs())
-            .field("artifacts", &self.artifacts.as_ref().map(|a| a.dir().to_path_buf()))
+            .field("results", &self.results.as_ref().map(|r| r.dir().to_path_buf()))
             .finish()
     }
 }
@@ -567,20 +538,21 @@ impl fmt::Debug for Sweep {
 /// values are the very numbers the printed tables derive from; the JSON
 /// renderer writes them shortest-round-trip, so they re-parse bit-exact.
 fn run_fields(run: &AppRun) -> Vec<(&'static str, Value)> {
+    let c = &run.counters;
     vec![
         ("app", Value::Str(run.name.to_string())),
-        ("instructions", Value::U64(run.core.instructions)),
-        ("cycles", Value::U64(run.core.cycles)),
+        ("instructions", Value::U64(c.core.instructions)),
+        ("cycles", Value::U64(c.core.cycles)),
         ("ipc", Value::F64(run.ipc())),
         ("apki", Value::F64(run.apki())),
-        ("l2_accesses", Value::U64(run.l2_accesses)),
-        ("l2_misses", Value::U64(run.l2_misses)),
-        ("miss_frac", Value::F64(run.miss_frac)),
-        ("group_fracs", Value::F64s(run.group_fracs.clone())),
-        ("dgroup_accesses", Value::U64(run.dgroup_accesses)),
-        ("swaps", Value::U64(run.swaps)),
-        ("l2_energy_nj", Value::F64(run.l2_energy.nj())),
-        ("total_energy_nj", Value::F64(run.energy.total().nj())),
+        ("l2_accesses", Value::U64(c.org.l2_accesses)),
+        ("l2_misses", Value::U64(c.org.l2_misses)),
+        ("miss_frac", Value::F64(run.miss_frac())),
+        ("group_fracs", Value::F64s(run.group_fracs())),
+        ("dgroup_accesses", Value::U64(c.org.dgroup_accesses)),
+        ("swaps", Value::U64(c.org.swaps)),
+        ("l2_energy_nj", Value::F64(c.org.l2_energy.nj())),
+        ("total_energy_nj", Value::F64(run.energy().total().nj())),
         ("edp", Value::F64(run.edp())),
     ]
 }
@@ -841,7 +813,7 @@ fn dist_figure(sweep: &Sweep, title: &'static str, configs: Vec<&'static str>) -
                 .iter()
                 .map(|k| {
                     let r = sweep.run(p, k);
-                    (r.group_fracs.clone(), r.miss_frac)
+                    (r.group_fracs(), r.miss_frac())
                 })
                 .collect();
             (p.name, per_config)
@@ -1122,7 +1094,7 @@ pub fn sec531(sweep: &Sweep) -> LruStudy {
     let avg_g0 = |sweep: &Sweep, key: &'static str| {
         let sum: f64 = apps
             .iter()
-            .map(|&p| sweep.run(p, key).group_fracs[0])
+            .map(|&p| sweep.run(p, key).group_fracs()[0])
             .sum();
         sum / apps.len() as f64
     };
@@ -1184,9 +1156,14 @@ pub fn fig10(sweep: &Sweep) -> EnergyFigure {
     let rows = apps
         .into_iter()
         .map(|p| {
-            let per_ki = |r: &AppRun| r.l2_energy.nj() * 1000.0 / r.core.instructions as f64;
-            let per_access =
-                |r: &AppRun| r.dgroup_accesses as f64 / r.l2_accesses.max(1) as f64;
+            let per_ki = |r: &AppRun| {
+                let c = &r.counters;
+                c.org.l2_energy.nj() * 1000.0 / c.core.instructions as f64
+            };
+            let per_access = |r: &AppRun| {
+                let org = &r.counters.org;
+                org.dgroup_accesses as f64 / org.l2_accesses.max(1) as f64
+            };
             let base = per_ki(&sweep.run(p, "base"));
             let dn = sweep.run(p, "dn-energy");
             let (dn_e, dn_a) = (per_ki(&dn), per_access(&dn));
@@ -1348,7 +1325,7 @@ pub fn restriction_ablation(sweep: &Sweep) -> RestrictionAblation {
         for &p in &apps {
             let base_ipc = sweep.run(p, "base").ipc();
             let r = sweep.run(p, key);
-            g0 += r.group_fracs[0];
+            g0 += r.group_fracs()[0];
             rel_perf.push(r.ipc() / base_ipc);
         }
         rows.push((
@@ -1415,8 +1392,9 @@ pub fn orgs(sweep: &Sweep) -> OrgFigure {
                 .iter()
                 .map(|k| {
                     let r = sweep.run(p, k);
-                    let per_ki = r.l2_energy.nj() * 1000.0 / r.core.instructions as f64;
-                    let g0 = r.group_fracs.first().copied().unwrap_or(0.0);
+                    let c = &r.counters;
+                    let per_ki = c.org.l2_energy.nj() * 1000.0 / c.core.instructions as f64;
+                    let g0 = r.group_fracs().first().copied().unwrap_or(0.0);
                     (r.ipc() / base_ipc, per_ki, g0)
                 })
                 .collect();
@@ -1522,7 +1500,7 @@ pub fn dram_kind(scale: Scale) -> L2Kind {
 /// Digest keying a windowed transient run: the plain [`run_digest`]
 /// (profile, configuration incl. resize schedule, scale, trace seed)
 /// under a distinct domain tag, plus the window count — the same job
-/// sliced into a different number of windows is a different artifact.
+/// sliced into a different number of windows is a different run.
 pub fn dram_digest(
     profile: &BenchProfile,
     kind: &L2Kind,
@@ -1544,6 +1522,33 @@ pub struct DramRun {
     pub run: AppRun,
     /// [`DRAM_WINDOWS`] equal slices of the measured phase.
     pub windows: Vec<TransientWindow>,
+}
+
+impl Finished for DramRun {
+    fn save(&self, e: &mut Encoder<'_>) {
+        self.run.save(e);
+        e.put_len(self.windows.len());
+        for w in &self.windows {
+            e.put_u32(w.n_banks);
+            w.counters.save_state(e);
+        }
+    }
+
+    fn load(d: &mut Decoder<'_>) -> Result<DramRun, SnapshotError> {
+        let run = AppRun::load(d)?;
+        let windows = (0..d.len()?)
+            .map(|_| {
+                Ok(TransientWindow {
+                    n_banks: d.u32()?,
+                    counters: Counters::load_state(d)?,
+                })
+            })
+            .collect::<Result<Vec<_>, SnapshotError>>()?;
+        if windows.is_empty() {
+            return Err(SnapshotError::Malformed("no window"));
+        }
+        Ok(DramRun { run, windows })
+    }
 }
 
 /// The `dram` experiment: per-window IPC, L4 behavior, and memory
@@ -1692,8 +1697,8 @@ pub fn sampling_spec(scale: Scale, divisor: u64) -> SampleSpec {
 }
 
 /// Digest keying one study run: the plain sampled digest under a
-/// study-specific domain tag, so full-window `"sampled_app"` artifacts
-/// never share a manifest key with the plain `"app"` estimates that
+/// study-specific domain tag, so full-window study runs never share a
+/// results file with the plain estimates that
 /// [`Sweep::with_sample`] runs store under [`sampling::sampled_digest`].
 fn sampled_study_digest(
     profile: &BenchProfile,
@@ -1743,7 +1748,7 @@ pub struct SamplingStudy {
 }
 
 fn energy_per_ki(run: &AppRun) -> f64 {
-    run.energy.total().nj() * 1000.0 / run.core.instructions.max(1) as f64
+    run.energy().total().nj() * 1000.0 / run.counters.core.instructions.max(1) as f64
 }
 
 /// Regenerates the error-vs-speedup study: full-detail baselines for
@@ -1983,7 +1988,7 @@ mod tests {
         );
         assert_eq!(s.runs(), 2, "two configs, two runs, despite one label");
         assert_ne!(
-            a.group_fracs, b.group_fracs,
+            a.group_fracs(), b.group_fracs(),
             "distinct promotion policies must not share a result"
         );
         // Same config under two different labels is still one run.
@@ -2244,19 +2249,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every result family resumes from the results store equal to its
+    /// fresh run field for field, every organization energy bit for bit,
+    /// while a `runs.jsonl` manifest left in the directory is not read.
     #[test]
-    fn dram_runs_resume_from_artifacts() {
-        let dir = std::env::temp_dir()
-            .join(format!("simart-exps-dram-{}", std::process::id()));
+    fn every_result_family_resumes_field_for_field() {
+        let dir = std::env::temp_dir().join(format!("simres-exps-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("results dir");
+        std::fs::write(dir.join("runs.jsonl"), "{\"digest\":\"00\",\"app\":\"galgel\"}\n")
+            .expect("plant an old manifest");
         let app = by_name("galgel").unwrap();
-        let first = tiny_sweep().with_artifacts(&dir).expect("open artifacts");
-        let a = first.run_dram(app);
-        assert_eq!((first.simulated(), first.resumed()), (1, 0));
-        let second = tiny_sweep().with_artifacts(&dir).expect("reopen artifacts");
-        let b = second.run_dram(app);
-        assert_eq!((second.simulated(), second.resumed()), (0, 1));
-        assert_eq!(*a, *b, "artifact resume must be bit-identical");
+        let runs = |s: &Sweep| {
+            let r = (
+                s.run(app, "nf4"),
+                s.run_cmp(2, "nf4"),
+                s.run_dram(app),
+                s.run_sampled(app, "nf4", tiny_spec()),
+            );
+            (r, s.simulated(), s.resumed())
+        };
+        let (fresh, simulated, resumed) = runs(&tiny_sweep().with_artifacts(&dir).expect("open"));
+        assert_eq!((simulated, resumed), (4, 0), "the old manifest was read");
+        let (again, simulated, resumed) = runs(&tiny_sweep().with_artifacts(&dir).expect("reopen"));
+        assert_eq!((simulated, resumed), (0, 4));
+        assert_eq!(fresh, again, "a resumed run differs from its fresh run");
+
+        let bits = |c: &Counters| c.org.l2_energy.nj().to_bits();
+        type Runs = (Arc<AppRun>, Arc<CmpRun>, Arc<DramRun>, Arc<SampledRun>);
+        let energies = |(run, cmp, dram, sampled): &Runs| {
+            let mut all = vec![bits(&run.counters), cmp.result.report.l2_energy.nj().to_bits()];
+            all.push(bits(&dram.run.counters));
+            all.extend(dram.windows.iter().map(|w| bits(&w.counters)));
+            all.push(bits(&sampled.run.counters));
+            all.extend(sampled.windows.iter().map(|w| bits(&w.counters)));
+            all
+        };
+        assert_eq!(energies(&fresh), energies(&again));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

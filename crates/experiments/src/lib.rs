@@ -27,7 +27,6 @@
 //! Runs are scaled down from the paper's 5 B-instruction simulations (see
 //! DESIGN.md §3); [`runner::Scale`] picks the instruction budget.
 
-pub mod artifact;
 pub mod checkpoint;
 pub mod cmp;
 pub mod engine;

@@ -14,12 +14,11 @@
 //! The phase machinery itself lives in [`crate::engine`]: this module
 //! names the configurations and their digests, and drives the engine as
 //! one window ([`run_app_opts`]) or as equal resize-transient windows
-//! ([`run_app_transient`]). Either way the result is a [`Counters`]
-//! reading priced once into an [`AppRun`] ([`AppRun::from_counters`]).
+//! ([`run_app_transient`]). Either way the result is an [`AppRun`]: the
+//! phase's [`Counters`], priced and turned into fractions on demand.
 
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{load_app, CheckpointStore, Finished};
 use crate::engine::{Counters, Phase};
-use cpu::CoreResult;
 use energy::EnergyTally;
 use memsys::dramcache::{L4Config, L4DramCache, L4Stats};
 use memsys::hierarchy::BaseHierarchy;
@@ -28,7 +27,7 @@ use nuca::{CnucaConfig, CompressedNucaCache, DnucaCache, DnucaConfig, SearchPoli
 use nurapid::coupled::CoupledCache;
 use nurapid::{NuRapidCache, NuRapidConfig};
 use simbase::digest::{Digest, Hasher128, Knob, KnobVisitor, Knobs, Tag};
-use simbase::EnergyNj;
+use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simtel::{Telemetry, TelemetrySink};
 use std::time::Instant;
 use workloads::BenchProfile;
@@ -247,47 +246,62 @@ pub fn warmup_digest(profile: &BenchProfile, kind: &L2Kind, scale: Scale) -> Dig
     h.digest()
 }
 
-/// The measured results of one application on one organization.
+/// The measured results of one application on one organization: the
+/// measured phase's exact [`Counters`]. Every rendered float is derived
+/// from them on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppRun {
     /// Application name.
     pub name: &'static str,
-    /// Measured-phase core results.
-    pub core: CoreResult,
-    /// L2 accesses during the measured phase.
-    pub l2_accesses: u64,
-    /// L2 misses during the measured phase.
-    pub l2_misses: u64,
-    /// Fraction of L2 accesses hitting each d-group / bank-position-MB
-    /// (empty for the base hierarchy).
-    pub group_fracs: Vec<f64>,
-    /// Fraction of L2 accesses that missed.
-    pub miss_frac: f64,
-    /// Total data-array (d-group or bank) accesses including swap and
-    /// search traffic (0 for the base hierarchy).
-    pub dgroup_accesses: u64,
-    /// Block movements (promotions + demotions or bubble swaps).
-    pub swaps: u64,
-    /// Dynamic L2 energy over the measured phase.
-    pub l2_energy: EnergyNj,
-    /// Full-system energy tally over the measured phase.
-    pub energy: EnergyTally,
+    /// Every counter of the measured phase.
+    pub counters: Counters,
 }
 
 impl AppRun {
     /// Measured IPC.
     pub fn ipc(&self) -> f64 {
-        self.core.ipc()
+        self.counters.core.ipc()
     }
 
     /// L2 accesses per kilo-instruction (Table 3's metric).
     pub fn apki(&self) -> f64 {
-        1000.0 * self.l2_accesses as f64 / self.core.instructions.max(1) as f64
+        let c = &self.counters;
+        1000.0 * c.org.l2_accesses as f64 / c.core.instructions.max(1) as f64
+    }
+
+    /// Fraction of L2 accesses hitting each d-group / bank-position-MB
+    /// (empty for the base hierarchy).
+    pub fn group_fracs(&self) -> Vec<f64> {
+        self.counters.org.group_fracs()
+    }
+
+    /// Fraction of L2 accesses that missed.
+    pub fn miss_frac(&self) -> f64 {
+        self.counters.org.miss_frac()
+    }
+
+    /// Full-system energy tally over the measured phase.
+    pub fn energy(&self) -> EnergyTally {
+        self.counters.price()
     }
 
     /// Energy-delay product (relative unit).
     pub fn edp(&self) -> f64 {
-        self.energy.energy_delay(self.core.cycles)
+        self.energy().energy_delay(self.counters.core.cycles)
+    }
+}
+
+impl Finished for AppRun {
+    fn save(&self, e: &mut Encoder<'_>) {
+        e.put_u8_slice(self.name.as_bytes());
+        self.counters.save_state(e);
+    }
+
+    fn load(d: &mut Decoder<'_>) -> Result<AppRun, SnapshotError> {
+        Ok(AppRun {
+            name: load_app(d)?,
+            counters: Counters::load_state(d)?,
+        })
     }
 }
 
@@ -319,7 +333,10 @@ pub fn run_app_opts(
     if let Some(w) = opts.wall {
         w.wall_span("measure", profile.name, t_measure.elapsed().as_nanos() as u64);
     }
-    AppRun::from_counters(profile.name, &phase.counters())
+    AppRun {
+        name: profile.name,
+        counters: phase.counters(),
+    }
 }
 
 /// One window of a resize-transient run: the measured phase is split
@@ -371,8 +388,12 @@ pub fn run_app_transient(
     n_windows: usize,
     opts: RunOptions<'_>,
 ) -> (AppRun, Vec<TransientWindow>) {
-    let (total, windows) = transient_counters(profile, kind, scale, n_windows, opts);
-    (AppRun::from_counters(profile.name, &total), windows)
+    let (counters, windows) = transient_counters(profile, kind, scale, n_windows, opts);
+    let run = AppRun {
+        name: profile.name,
+        counters,
+    };
+    (run, windows)
 }
 
 /// The windows of [`run_app_transient`] plus the whole measured phase's
@@ -396,25 +417,6 @@ pub(crate) fn transient_counters(
     (phase.counters(), windows)
 }
 
-impl AppRun {
-    /// Assembles the run from a measured phase's counters, priced once by
-    /// [`Counters::price`]; the fractions are derived from the counts.
-    pub fn from_counters(name: &'static str, c: &Counters) -> AppRun {
-        AppRun {
-            name,
-            core: c.core.clone(),
-            l2_accesses: c.org.l2_accesses,
-            l2_misses: c.org.l2_misses,
-            group_fracs: c.org.group_fracs(),
-            miss_frac: c.org.miss_frac(),
-            dgroup_accesses: c.org.dgroup_accesses,
-            swaps: c.org.swaps,
-            l2_energy: c.org.l2_energy,
-            energy: c.price(),
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -430,11 +432,11 @@ pub(crate) mod tests {
     #[test]
     fn base_run_produces_sane_numbers() {
         let r = run_app(by_name("applu").unwrap(), &L2Kind::Base, tiny());
-        assert_eq!(r.core.instructions, 60_000);
+        assert_eq!(r.counters.core.instructions, 60_000);
         assert!(r.ipc() > 0.05 && r.ipc() < 8.0, "ipc={}", r.ipc());
         assert!(r.apki() > 1.0, "high-load app must reach the L2: {}", r.apki());
-        assert!(r.energy.total().nj() > 0.0);
-        assert!(r.group_fracs.is_empty());
+        assert!(r.energy().total().nj() > 0.0);
+        assert!(r.group_fracs().is_empty());
     }
 
     #[test]
@@ -444,10 +446,11 @@ pub(crate) mod tests {
             &L2Kind::NuRapid(NuRapidConfig::micro2003(4)),
             tiny(),
         );
-        assert_eq!(r.group_fracs.len(), 4);
-        let total: f64 = r.group_fracs.iter().sum::<f64>() + r.miss_frac;
+        let fracs = r.group_fracs();
+        assert_eq!(fracs.len(), 4);
+        let total: f64 = fracs.iter().sum::<f64>() + r.miss_frac();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to 1, got {total}");
-        assert!(r.group_fracs[0] > 0.3, "galgel's 1-MB hot set is fast");
+        assert!(fracs[0] > 0.3, "galgel's 1-MB hot set is fast");
     }
 
     #[test]
@@ -457,8 +460,9 @@ pub(crate) mod tests {
             &L2Kind::Dnuca(SearchPolicy::SsPerformance),
             tiny(),
         );
-        assert_eq!(r.group_fracs.len(), 8);
-        assert!(r.dgroup_accesses > r.l2_accesses, "multicast searches many banks");
+        assert_eq!(r.group_fracs().len(), 8);
+        let org = &r.counters.org;
+        assert!(org.dgroup_accesses > org.l2_accesses, "multicast searches many banks");
     }
 
     #[test]
@@ -472,8 +476,8 @@ pub(crate) mod tests {
         let k = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
         let a = run_app(by_name("parser").unwrap(), &k, tiny());
         let b = run_app(by_name("parser").unwrap(), &k, tiny());
-        assert_eq!(a.core.cycles, b.core.cycles);
-        assert_eq!(a.l2_accesses, b.l2_accesses);
+        assert_eq!(a.counters.core.cycles, b.counters.core.cycles);
+        assert_eq!(a.counters.org.l2_accesses, b.counters.org.l2_accesses);
     }
 
     /// The tentpole differential: for every organization, a functional

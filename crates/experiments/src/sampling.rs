@@ -50,9 +50,11 @@
 //! it. The estimator trades that for timing fidelity inside the windows
 //! only — the documented, quantified sampling error (`--exp sampling`).
 
+use crate::checkpoint::{load_app, Finished};
 use crate::engine::{self, Counters, Phase, Seed};
 use crate::runner::{warmup_digest, AppRun, L2Kind, RunOptions, Scale};
 use simbase::digest::{Digest, Hasher128, Tag};
+use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simsched::pool;
 use simtel::Telemetry;
 use std::time::Instant;
@@ -283,6 +285,73 @@ impl SampledRun {
     }
 }
 
+/// The estimated run: the windows' counters summed in trace order, so the
+/// one f64 (the organization's energy) is bit-identical for any thread
+/// count. `None` without a window.
+fn estimate(name: &'static str, windows: &[WindowObs]) -> Option<AppRun> {
+    let counters = windows
+        .iter()
+        .map(|w| w.counters.clone())
+        .reduce(|a, b| a.plus(&b))?;
+    Some(AppRun { name, counters })
+}
+
+/// The regime, the bookkeeping and the windows; the estimate is derived
+/// from the windows again on load.
+impl Finished for SampledRun {
+    fn save(&self, e: &mut Encoder<'_>) {
+        e.put_u8_slice(self.run.name.as_bytes());
+        let s = &self.spec;
+        e.put_u64_slice(&[
+            s.period,
+            s.warmup,
+            s.measure,
+            self.intervals,
+            self.total_instructions,
+            self.detailed_instructions,
+        ]);
+        e.put_len(self.windows.len());
+        for w in &self.windows {
+            e.put_u64(w.index);
+            e.put_u64(w.start);
+            w.counters.save_state(e);
+        }
+    }
+
+    fn load(d: &mut Decoder<'_>) -> Result<SampledRun, SnapshotError> {
+        let name = load_app(d)?;
+        let mut w = [0; 6];
+        d.u64_slice_into(&mut w)?;
+        let [period, warmup, measure, intervals, total_instructions, detailed_instructions] = w;
+        let windows = (0..d.len()?)
+            .map(|_| {
+                Ok(WindowObs {
+                    index: d.u64()?,
+                    start: d.u64()?,
+                    counters: Counters::load_state(d)?,
+                })
+            })
+            .collect::<Result<Vec<_>, SnapshotError>>()?;
+        // The estimate adds the windows, which needs one d-group count.
+        let groups = |w: &WindowObs| w.counters.org.group_hits.len();
+        if windows.iter().any(|w| groups(w) != groups(&windows[0])) {
+            return Err(SnapshotError::Malformed("windows disagree on the d-group count"));
+        }
+        Ok(SampledRun {
+            run: estimate(name, &windows).ok_or(SnapshotError::Malformed("no window"))?,
+            spec: SampleSpec {
+                period,
+                warmup,
+                measure,
+            },
+            intervals,
+            total_instructions,
+            detailed_instructions,
+            windows,
+        })
+    }
+}
+
 /// Digest keying interval k's architectural snapshot: the warm-up digest
 /// (application, architectural configuration slice, warm-up budget,
 /// seed, checkpoint version) under a distinct domain tag, plus the
@@ -415,16 +484,8 @@ pub fn run_app_sampled(
         );
     }
 
-    // Summed in trace order over the stitched list, so the one f64 (the
-    // organization's energy) is bit-identical for any thread count.
-    let total = observations
-        .iter()
-        .map(|w| w.counters.clone())
-        .reduce(|a, b| a.plus(&b))
-        .expect("a sampled run observes at least one window");
-    let run = AppRun::from_counters(profile.name, &total);
     SampledRun {
-        run,
+        run: estimate(profile.name, &observations).expect("a sampled run observes a window"),
         spec,
         intervals: k,
         total_instructions: scale.measure,
@@ -534,16 +595,37 @@ pub(crate) mod tests {
         assert_eq!(s.windows.len(), 12);
         assert_eq!(s.total_instructions, 60_000);
         assert_eq!(s.detailed_instructions, 12 * 1_000);
-        assert_eq!(s.run.core.instructions, 12 * 800);
+        assert_eq!(s.run.counters.core.instructions, 12 * 800);
         // tiny_spec times 1_000 of every 5_000 ops: a 5x detailed reduction.
         assert!((s.speedup() - 5.0).abs() < 1e-9, "speedup {}", s.speedup());
         let ipc = s.ipc();
         assert_eq!(ipc.n, 12);
         assert!(ipc.mean > 0.05 && ipc.mean < 8.0, "ipc {}", ipc.mean);
-        assert_eq!(s.run.group_fracs.len(), 4);
-        let total: f64 = s.run.group_fracs.iter().sum::<f64>() + s.run.miss_frac;
+        let fracs = s.run.group_fracs();
+        assert_eq!(fracs.len(), 4);
+        let total: f64 = fracs.iter().sum::<f64>() + s.run.miss_frac();
         assert!((total - 1.0).abs() < 1e-6, "fractions sum to 1, got {total}");
-        assert!(s.run.energy.total().nj() > 0.0);
+        assert!(s.run.energy().total().nj() > 0.0);
+    }
+
+    /// A stored sampled run decodes to itself, its estimate re-derived
+    /// from the windows; windows that disagree on the d-group count are
+    /// refused instead of panicking in the sum.
+    #[test]
+    fn stored_sampled_runs_round_trip_and_refuse_mismatched_windows() {
+        let app = by_name("galgel").unwrap();
+        let kind = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
+        let run = run_app_sampled(app, &kind, tiny(), tiny_spec(), 1, 1, RunOptions::default());
+        let bytes = |r: &SampledRun| {
+            let mut e = Encoder::new();
+            r.save(&mut e);
+            e.into_bytes()
+        };
+        let load = |b: &[u8]| SampledRun::load(&mut Decoder::new(b));
+        assert_eq!(load(&bytes(&run)), Ok(run.clone()));
+        let mut bad = run;
+        bad.windows[1].counters.org.group_hits.pop();
+        assert!(load(&bytes(&bad)).is_err());
     }
 
     #[test]
@@ -563,7 +645,7 @@ pub(crate) mod tests {
         let s = run_app_sampled(app, &kind, scale, spec, 1, 1, RunOptions::default());
         let ipc_err = (s.ipc().mean - full.ipc()).abs() / full.ipc();
         assert!(ipc_err < 0.2, "sampled IPC off by {ipc_err:.3}");
-        let full_eki = full.energy.total().nj() * 1000.0 / full.core.instructions as f64;
+        let full_eki = full.energy().total().nj() * 1000.0 / full.counters.core.instructions as f64;
         let eki_err = (s.energy_per_ki().mean - full_eki).abs() / full_eki;
         assert!(eki_err < 0.25, "sampled nJ/KI off by {eki_err:.3}");
         assert!(s.speedup() >= 20.0);

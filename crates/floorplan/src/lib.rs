@@ -9,10 +9,7 @@
 //! * partitioning of the grid into **distance-groups** (d-groups) by routing
 //!   distance, for NuRAPID's few-large-groups organization
 //!   ([`dgroups::DGroupPlan`]) and for D-NUCA's many-small-banks
-//!   organization ([`banks::BankPlan`], paper Figure 3(a));
-//! * the Section 3.1 layout considerations: spare-subarray remapping for
-//!   hard-error tolerance and spreading of a block's bits across subarrays
-//!   for soft-error (ECC) tolerance ([`resilience`]).
+//!   organization ([`banks::BankPlan`], paper Figure 3(a)).
 //!
 //! # Examples
 //!
@@ -30,7 +27,6 @@
 pub mod banks;
 pub mod dgroups;
 pub mod grid;
-pub mod resilience;
 
 pub use grid::{SubarrayGrid, SubarrayId};
 

@@ -186,6 +186,56 @@ impl L4Stats {
         self.zip(other, |a, b| a + b)
     }
 
+    /// Encodes every counter, in declaration order.
+    pub fn save_state(&self, e: &mut Encoder) {
+        e.put_u64_slice(&[
+            self.accesses,
+            self.hits,
+            self.misses,
+            self.fills,
+            self.dirty_fills,
+            self.writebacks,
+            self.tag_probes,
+            self.tag_cache_hits,
+            self.resize_writebacks,
+            self.resizes,
+        ]);
+    }
+
+    /// Decodes an [`L4Stats::save_state`] encoding.
+    ///
+    /// # Errors
+    ///
+    /// The first decode error.
+    pub fn load_state(d: &mut Decoder) -> Result<L4Stats, SnapshotError> {
+        let mut w = [0; 10];
+        d.u64_slice_into(&mut w)?;
+        let [
+            accesses,
+            hits,
+            misses,
+            fills,
+            dirty_fills,
+            writebacks,
+            tag_probes,
+            tag_cache_hits,
+            resize_writebacks,
+            resizes,
+        ] = w;
+        Ok(L4Stats {
+            accesses,
+            hits,
+            misses,
+            fills,
+            dirty_fills,
+            writebacks,
+            tag_probes,
+            tag_cache_hits,
+            resize_writebacks,
+            resizes,
+        })
+    }
+
     /// Applies `f` field by field.
     fn zip(&self, o: &L4Stats, f: impl Fn(u64, u64) -> u64) -> L4Stats {
         L4Stats {

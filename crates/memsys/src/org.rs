@@ -86,6 +86,45 @@ impl OrgReport {
         self.zip(other, |a, b| a + b, self.l2_energy + other.l2_energy)
     }
 
+    /// Encodes every count, then the d-group hits, then the energy's bit
+    /// pattern, so a decoded report is equal to this one bit for bit.
+    pub fn save_state(&self, e: &mut Encoder) {
+        e.put_u64_slice(&[
+            self.l2_accesses,
+            self.l2_misses,
+            self.dgroup_accesses,
+            self.swaps,
+            self.memory_accesses,
+            self.l2_energy.nj().to_bits(),
+        ]);
+        e.put_u64_slice(&self.group_hits);
+    }
+
+    /// Decodes an [`OrgReport::save_state`] encoding.
+    ///
+    /// # Errors
+    ///
+    /// The first decode error, or [`SnapshotError::Malformed`] for an
+    /// energy that is negative or not finite.
+    pub fn load_state(d: &mut Decoder) -> Result<OrgReport, SnapshotError> {
+        let mut w = [0; 6];
+        d.u64_slice_into(&mut w)?;
+        let [l2_accesses, l2_misses, dgroup_accesses, swaps, memory_accesses, energy_bits] = w;
+        let nj = f64::from_bits(energy_bits);
+        if !(nj.is_finite() && nj >= 0.0) {
+            return Err(SnapshotError::Malformed("energy negative or not finite"));
+        }
+        Ok(OrgReport {
+            l2_accesses,
+            l2_misses,
+            group_hits: d.u64_slice()?,
+            dgroup_accesses,
+            swaps,
+            memory_accesses,
+            l2_energy: EnergyNj::new(nj),
+        })
+    }
+
     /// Applies `f` to every count, d-group hits included, and takes the
     /// already-combined `l2_energy`.
     fn zip(&self, o: &OrgReport, f: impl Fn(u64, u64) -> u64, l2_energy: EnergyNj) -> OrgReport {

@@ -9,25 +9,18 @@
 //!   of jobs on N threads and returns results **in job order**, so output
 //!   is bit-identical regardless of thread count or completion order. A
 //!   batch submitted from inside a job runs inline on that job's thread.
-//! - [`store`] — a concurrent, memoizing, **single-flight** run store:
-//!   every key is computed exactly once even when many threads request it
-//!   concurrently; later requesters block on the first computation
-//!   instead of duplicating it.
-//! - [`json`] — re-export of [`simbase::json`], the minimal JSON value
-//!   model, writer, and parser (integers are preserved as `u64`/`i64`,
-//!   so IEEE-754 bit patterns round-trip exactly) used by the artifact
-//!   layer and by `simtel`'s exporters.
-//! - [`artifact`] — a JSON-lines run manifest keyed by configuration
-//!   digest ([`simbase::digest`]): completed runs are appended as they
-//!   finish, and a later sweep over the same directory **resumes** by
-//!   loading digest-matching records instead of re-simulating.
+//! - [`store`] — single-flight computation ([`store::Flights`]) and the
+//!   concurrent, memoizing run store built on it: every key is computed
+//!   exactly once even when many threads request it concurrently; later
+//!   requesters block on the first computation instead of duplicating it.
+//!   `experiments::CheckpointStore` builds its files under the same
+//!   primitive, and persists finished runs as well as warm-up state.
 //! - [`progress`] — structured scheduler events (queued / started /
 //!   finished, with per-job wall time and outcome) for the `repro`
 //!   binary's live progress display.
 //!
 //! The crate is generic: it knows nothing about caches or `AppRun`s.
-//! `crates/experiments` supplies the job closures and the JSON codec for
-//! its result type.
+//! `crates/experiments` supplies the job closures.
 //!
 //! # Examples
 //!
@@ -47,14 +40,10 @@
 //! assert_eq!(store.completed(), 1);
 //! ```
 
-pub mod artifact;
 pub mod pool;
 pub mod progress;
 pub mod store;
 
-pub use simbase::json;
-
-pub use artifact::ArtifactStore;
 pub use pool::run_jobs;
 pub use progress::{Event, EventKind, Observer, Outcome};
-pub use store::RunStore;
+pub use store::{Flights, RunStore};

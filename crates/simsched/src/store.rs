@@ -1,40 +1,103 @@
-//! Concurrent memoizing run store with single-flight semantics.
+//! Single-flight computation: the one primitive behind both run stores.
+//!
+//! [`Flights`] is a set of keys in flight. [`Flights::take`] hands the
+//! first requester of a key its [`Flight`]; every later requester blocks
+//! until that flight lands (its guard drops) and is then told to look
+//! again. Landing on drop covers a finished computation, a failed one
+//! and a panic alike, so a panicking computation can never wedge the
+//! key: the next requester takes the flight and retries.
 //!
 //! A [`RunStore`] maps a key (in practice a configuration digest) to the
-//! result of an expensive computation. The contract:
+//! result of an expensive computation, built on [`Flights`]:
 //!
 //! - each key is computed **exactly once**, no matter how many threads
 //!   request it concurrently;
 //! - a requester that loses the race **blocks** until the winner's
 //!   computation finishes, then shares the winner's `Arc` — it never
-//!   re-runs the job (single-flight);
-//! - if the computing thread panics, the in-flight marker is removed and
-//!   one blocked waiter retries the computation, so a panic cannot
-//!   deadlock the store.
+//!   re-runs the job;
+//! - if the computing thread panics, one blocked waiter retries the
+//!   computation.
+//!
+//! `experiments::CheckpointStore` builds its on-disk checkpoints under
+//! the same [`Flights`], with the file standing in for the map.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-enum Entry<V> {
-    /// A thread is computing this key; waiters sleep on the condvar.
-    Running,
-    /// The finished value, shared by all requesters.
-    Done(Arc<V>),
+/// Locks `m`, recovering the guard if a thread panicked while holding it.
+/// Every update under these locks is one insert or remove, so the data
+/// stays valid, and recovering keeps one failed run from wedging the rest
+/// (and a [`Flight`]'s `Drop` from panicking).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The keys being computed, with a condvar their waiters sleep on.
+pub struct Flights<K> {
+    running: Mutex<HashSet<K>>,
+    landed: Condvar,
+}
+
+/// The single flight of one key; dropping it lands the flight and wakes
+/// every requester waiting on it.
+pub struct Flight<'a, K: Eq + Hash> {
+    flights: &'a Flights<K>,
+    key: K,
+}
+
+impl<K: Eq + Hash> Drop for Flight<'_, K> {
+    fn drop(&mut self) {
+        lock(&self.flights.running).remove(&self.key);
+        self.flights.landed.notify_all();
+    }
+}
+
+impl<K: Eq + Hash + Clone> Flights<K> {
+    /// No key in flight.
+    pub fn new() -> Self {
+        Flights {
+            running: Mutex::new(HashSet::new()),
+            landed: Condvar::new(),
+        }
+    }
+
+    /// Takes `key`'s flight, or, if another thread holds it, waits for
+    /// that flight to land and returns `None`: the caller then looks for
+    /// the landed result and, if there is none, asks again.
+    pub fn take(&self, key: &K) -> Option<Flight<'_, K>> {
+        let mut running = lock(&self.running);
+        if running.insert(key.clone()) {
+            return Some(Flight {
+                flights: self,
+                key: key.clone(),
+            });
+        }
+        while running.contains(key) {
+            running = self.landed.wait(running).unwrap_or_else(PoisonError::into_inner);
+        }
+        None
+    }
+}
+
+impl<K: Eq + Hash + Clone> Default for Flights<K> {
+    fn default() -> Self {
+        Flights::new()
+    }
 }
 
 /// A concurrent, memoizing, single-flight map.
 pub struct RunStore<K, V> {
-    inner: Mutex<HashMap<K, Entry<V>>>,
-    wakeup: Condvar,
+    done: Mutex<HashMap<K, Arc<V>>>,
+    flights: Flights<K>,
 }
 
 impl<K: Eq + Hash + Clone, V> RunStore<K, V> {
     /// An empty store.
     pub fn new() -> Self {
         RunStore {
-            inner: Mutex::new(HashMap::new()),
-            wakeup: Condvar::new(),
+            done: Mutex::new(HashMap::new()),
+            flights: Flights::new(),
         }
     }
 
@@ -43,78 +106,33 @@ impl<K: Eq + Hash + Clone, V> RunStore<K, V> {
     /// Exactly one invocation of `f` runs per key across all threads;
     /// concurrent requesters block until it completes.
     pub fn get_or_compute(&self, key: K, f: impl FnOnce() -> V) -> Arc<V> {
-        let mut map = self.inner.lock().expect("run store poisoned");
-        loop {
-            match map.get(&key) {
-                Some(Entry::Done(v)) => return Arc::clone(v),
-                Some(Entry::Running) => {
-                    map = self.wakeup.wait(map).expect("run store poisoned");
-                }
-                None => break,
+        let flight = loop {
+            if let Some(v) = self.get(&key) {
+                return v;
             }
-        }
-        map.insert(key.clone(), Entry::Running);
-        drop(map);
-
-        // If `f` panics, clear the Running marker so a waiter can retry
-        // instead of sleeping forever.
-        struct Unflight<'a, K: Eq + Hash, V> {
-            store: &'a RunStore<K, V>,
-            key: Option<K>,
-        }
-        impl<K: Eq + Hash, V> Drop for Unflight<'_, K, V> {
-            fn drop(&mut self) {
-                if let Some(key) = self.key.take() {
-                    self.store.inner.lock().expect("run store poisoned").remove(&key);
-                    self.store.wakeup.notify_all();
+            if let Some(flight) = self.flights.take(&key) {
+                // A computation may have landed between the look and the take.
+                if let Some(v) = self.get(&key) {
+                    return v;
                 }
+                break flight;
             }
-        }
-        let mut guard = Unflight { store: self, key: Some(key) };
-
+        };
         let value = Arc::new(f());
-
-        let key = guard.key.take().expect("guard disarmed early");
-        std::mem::forget(guard);
-        self.inner
-            .lock()
-            .expect("run store poisoned")
-            .insert(key, Entry::Done(Arc::clone(&value)));
-        self.wakeup.notify_all();
+        lock(&self.done).insert(key, Arc::clone(&value));
+        drop(flight);
         value
     }
 
     /// Returns the cached value for `key` without computing anything.
     /// Does not wait on in-flight computations.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        match self.inner.lock().expect("run store poisoned").get(key) {
-            Some(Entry::Done(v)) => Some(Arc::clone(v)),
-            _ => None,
-        }
-    }
-
-    /// Inserts an externally produced value (e.g. one loaded from an
-    /// artifact manifest). Returns the shared handle. An existing
-    /// completed entry is left untouched.
-    pub fn insert(&self, key: K, value: V) -> Arc<V> {
-        let mut map = self.inner.lock().expect("run store poisoned");
-        if let Some(Entry::Done(v)) = map.get(&key) {
-            return Arc::clone(v);
-        }
-        let v = Arc::new(value);
-        map.insert(key, Entry::Done(Arc::clone(&v)));
-        self.wakeup.notify_all();
-        v
+        lock(&self.done).get(key).map(Arc::clone)
     }
 
     /// Number of completed entries.
     pub fn completed(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("run store poisoned")
-            .values()
-            .filter(|e| matches!(e, Entry::Done(_)))
-            .count()
+        lock(&self.done).len()
     }
 }
 
@@ -126,7 +144,7 @@ impl<K: Eq + Hash + Clone, V> Default for RunStore<K, V> {
 
 impl<K, V> std::fmt::Debug for RunStore<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.inner.lock().map(|m| m.len()).unwrap_or(0);
+        let n = self.done.lock().map(|m| m.len()).unwrap_or(0);
         write!(f, "RunStore({n} entries)")
     }
 }
@@ -171,23 +189,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_preloads_and_wins_ties() {
-        let store: RunStore<u32, u64> = RunStore::new();
-        store.insert(1, 10);
-        assert_eq!(*store.get_or_compute(1, || panic!("preloaded")), 10);
-        // Insert after completion keeps the original.
-        let kept = store.insert(1, 99);
-        assert_eq!(*kept, 10);
-    }
-
-    #[test]
     fn panic_in_computation_releases_the_key() {
         let store: RunStore<u32, u64> = RunStore::new();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.get_or_compute(5, || panic!("first attempt dies"));
         }));
         assert!(r.is_err());
-        // The key must be retryable, not wedged as Running.
+        // The key must be retryable, not wedged in flight.
         assert_eq!(*store.get_or_compute(5, || 55), 55);
     }
 }

@@ -53,13 +53,14 @@ fn main() {
     let sweep = Sweep::with_apps(scale, vec![app]);
     for (label, key) in configs {
         let r = sweep.run(app, key);
+        let c = &r.counters;
         println!(
             "{:<34} {:>8.3} {:>8.1}% {:>8} {:>8.2}",
             label,
             r.ipc() / base.ipc(),
-            r.group_fracs.first().copied().unwrap_or(0.0) * 100.0,
-            r.swaps,
-            r.l2_energy.nj() * 1000.0 / r.core.instructions as f64
+            r.group_fracs().first().copied().unwrap_or(0.0) * 100.0,
+            c.org.swaps,
+            c.org.l2_energy.nj() * 1000.0 / c.core.instructions as f64
         );
     }
     println!(

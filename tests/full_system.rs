@@ -26,10 +26,10 @@ fn every_organization_runs_every_roster_class() {
             L2Kind::Dnuca(SearchPolicy::SsEnergy),
         ] {
             let r = run_app(app, &kind, tiny());
-            assert_eq!(r.core.instructions, 60_000, "{}", app.name);
+            assert_eq!(r.counters.core.instructions, 60_000, "{}", app.name);
             assert!(r.ipc() > 0.05 && r.ipc() < 8.0, "{} ipc {}", app.name, r.ipc());
-            assert!(r.l2_accesses > 0, "{} must reach the L2", app.name);
-            assert!(r.energy.total().nj() > 0.0);
+            assert!(r.counters.org.l2_accesses > 0, "{} must reach the L2", app.name);
+            assert!(r.energy().total().nj() > 0.0);
         }
     }
 }
@@ -39,7 +39,7 @@ fn group_fractions_partition_accesses_in_all_nuca_organizations() {
     let app = by_name("mgrid").unwrap();
     for key in ["nf2", "nf4", "nf8", "sa4", "dn-perf", "dn-energy"] {
         let r = run_app(app, &kind_of(key), tiny());
-        let total: f64 = r.group_fracs.iter().sum::<f64>() + r.miss_frac;
+        let total: f64 = r.group_fracs().iter().sum::<f64>() + r.miss_frac();
         assert!(
             (total - 1.0).abs() < 1e-9,
             "{key}: fractions sum to {total}"
@@ -54,7 +54,7 @@ fn nurapid_miss_count_is_promotion_policy_invariant() {
     let app = by_name("twolf").unwrap();
     let m: Vec<u64> = ["dm4", "nf4", "fs4", "id4"]
         .iter()
-        .map(|k| run_app(app, &kind_of(k), tiny()).l2_misses)
+        .map(|k| run_app(app, &kind_of(k), tiny()).counters.org.l2_misses)
         .collect();
     assert!(m.windows(2).all(|w| w[0] == w[1]), "misses {m:?}");
 }
@@ -62,16 +62,16 @@ fn nurapid_miss_count_is_promotion_policy_invariant() {
 #[test]
 fn nurapid_miss_count_is_distance_victim_invariant() {
     let app = by_name("vpr").unwrap();
-    let random = run_app(app, &kind_of("nf4"), tiny()).l2_misses;
-    let lru = run_app(app, &kind_of("lru-nf"), tiny()).l2_misses;
+    let random = run_app(app, &kind_of("nf4"), tiny()).counters.org.l2_misses;
+    let lru = run_app(app, &kind_of("lru-nf"), tiny()).counters.org.l2_misses;
     assert_eq!(random, lru);
 }
 
 #[test]
 fn dnuca_miss_count_is_search_policy_invariant() {
     let app = by_name("parser").unwrap();
-    let perf = run_app(app, &kind_of("dn-perf"), tiny()).l2_misses;
-    let energy = run_app(app, &kind_of("dn-energy"), tiny()).l2_misses;
+    let perf = run_app(app, &kind_of("dn-perf"), tiny()).counters.org.l2_misses;
+    let energy = run_app(app, &kind_of("dn-energy"), tiny()).counters.org.l2_misses;
     assert_eq!(perf, energy);
 }
 
@@ -80,10 +80,11 @@ fn runs_are_deterministic_end_to_end() {
     let app = by_name("applu").unwrap();
     let a = run_app(app, &kind_of("nf4"), tiny());
     let b = run_app(app, &kind_of("nf4"), tiny());
+    let (a, b) = (&a.counters, &b.counters);
     assert_eq!(a.core.cycles, b.core.cycles);
-    assert_eq!(a.l2_accesses, b.l2_accesses);
-    assert_eq!(a.swaps, b.swaps);
-    assert!((a.l2_energy.nj() - b.l2_energy.nj()).abs() < 1e-9);
+    assert_eq!(a.org.l2_accesses, b.org.l2_accesses);
+    assert_eq!(a.org.swaps, b.org.swaps);
+    assert!((a.org.l2_energy.nj() - b.org.l2_energy.nj()).abs() < 1e-9);
 }
 
 /// Same seed, same config ⇒ **bit-identical** stats structs, not just the
@@ -185,10 +186,10 @@ fn roster_is_complete_and_runnable() {
 fn swaps_flow_in_nuca_organizations_but_not_base() {
     let app = by_name("art").unwrap();
     let nr = run_app(app, &kind_of("nf4"), tiny());
-    assert!(nr.swaps > 0, "NuRAPID must promote/demote under pressure");
+    assert!(nr.counters.org.swaps > 0, "NuRAPID must promote/demote under pressure");
     let dn = run_app(app, &kind_of("dn-perf"), tiny());
-    assert!(dn.swaps > 0, "D-NUCA must bubble");
+    assert!(dn.counters.org.swaps > 0, "D-NUCA must bubble");
     let base = run_app(app, &kind_of("base"), tiny());
-    assert_eq!(base.swaps, 0);
-    assert_eq!(base.dgroup_accesses, 0);
+    assert_eq!(base.counters.org.swaps, 0);
+    assert_eq!(base.counters.org.dgroup_accesses, 0);
 }

@@ -109,8 +109,8 @@ fn section_532_eight_dgroups_swap_about_twice_as_much() {
     let apps = s.apps().to_vec();
     let (mut s4, mut s8) = (0u64, 0u64);
     for p in apps {
-        s4 += s.run(p, "nf4").swaps;
-        s8 += s.run(p, "nf8").swaps;
+        s4 += s.run(p, "nf4").counters.org.swaps;
+        s8 += s.run(p, "nf8").counters.org.swaps;
     }
     let ratio = s8 as f64 / s4 as f64;
     assert!(

@@ -10,8 +10,9 @@
 //! interrupted write could leave behind, every single-byte corruption,
 //! and arbitrary typed-field sequences through `Encoder` / `Decoder`.
 //! End-to-end cases check that a checkpoint file of the previous layout
-//! revision is rebuilt by the store, never decoded, and that a damaged
-//! file streamed into a system is rebuilt and never reused.
+//! revision is rebuilt by the store, never decoded, that a damaged
+//! file streamed into a system is rebuilt and never reused, and that a
+//! damaged finished-run file in a results store is simulated again.
 
 use simbase::snapshot::{open, seal, Decoder, Encoder, SnapshotError, MAGIC, OVERHEAD};
 use simkit::prop::{
@@ -239,6 +240,92 @@ fn simchk_damaged_files_are_rebuilt_not_reused() {
             assert_eq!((store.hits() - hits, store.misses() - misses), (0, 1), "{what}");
             assert_eq!(std::fs::read(&path).expect("republished"), good, "{what}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// 5c. The results store beside the warm-up store: a finished run's file
+/// that is cut, has a byte flipped, carries another version or is padded
+/// is never trusted. Each damaged file makes the sweep simulate that run
+/// exactly once more, the run and the report equal the ones a sweep
+/// without a results store produces, and the file is republished whole.
+/// Covers a full-detail `AppRun` and a `SampledRun` with its windows.
+#[test]
+fn simchk_damaged_result_files_are_resimulated_not_trusted() {
+    use experiments::checkpoint::{CHECKPOINT_EXT, RESULTS_VERSION};
+    use experiments::exps::{table3, Sweep};
+    use experiments::{SampleSpec, Scale};
+
+    let app = workloads::profiles::by_name("parser").expect("in roster");
+    let scale = Scale {
+        warmup: 20_000,
+        measure: 10_000,
+    };
+    let spec = SampleSpec {
+        period: 2_000,
+        warmup: 100,
+        measure: 400,
+    };
+    let sweep = || Sweep::with_apps(scale, vec![app]);
+    // The report and both runs, with no results store anywhere.
+    let plain = sweep();
+    let want_report = table3(&plain).render();
+    let want_run = (*plain.run(app, "base")).clone();
+    let want_sampled = (*plain.run_sampled(app, "nf4", spec)).clone();
+
+    /// Asks a sweep for one family's run and checks it.
+    type Family<'a> = (&'a str, &'a dyn Fn(&Sweep));
+    let families: [Family; 2] = [
+        ("AppRun", &|s| {
+            assert_eq!(table3(s).render(), want_report, "the report changed");
+            assert_eq!(*s.run(app, "base"), want_run);
+        }),
+        ("SampledRun", &|s| assert_eq!(*s.run_sampled(app, "nf4", spec), want_sampled)),
+    ];
+    for (family, run) in families {
+        let dir = std::env::temp_dir()
+            .join(format!("simres-damaged-{family}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || sweep().with_artifacts(&dir).expect("open results");
+        let first = open();
+        run(&first);
+        assert_eq!((first.simulated(), first.resumed()), (1, 0), "{family}: cold pass");
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("readdir")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == CHECKPOINT_EXT))
+            .collect();
+        assert_eq!(files.len(), 1, "{family}: one result file per run");
+        let path = &files[0];
+        let good = std::fs::read(path).expect("result published");
+        let n = good.len();
+
+        let mut damaged: Vec<(String, Vec<u8>)> = [0, 7, 20, n / 2, n - 1]
+            .into_iter()
+            .map(|cut| (format!("cut at {cut}"), good[..cut].to_vec()))
+            .collect();
+        for at in [0, 9, 13, 20, 40, n / 2, n - 17, n - 1] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x40;
+            damaged.push((format!("byte {at} flipped"), bad));
+        }
+        let mut skewed = good.clone();
+        skewed[8..12].copy_from_slice(&(RESULTS_VERSION + 1).to_le_bytes());
+        damaged.push(("version skew".into(), skewed));
+        let mut long = good.clone();
+        long.push(0);
+        damaged.push(("a trailing byte".into(), long));
+
+        for (what, bytes) in damaged {
+            std::fs::write(path, &bytes).expect("plant the damage");
+            let s = open();
+            run(&s);
+            assert_eq!((s.simulated(), s.resumed()), (1, 0), "{family}, {what}");
+            assert_eq!(std::fs::read(path).expect("republished"), good, "{family}, {what}");
+        }
+        let resumed = open();
+        run(&resumed);
+        assert_eq!((resumed.simulated(), resumed.resumed()), (0, 1), "{family}: whole file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

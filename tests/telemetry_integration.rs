@@ -81,14 +81,15 @@ fn metrics_fields_are_bit_exact_against_the_app_run() {
                 .unwrap_or_else(|| panic!("missing run record {key}/{}", app.name));
             // Integers exactly, floats bit-for-bit: these are the same
             // numbers the rendered tables derive from.
-            assert_eq!(rec.field("instructions").and_then(Json::as_u64), Some(run.core.instructions));
-            assert_eq!(rec.field("cycles").and_then(Json::as_u64), Some(run.core.cycles));
+            let core = &run.counters.core;
+            assert_eq!(rec.field("instructions").and_then(Json::as_u64), Some(core.instructions));
+            assert_eq!(rec.field("cycles").and_then(Json::as_u64), Some(core.cycles));
             assert_eq!(bits(rec.field("ipc").expect("ipc")), run.ipc().to_bits());
-            assert_eq!(bits(rec.field("miss_frac").expect("miss_frac")), run.miss_frac.to_bits());
+            assert_eq!(bits(rec.field("miss_frac").expect("miss_frac")), run.miss_frac().to_bits());
             assert_eq!(bits(rec.field("edp").expect("edp")), run.edp().to_bits());
             let fracs = rec.field("group_fracs").and_then(Json::as_arr).expect("group_fracs");
-            assert_eq!(fracs.len(), run.group_fracs.len(), "{key}/{}", app.name);
-            for (got, want) in fracs.iter().zip(&run.group_fracs) {
+            assert_eq!(fracs.len(), run.group_fracs().len(), "{key}/{}", app.name);
+            for (got, want) in fracs.iter().zip(&run.group_fracs()) {
                 assert_eq!(bits(got), want.to_bits(), "{key}/{}", app.name);
             }
         }
