@@ -622,6 +622,64 @@ fn l4_reset_stats_clears_counters_but_keeps_the_resized_tier() {
     }
 }
 
+/// Pins every organization's bytes: for the roster plus NuRAPID over the
+/// L4 tier, the FNV-1a-128 digest of the organization's `save_state`
+/// payload after a functional warm-up of `mcf`, and of the
+/// `OrgReport::save_state` encoding (every count plus the energy's bit
+/// pattern) after a detailed stretch behind the drain barrier. A
+/// refactor of any organization must leave both digests untouched.
+#[test]
+fn organization_state_is_pinned() {
+    use cpu::uop::TraceSource;
+    use experiments::engine::build;
+    use simbase::digest::Hasher128;
+    use simtel::TelemetrySink;
+    const WARMUP: u64 = 30_000;
+    const DETAILED: u64 = 30_000;
+    const PINNED: [(&str, &str, &str); 8] = [
+        ("base", "c30acc37ed6bb065a801cbc6f6f0ac10", "90947883af051aba2d34a2217d08d144"),
+        ("nurapid", "27640433c1d04516880611b445212490", "5a8b6be5b70db3ccb913dc4e5e3d2197"),
+        ("coupled", "7a0e5c390275857ba94ea89958aa2ea2", "a8f074c6e4dfdcde44e076b7edc2ee9d"),
+        ("dnuca-ss-performance", "7ecb9106efc38f1a16274486836591ac", "09f1ddae7b4af5f20055595e013ca3fe"),
+        ("dnuca-ss-energy", "7ecb9106efc38f1a16274486836591ac", "5aa5e9e7d137468ba6d5b206e44598e2"),
+        ("dnuca-way-memo", "7ecb9106efc38f1a16274486836591ac", "9d6143c8fda3aa6693498d9f3dc824cd"),
+        ("cnuca", "3ea94a8ee109a6fc6e202e584014c362", "fd59affcb731d119339c79f5f9233d64"),
+        ("nurapid+l4", "a9c5b81ce8896ccceee91ec8e5ce14b6", "5a8b6be5b70db3ccb913dc4e5e3d2197"),
+    ];
+    let digest = |bytes: Vec<u8>| {
+        let mut h = Hasher128::new();
+        h.write_bytes(&bytes);
+        h.digest().hex()
+    };
+    let mut kinds: Vec<(String, L2Kind)> = roster()
+        .into_iter()
+        .map(|(n, k)| (n.to_string(), k))
+        .collect();
+    kinds.extend(l4_roster().into_iter().filter(|(n, _)| n == "nurapid+l4"));
+    let app = workloads::profiles::by_name("mcf").expect("in roster");
+    let mut got = Vec::new();
+    for (name, kind) in &kinds {
+        let (mut core, mut gen) = build(app, kind);
+        core.warm_run(&mut gen, WARMUP);
+        let mut e = Encoder::new();
+        core.mem().lower().save_state(&mut e);
+        let warm = digest(e.into_bytes());
+        let mut core = core.drain_barrier(|org| org.drain_barrier(&TelemetrySink::disabled(), 0));
+        for _ in 0..DETAILED {
+            core.execute(gen.next_op());
+        }
+        let mut e = Encoder::new();
+        core.mem().lower().report().save_state(&mut e);
+        got.push((name.clone(), warm, digest(e.into_bytes())));
+    }
+    assert_eq!(got.len(), PINNED.len());
+    for ((name, warm, report), (want_name, want_warm, want_report)) in got.iter().zip(PINNED) {
+        assert_eq!(name, want_name, "roster order changed");
+        assert_eq!(warm, want_warm, "{name}: warm-up payload drifted");
+        assert_eq!(report, want_report, "{name}: detailed report drifted");
+    }
+}
+
 /// The reports of distance-structured organizations expose their d-group
 /// geometry; the base hierarchy reports none. This pins the shape the
 /// table renderers rely on.
