@@ -1,32 +1,11 @@
-//! Per-organization L2 energy: event counts × Table 2 per-operation
-//! energies.
+//! The conventional hierarchy's L2/L3 energy: event counts × per-access
+//! energies from the same array models as Table 2. NuRAPID and D-NUCA
+//! price themselves (`nurapid::energy`, `nuca::energy`) for
+//! [`memsys::org::Organization::report`].
 
-use cachemodel::catalog::{DnucaGeometry, NuRapidGeometry};
 use cachemodel::sram::{self, TagArray};
 use memsys::hierarchy::BaseHierarchy;
-use nuca::DnucaStats;
-use nurapid::NuRapidStats;
 use simbase::{Capacity, EnergyNj};
-
-/// Dynamic energy of a NuRAPID cache over a run: tag probes and pointer
-/// rewrites, plus every d-group read and write (demand, fills, and swap
-/// traffic) at that d-group's distance-dependent cost.
-///
-/// Delegates to [`nurapid::energy::dynamic_energy`] — the formula lives
-/// with the cache so it can price itself for
-/// [`memsys::org::Organization::report`].
-pub fn nurapid_energy(stats: &NuRapidStats, geo: &NuRapidGeometry) -> EnergyNj {
-    nurapid::energy::dynamic_energy(stats, geo)
-}
-
-/// Dynamic energy of a D-NUCA cache over a run: smart-search probes, full
-/// bank accesses (demand, fills, swaps) and tag-only searches, each at
-/// the bank's network-distance-dependent cost.
-///
-/// Delegates to [`nuca::energy::dynamic_energy`].
-pub fn dnuca_energy(stats: &DnucaStats, geo: &DnucaGeometry) -> EnergyNj {
-    nuca::energy::dynamic_energy(stats, geo)
-}
 
 /// Per-access energies of the conventional hierarchy's levels, derived
 /// from the same array models (sequential tag-data access in both).
@@ -95,9 +74,9 @@ mod tests {
     fn nurapid_energy_accumulates_with_traffic() {
         let mut c = NuRapidCache::new(NuRapidConfig::micro2003(4));
         drive(&mut c, 100);
-        let e100 = nurapid_energy(c.stats(), c.geometry());
+        let e100 = nurapid::energy::dynamic_energy(c.stats(), c.geometry());
         drive(&mut c, 900);
-        let e1000 = nurapid_energy(c.stats(), c.geometry());
+        let e1000 = nurapid::energy::dynamic_energy(c.stats(), c.geometry());
         assert!(e100.nj() > 0.0);
         assert!(e1000.nj() > e100.nj() * 5.0);
     }
@@ -109,7 +88,7 @@ mod tests {
         let run = |policy| {
             let mut c = DnucaCache::new(DnucaConfig::micro2003(policy));
             drive(&mut c, 2000);
-            dnuca_energy(c.stats(), c.geometry()).nj() / 2000.0
+            nuca::energy::dynamic_energy(c.stats(), c.geometry()).nj() / 2000.0
         };
         let perf = run(SearchPolicy::SsPerformance);
         let energy = run(SearchPolicy::SsEnergy);
@@ -125,10 +104,10 @@ mod tests {
         // must land well below even ss-energy D-NUCA.
         let mut nr = NuRapidCache::new(NuRapidConfig::micro2003(4));
         drive(&mut nr, 3000);
-        let nr_e = nurapid_energy(nr.stats(), nr.geometry()).nj() / 3000.0;
+        let nr_e = nurapid::energy::dynamic_energy(nr.stats(), nr.geometry()).nj() / 3000.0;
         let mut dn = DnucaCache::new(DnucaConfig::micro2003(SearchPolicy::SsEnergy));
         drive(&mut dn, 3000);
-        let dn_e = dnuca_energy(dn.stats(), dn.geometry()).nj() / 3000.0;
+        let dn_e = nuca::energy::dynamic_energy(dn.stats(), dn.geometry()).nj() / 3000.0;
         assert!(
             nr_e < dn_e,
             "NuRAPID {nr_e} nJ/access must beat D-NUCA ss-energy {dn_e}"

@@ -23,7 +23,7 @@ use energy::EnergyTally;
 use memsys::dramcache::{L4Config, L4DramCache, L4Stats};
 use memsys::hierarchy::BaseHierarchy;
 use memsys::org::Organization;
-use nuca::{CnucaConfig, CompressedNucaCache, DnucaCache, DnucaConfig, SearchPolicy};
+use nuca::{CnucaConfig, DnucaCache, DnucaConfig, SearchPolicy};
 use nurapid::coupled::CoupledCache;
 use nurapid::{NuRapidCache, NuRapidConfig};
 use simbase::digest::{Digest, Hasher128, Knob, KnobVisitor, Knobs, Tag};
@@ -146,7 +146,7 @@ impl L2Kind {
             L2Kind::NuRapid(cfg) => Box::new(NuRapidCache::new(cfg.clone())),
             L2Kind::Coupled(n) => Box::new(CoupledCache::micro2003(*n)),
             L2Kind::Dnuca(policy) => Box::new(DnucaCache::new(DnucaConfig::micro2003(*policy))),
-            L2Kind::Cnuca(cfg) => Box::new(CompressedNucaCache::new(*cfg)),
+            L2Kind::Cnuca(cfg) => Box::new(DnucaCache::compressed(*cfg)),
             L2Kind::L4(inner, cfg) => {
                 let mut org = inner.build();
                 org.main_memory_mut()

@@ -1,5 +1,5 @@
 //! Deterministic per-block compressibility model for the compressed NUCA
-//! organization ([`crate::compressed`]).
+//! layout ([`crate::DnucaCache::compressed`]).
 //!
 //! Real compressed caches (after Dgien et al., and the BDI / FPC line of
 //! work surveyed in arXiv 2201.00774) compress a block's *contents*; this

@@ -2,17 +2,19 @@
 //! per-operation energies of [`cachemodel::catalog`] (Table 2).
 //!
 //! Lives here (rather than in the `energy` crate) so the cache can price
-//! itself for [`memsys::org::Organization::report`]; `energy::l2` keeps a
-//! delegating wrapper for its public API.
+//! itself for [`memsys::org::Organization::report`].
 
-use crate::stats::{CnucaStats, DnucaStats};
+use crate::stats::DnucaStats;
 use cachemodel::catalog::{self, DnucaGeometry};
 use simbase::EnergyNj;
 
 /// Dynamic energy of a D-NUCA cache over a run: smart-search probes, full
 /// bank accesses (demand, fills, swaps) and tag-only searches, each at
 /// the bank's network-distance-dependent cost, plus way-memo lookups for
-/// the memoized search policy (zero under the two smart-search policies).
+/// the memoized search policy and one decompressor activation per
+/// compressed-way hit. Each of the last two terms is an exact zero
+/// wherever its counter is (the two smart-search policies, the uniform
+/// layout), so it leaves the sum's bits unchanged.
 pub fn dynamic_energy(stats: &DnucaStats, geo: &DnucaGeometry) -> EnergyNj {
     let mut e = catalog::smart_search_energy() * stats.ss_accesses.get();
     for b in 0..geo.n_banks() {
@@ -20,18 +22,6 @@ pub fn dynamic_energy(stats: &DnucaStats, geo: &DnucaGeometry) -> EnergyNj {
         e += geo.bank_search_energy(b) * stats.bank_searches[b];
     }
     e += catalog::way_memo_energy() * stats.memo_lookups.get();
-    e
-}
-
-/// Dynamic energy of a compressed-NUCA cache over a run: the D-NUCA
-/// multicast terms (smart-search probes, full bank accesses, tag-only
-/// searches) plus one decompressor activation per compressed-way hit.
-pub fn cnuca_dynamic_energy(stats: &CnucaStats, geo: &DnucaGeometry) -> EnergyNj {
-    let mut e = catalog::smart_search_energy() * stats.ss_accesses.get();
-    for b in 0..geo.n_banks() {
-        e += geo.bank_access_energy(b) * stats.bank_accesses[b];
-        e += geo.bank_search_energy(b) * stats.bank_searches[b];
-    }
     e += catalog::decompressor_energy() * stats.decompressions.get();
     e
 }

@@ -37,19 +37,18 @@
 //! assert!(hit.hit);
 //! ```
 
-// Two sibling organizations share this crate's geometry and smart-search
-// machinery: [`compressed`] packs compressible blocks into half-frame
-// fast ways (compressed NUCA), and [`SearchPolicy::WayMemo`] adds a
-// way-memoization search policy to the D-NUCA cache itself.
+// One cache implements every D-NUCA organization: the uniform way layout
+// under the three search policies (ss-performance, ss-energy and the
+// way-memoization policy [`SearchPolicy::WayMemo`]), and compressed NUCA
+// ([`DnucaCache::compressed`]), the layout that packs compressible
+// blocks into half-frame ways at the fastest position.
 pub mod cache;
 pub mod compress;
-pub mod compressed;
 pub mod energy;
 pub mod naive;
 pub mod smart_search;
 pub mod stats;
 
-pub use cache::{DnucaCache, DnucaConfig, SearchPolicy};
+pub use cache::{CnucaConfig, DnucaCache, DnucaConfig, SearchPolicy};
 pub use compress::CompressModel;
-pub use compressed::{CnucaConfig, CompressedNucaCache};
-pub use stats::{CnucaStats, DnucaStats};
+pub use stats::DnucaStats;

@@ -12,11 +12,10 @@
 //! Do not optimize this code: its value is being trivially auditable
 //! against the paper, not fast.
 
-use crate::cache::{DnucaConfig, SearchPolicy};
+use crate::cache::{CnucaConfig, DnucaConfig, SearchPolicy};
 use crate::compress::CompressModel;
-use crate::compressed::CnucaConfig;
 use crate::smart_search::PARTIAL_TAG_BITS;
-use crate::stats::{CnucaStats, DnucaStats};
+use crate::stats::DnucaStats;
 use cachemodel::catalog::{self, DnucaGeometry, BLOCK_BYTES};
 use memsys::lower::LowerOutcome;
 use memsys::memory::MainMemory;
@@ -523,7 +522,7 @@ impl NaiveDnucaCache {
 
 /// The reference compressed-NUCA cache: array-of-structs slots and
 /// per-access candidate lists, orchestrated identically to
-/// [`crate::compressed::CompressedNucaCache`]. Do not optimize.
+/// [`crate::DnucaCache::compressed`]. Do not optimize.
 #[derive(Debug)]
 pub struct NaiveCnucaCache {
     config: CnucaConfig,
@@ -538,7 +537,7 @@ pub struct NaiveCnucaCache {
     ss: NaiveSmartSearchArray,
     bank_busy: Vec<Cycle>,
     memory: MainMemory,
-    stats: CnucaStats,
+    stats: DnucaStats,
     use_clock: u64,
 }
 
@@ -571,7 +570,7 @@ impl NaiveCnucaCache {
             ss: NaiveSmartSearchArray::new(sets, n_ways),
             bank_busy: vec![Cycle::ZERO; config.n_banks],
             memory: MainMemory::micro2003(),
-            stats: CnucaStats::new(config.n_positions, config.n_banks),
+            stats: DnucaStats::new(config.n_positions, config.n_banks),
             model: CompressModel::new(config.comp_seed),
             geo,
             config,
@@ -580,7 +579,7 @@ impl NaiveCnucaCache {
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> &CnucaStats {
+    pub fn stats(&self) -> &DnucaStats {
         &self.stats
     }
 
@@ -594,7 +593,7 @@ impl NaiveCnucaCache {
     }
 
     /// Fills every slot with placeholder blocks, mirroring
-    /// [`crate::compressed::CompressedNucaCache::prefill`].
+    /// [`crate::DnucaCache::prefill`] in the compressed layout.
     ///
     /// # Panics
     ///
@@ -783,7 +782,7 @@ impl NaiveCnucaCache {
     }
 
     /// Warm-up access, mirroring
-    /// [`crate::compressed::CompressedNucaCache::warm_access_block`]:
+    /// [`crate::DnucaCache::warm_access_block`] in the compressed layout:
     /// every architectural effect of a demand access, no timing or stats.
     pub fn warm_access_block(&mut self, block: BlockAddr, kind: AccessKind) {
         self.use_clock += 1;
@@ -820,7 +819,7 @@ impl NaiveCnucaCache {
     }
 
     /// Demand access, mirroring
-    /// [`crate::compressed::CompressedNucaCache::access_block`].
+    /// [`crate::DnucaCache::access_block`] in the compressed layout.
     pub fn access_block(&mut self, block: BlockAddr, kind: AccessKind, now: Cycle) -> LowerOutcome {
         self.use_clock += 1;
         self.stats.accesses.inc();

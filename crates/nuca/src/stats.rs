@@ -1,9 +1,12 @@
-//! Event counters for D-NUCA: per-position hit distribution, bank and
-//! smart-search traffic, and swap counts.
+//! Event counters for D-NUCA and its compressed layout: per-position hit
+//! distribution, bank and smart-search traffic, swap, way-memo and
+//! decompression counts.
 
 use simbase::stats::{BucketDist, Counter};
 
-/// Statistics of one D-NUCA cache instance.
+/// Statistics of one D-NUCA cache instance, in either way layout. The
+/// way-memo counters stay zero in the compressed layout, and the
+/// decompression and refusal counters in the uniform one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnucaStats {
     /// Demand hits per bank position (0 = closest).
@@ -36,6 +39,12 @@ pub struct DnucaStats {
     /// Way-memo lookups whose remembered position held the block — these
     /// accesses skip the smart-search probe entirely.
     pub memo_hits: Counter,
+    /// Hits served from a compressed position-0 way — each pays one
+    /// decompression.
+    pub decompressions: Counter,
+    /// Promotions into position 0 refused because the block does not
+    /// compress to a half frame.
+    pub promotion_refusals: Counter,
 }
 
 impl DnucaStats {
@@ -56,83 +65,6 @@ impl DnucaStats {
             writebacks: Counter::new(),
             memo_lookups: Counter::new(),
             memo_hits: Counter::new(),
-        }
-    }
-
-    /// Fraction of demand accesses that hit at bank position `p`.
-    pub fn position_access_frac(&self, p: usize) -> f64 {
-        self.position_hits.count(p) as f64 / self.accesses.get().max(1) as f64
-    }
-
-    /// Fraction of demand accesses that missed.
-    pub fn miss_frac(&self) -> f64 {
-        self.misses.frac_of(self.accesses.get())
-    }
-
-    /// Total d-group (bank) accesses — full accesses plus tag searches —
-    /// the quantity NuRAPID reduces by 61% (paper Section 1).
-    pub fn total_bank_accesses(&self) -> u64 {
-        self.bank_accesses.iter().sum::<u64>() + self.bank_searches.iter().sum::<u64>()
-    }
-
-    /// Fraction of hits to the `mb`-fastest megabyte-equivalent: position
-    /// hits aggregated per position (positions are 1 MB each in the
-    /// paper's 8-position configuration).
-    pub fn hits_at_or_before_position(&self, p: usize) -> u64 {
-        (0..=p).map(|i| self.position_hits.count(i)).sum()
-    }
-}
-
-/// Statistics of one compressed-NUCA cache instance
-/// ([`crate::compressed::CompressedNucaCache`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CnucaStats {
-    /// Demand hits per bank position (0 = the compressed fast position).
-    pub position_hits: BucketDist,
-    /// Demand misses.
-    pub misses: Counter,
-    /// Total demand accesses.
-    pub accesses: Counter,
-    /// Full bank accesses (tag + data), indexed by bank.
-    pub bank_accesses: Vec<u64>,
-    /// Tag-only bank searches, indexed by bank.
-    pub bank_searches: Vec<u64>,
-    /// Smart-search array probes.
-    pub ss_accesses: Counter,
-    /// Banks probed on a partial-tag match that did not hold the block.
-    pub false_hits: Counter,
-    /// Bubble swaps performed.
-    pub swaps: Counter,
-    /// Misses detected early by the smart-search array.
-    pub early_misses: Counter,
-    /// Off-chip reads.
-    pub memory_reads: Counter,
-    /// Off-chip writes (dirty evictions).
-    pub writebacks: Counter,
-    /// Hits served from a compressed fast way — each pays one
-    /// decompression.
-    pub decompressions: Counter,
-    /// Promotions into position 0 refused because the block does not
-    /// compress to a half frame.
-    pub promotion_refusals: Counter,
-}
-
-impl CnucaStats {
-    /// Creates zeroed statistics for `n_positions` bank positions over
-    /// `n_banks` banks.
-    pub fn new(n_positions: usize, n_banks: usize) -> Self {
-        CnucaStats {
-            position_hits: BucketDist::new(n_positions),
-            misses: Counter::new(),
-            accesses: Counter::new(),
-            bank_accesses: vec![0; n_banks],
-            bank_searches: vec![0; n_banks],
-            ss_accesses: Counter::new(),
-            false_hits: Counter::new(),
-            swaps: Counter::new(),
-            early_misses: Counter::new(),
-            memory_reads: Counter::new(),
-            writebacks: Counter::new(),
             decompressions: Counter::new(),
             promotion_refusals: Counter::new(),
         }
@@ -148,7 +80,8 @@ impl CnucaStats {
         self.misses.frac_of(self.accesses.get())
     }
 
-    /// Total d-group (bank) accesses, full plus tag-only.
+    /// Total d-group (bank) accesses — full accesses plus tag searches —
+    /// the quantity NuRAPID reduces by 61% (paper Section 1).
     pub fn total_bank_accesses(&self) -> u64 {
         self.bank_accesses.iter().sum::<u64>() + self.bank_searches.iter().sum::<u64>()
     }
@@ -176,8 +109,6 @@ mod tests {
         let sum: f64 =
             (0..8).map(|p| s.position_access_frac(p)).sum::<f64>() + s.miss_frac();
         assert!((sum - 1.0).abs() < 1e-12);
-        assert_eq!(s.hits_at_or_before_position(0), 70);
-        assert_eq!(s.hits_at_or_before_position(7), 90);
     }
 
     #[test]

@@ -103,94 +103,6 @@ impl BucketDist {
             self.buckets[i] as f64 / t as f64
         }
     }
-
-    /// Fractions for every bucket.
-    pub fn fracs(&self) -> Vec<f64> {
-        let t = self.total();
-        self.buckets
-            .iter()
-            .map(|&c| if t == 0 { 0.0 } else { c as f64 / t as f64 })
-            .collect()
-    }
-
-    /// Merges another distribution with the same bucket count into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if bucket counts differ.
-    pub fn merge(&mut self, other: &BucketDist) {
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "cannot merge distributions with different bucket counts"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-}
-
-/// Streaming mean/min/max over f64 samples (used for per-app summaries).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    n: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            n: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub const fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Minimum sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the summary is empty.
-    pub fn min(&self) -> f64 {
-        assert!(self.n > 0, "min of empty summary");
-        self.min
-    }
-
-    /// Maximum sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the summary is empty.
-    pub fn max(&self) -> f64 {
-        assert!(self.n > 0, "max of empty summary");
-        self.max
-    }
 }
 
 /// Geometric mean over positive samples, the conventional aggregate for
@@ -271,7 +183,6 @@ mod tests {
         assert_eq!(d.count(0), 3);
         assert_eq!(d.frac(0), 0.75);
         assert_eq!(d.frac(1), 0.0);
-        assert_eq!(d.fracs(), vec![0.75, 0.0, 0.25, 0.0]);
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
     }
@@ -280,49 +191,7 @@ mod tests {
     fn bucket_dist_empty_fracs_are_zero() {
         let d = BucketDist::new(2);
         assert_eq!(d.frac(0), 0.0);
-        assert_eq!(d.fracs(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn bucket_dist_merge() {
-        let mut a = BucketDist::new(2);
-        a.record(0);
-        let mut b = BucketDist::new(2);
-        b.record(1);
-        b.record(1);
-        a.merge(&b);
-        assert_eq!(a.count(0), 1);
-        assert_eq!(a.count(1), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket counts")]
-    fn bucket_dist_merge_mismatch_panics() {
-        let mut a = BucketDist::new(2);
-        a.merge(&BucketDist::new(3));
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        s.add(1.0);
-        s.add(3.0);
-        s.add(2.0);
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 3.0);
-    }
-
-    #[test]
-    fn summary_empty_mean_is_zero() {
-        assert_eq!(Summary::new().mean(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn summary_empty_min_panics() {
-        let _ = Summary::new().min();
+        assert_eq!(d.frac(1), 0.0);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use nurapid_suite::cpu::{CoreParams, OooCore};
 use nurapid_suite::energy::l2;
 use nurapid_suite::memsys::hierarchy::BaseHierarchy;
 use nurapid_suite::memsys::l1::CoreMemSystem;
-use nurapid_suite::nuca::{DnucaCache, DnucaConfig, SearchPolicy};
-use nurapid_suite::nurapid::{NuRapidCache, NuRapidConfig};
+use nurapid_suite::nuca::{self, DnucaCache, DnucaConfig, SearchPolicy};
+use nurapid_suite::nurapid::{self, NuRapidCache, NuRapidConfig};
 use nurapid_suite::workloads::{profiles, TraceGenerator};
 
 const INSTRUCTIONS: u64 = 400_000;
@@ -36,7 +36,7 @@ fn main() {
             core.execute(op);
         }
         let c = core.mem().lower();
-        let e = l2::nurapid_energy(c.stats(), c.geometry());
+        let e = nurapid::energy::dynamic_energy(c.stats(), c.geometry());
         println!(
             "{:<24} {:>14.2} {:>14} {:>12}",
             "NuRAPID (4 d-groups)",
@@ -60,7 +60,7 @@ fn main() {
             core.execute(op);
         }
         let c = core.mem().lower();
-        let e = l2::dnuca_energy(c.stats(), c.geometry());
+        let e = nuca::energy::dynamic_energy(c.stats(), c.geometry());
         println!(
             "{:<24} {:>14.2} {:>14} {:>12}",
             label,
