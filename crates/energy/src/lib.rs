@@ -2,9 +2,10 @@
 //!
 //! The paper replaces Wattch's cache energy model with Cacti-derived
 //! per-operation energies (Table 2) and keeps Wattch for the rest of the
-//! processor. This crate does the same: [`l2`] prices every lower-level
-//! cache organization's event counts with the [`cachemodel`] energies, and
-//! [`core`] charges Wattch-like per-event constants for the out-of-order
+//! processor. This crate does the same: [`l2`] prices the conventional
+//! hierarchy's L2/L3 accesses with the [`cachemodel`] energies (NuRAPID
+//! and D-NUCA price their own event counts, in `nurapid::energy` and
+//! `nuca::energy`), and [`core`] charges Wattch-like per-event constants for the out-of-order
 //! engine, L1s, and main memory. [`EnergyTally`] aggregates both into the
 //! totals behind the paper's two headline energy results: **77% lower L2
 //! dynamic energy than D-NUCA** and **7% lower processor energy-delay
