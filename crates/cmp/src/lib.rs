@@ -369,20 +369,28 @@ impl CmpSystem {
     pub fn run(&mut self, per_core: u64) {
         let n = self.cores.len();
         let mut issued = vec![0u64; n];
-        loop {
-            let mut pick: Option<usize> = None;
-            for i in 0..n {
-                if issued[i] < per_core
-                    && pick.is_none_or(|p| self.cores[i].cycles() < self.cores[p].cycles())
+        // Only the stepped core's clock moves (invalidations change L1
+        // contents, never a clock), so the earliest core keeps stepping
+        // until it passes the runner-up picked beside it.
+        let earliest = |cores: &[OooCore<SharedL2>], issued: &[u64], skip: Option<usize>| {
+            (0..n)
+                .filter(|&j| Some(j) != skip && issued[j] < per_core)
+                .map(|j| (cores[j].cycles(), j))
+                .min()
+        };
+        while let Some((_, i)) = earliest(&self.cores, &issued, None) {
+            let rival = earliest(&self.cores, &issued, Some(i));
+            loop {
+                let op = self.streams[i].next_op();
+                self.cores[i].execute(op);
+                issued[i] += 1;
+                self.deliver_invalidations();
+                if issued[i] == per_core
+                    || rival.is_some_and(|r| (self.cores[i].cycles(), i) > r)
                 {
-                    pick = Some(i);
+                    break;
                 }
             }
-            let Some(i) = pick else { break };
-            let op = self.streams[i].next_op();
-            self.cores[i].execute(op);
-            issued[i] += 1;
-            self.deliver_invalidations();
         }
     }
 

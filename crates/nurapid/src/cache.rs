@@ -1,11 +1,11 @@
 //! The assembled NuRAPID cache: tag array + d-groups + policies + the
 //! one-ported, non-banked timing model.
 
-use crate::dgroup::DGroupArray;
+use crate::dgroup::{DGroupArray, MAX_SETS};
 use crate::policy::{DistanceVictimPolicy, PromotionPolicy};
 use crate::port::PortSchedule;
 use crate::stats::NuRapidStats;
-use crate::tag::{FramePtr, TagArray, TagLookup, TagRef};
+use crate::tag::{FramePtr, TagArray, TagLookup, TagRef, MAX_FRAMES, MAX_GROUPS};
 use cachemodel::catalog::{NuRapidGeometry, BLOCK_BYTES};
 use memsys::lower::{LowerCache, LowerOutcome};
 use memsys::memory::MainMemory;
@@ -142,12 +142,17 @@ impl NuRapidCache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (capacity not divisible by
-    /// d-groups/associativity/block size).
+    /// d-groups/associativity/block size), or if a pointer could not name
+    /// it: more than 64 d-groups, more than 2^24 frames per d-group, or
+    /// 2^24 or more sets.
     pub fn new(config: NuRapidConfig) -> Self {
         let geo = NuRapidGeometry::micro2003(config.capacity, config.n_dgroups);
         let blocks = config.capacity.bytes() / BLOCK_BYTES;
         let sets = (blocks / config.assoc as u64) as usize;
         let frames = geo.frames_per_dgroup();
+        assert!(config.n_dgroups <= MAX_GROUPS, "at most {MAX_GROUPS} d-groups");
+        assert!(frames <= MAX_FRAMES, "at most {MAX_FRAMES} frames per d-group");
+        assert!(sets < MAX_SETS, "fewer than {MAX_SETS} sets");
         let n_regions = match config.frames_per_region {
             None => 1,
             Some(fpr) => {

@@ -78,11 +78,83 @@ impl FrameLru {
     }
 }
 
+/// A region's free *local* frame indices without a full-length list:
+/// frames `next_fresh..fpr` have never been handed out, and `released`
+/// is a stack of frames given back, popped before a fresh one.
+///
+/// It stands for the list a `Vec` free list initialised to `fpr−1, …, 0`
+/// would hold — `fpr−1` down to `next_fresh`, then the stack from bottom
+/// to top, popped from the end — and that list is its checkpoint
+/// encoding.
+#[derive(Debug, Clone, Default)]
+struct FreeList {
+    next_fresh: u32,
+    released: Vec<u32>,
+}
+
+impl FreeList {
+    /// Free frames in a region of `fpr` frames.
+    #[inline]
+    fn len(&self, fpr: u32) -> usize {
+        (fpr - self.next_fresh) as usize + self.released.len()
+    }
+
+    #[inline]
+    fn pop(&mut self, fpr: u32) -> Option<u32> {
+        if let Some(local) = self.released.pop() {
+            return Some(local);
+        }
+        (self.next_fresh < fpr).then(|| {
+            self.next_fresh += 1;
+            self.next_fresh - 1
+        })
+    }
+
+    #[inline]
+    fn push(&mut self, local: u32) {
+        self.released.push(local);
+    }
+
+    /// Writes the list as a length-prefixed `u32` slice.
+    fn save_state(&self, e: &mut Encoder, fpr: u32) {
+        e.put_len(self.len(fpr));
+        for local in (self.next_fresh..fpr).rev().chain(self.released.iter().copied()) {
+            e.put_u32(local);
+        }
+    }
+
+    /// Reads a list written by [`FreeList::save_state`]: the longest
+    /// prefix counting down by one from `fpr−1` is the fresh range, the
+    /// rest the stack. Any list of at most `fpr` frames below `fpr`
+    /// round-trips, popping in the same order and re-encoding to the same
+    /// bytes; a stack whose bottom is `next_fresh−1` joins the fresh
+    /// range, which hands out the same frame next.
+    fn load_state(&mut self, d: &mut Decoder<'_>, fpr: u32) -> Result<(), SnapshotError> {
+        let n = d.u64()?;
+        if n > fpr as u64 {
+            return Err(SnapshotError::Malformed("slice longer than its bound"));
+        }
+        self.next_fresh = fpr;
+        self.released.clear();
+        for _ in 0..n {
+            let local = d.u32()?;
+            if local >= fpr {
+                return Err(SnapshotError::Malformed("free frame outside its region"));
+            }
+            if self.released.is_empty() && local + 1 == self.next_fresh {
+                self.next_fresh = local;
+            } else {
+                self.released.push(local);
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Per-region free list and recency state.
 #[derive(Debug, Clone)]
 struct Region {
-    /// Free *local* frame indices.
-    free: Vec<u32>,
+    free: FreeList,
     lru: FrameLru,
     /// CLOCK reference bits and sweep hand (approximate LRU).
     referenced: Vec<bool>,
@@ -90,32 +162,55 @@ struct Region {
 }
 
 /// A free frame in the packed reverse-pointer arena.
-const FREE: u64 = u64::MAX;
+const FREE: u32 = u32::MAX;
+
+/// Tag sets a reverse pointer can name.
+pub(crate) const MAX_SETS: usize = 1 << 24;
 
 /// Packs a reverse pointer into a frame word: set in bits 8.., way in the
-/// low byte. [`FREE`] (all ones) is unreachable because sets are `u32`.
+/// low byte. [`FREE`] (all ones) is unreachable because sets are below
+/// [`MAX_SETS`] and ways below 255.
 #[inline(always)]
-fn pack_owner(owner: TagRef) -> u64 {
-    ((owner.set as u64) << 8) | owner.way as u64
+fn pack_owner(owner: TagRef) -> u32 {
+    debug_assert!((owner.set as usize) < MAX_SETS && owner.way < u8::MAX);
+    (owner.set << 8) | owner.way as u32
 }
 
 #[inline(always)]
-fn unpack_owner(word: u64) -> TagRef {
-    TagRef { set: (word >> 8) as u32, way: word as u8 }
+fn unpack_owner(word: u32) -> TagRef {
+    TagRef { set: word >> 8, way: word as u8 }
+}
+
+/// Widens a frame word to its checkpoint word: [`FREE`] is `u64::MAX`.
+#[inline(always)]
+fn widen_owner(word: u32) -> u64 {
+    if word == FREE {
+        u64::MAX
+    } else {
+        word as u64
+    }
+}
+
+/// Narrows a checkpoint word to its frame word (`u64::MAX` is [`FREE`]);
+/// [`DGroupArray::load_state`] refuses a word that does not widen back.
+#[inline(always)]
+fn narrow_owner(word: u64) -> u32 {
+    word as u32
 }
 
 /// One distance-group's data array, optionally partitioned into placement
 /// regions (Section 2.4.3).
 ///
-/// Layout (DESIGN.md §9): the reverse pointers live in one flat `Vec<u64>`
-/// (packed set/way per frame, `u64::MAX` = free), and the global↔local
-/// frame index split uses shift+mask when the region size is a power of
-/// two (it always is in the paper's configurations; the div/mod fallback
-/// keeps arbitrary region counts working).
+/// Layout (DESIGN.md §10): the reverse pointers live in one flat `Vec<u32>`
+/// (packed set/way per frame, `u32::MAX` = free), each region's free
+/// frames are a fresh-frame counter plus a stack of released frames, and
+/// the global↔local frame index split uses shift+mask when the region
+/// size is a power of two (it always is in the paper's configurations;
+/// the div/mod fallback keeps arbitrary region counts working).
 #[derive(Debug, Clone)]
 pub struct DGroupArray {
     /// Packed reverse pointer per frame; [`FREE`] = free.
-    frames: Vec<u64>,
+    frames: Vec<u32>,
     regions: Vec<Region>,
     /// Frames per region (`n_frames` when unrestricted).
     frames_per_region: u32,
@@ -165,7 +260,7 @@ impl DGroupArray {
         let track_clock = policy == DistanceVictimPolicy::ClockApprox;
         let regions = (0..n_regions)
             .map(|_| Region {
-                free: (0..fpr as u32).rev().collect(),
+                free: FreeList::default(),
                 lru: FrameLru::new(if track_lru { fpr } else { 0 }),
                 referenced: vec![false; if track_clock { fpr } else { 0 }],
                 hand: 0,
@@ -219,18 +314,20 @@ impl DGroupArray {
     /// Occupied frames (including frames in transient limbo during a
     /// demotion chain).
     pub fn occupied(&self) -> usize {
-        self.frames.len() - self.regions.iter().map(|r| r.free.len()).sum::<usize>()
+        let fpr = self.frames_per_region;
+        self.frames.len() - self.regions.iter().map(|r| r.free.len(fpr)).sum::<usize>()
     }
 
     /// True if every frame of `region` is occupied.
     pub fn is_full(&self, region: usize) -> bool {
-        self.regions[region].free.is_empty()
+        self.regions[region].free.len(self.frames_per_region) == 0
     }
 
-    /// Takes a free frame in `region` if one exists.
+    /// Takes a free frame in `region` if one exists: the last one
+    /// released, else the lowest never handed out.
     #[inline]
     pub fn take_free(&mut self, region: usize) -> Option<u32> {
-        let local = self.regions[region].free.pop()?;
+        let local = self.regions[region].free.pop(self.frames_per_region)?;
         Some(self.global(region, local))
     }
 
@@ -318,11 +415,12 @@ impl DGroupArray {
     /// Serializes the full d-group state: reverse pointers, per-region
     /// free lists, whichever recency state the policy maintains, and the
     /// victim RNG stream (its draw sequence is architectural — it decides
-    /// which blocks demote).
+    /// which blocks demote). Each reverse pointer is widened to a `u64`
+    /// word (`u64::MAX` = free).
     pub fn save_state(&self, e: &mut Encoder) {
-        e.put_u64_slice(&self.frames);
+        e.put_widened_u64_slice(&self.frames, widen_owner);
         for reg in &self.regions {
-            e.put_u32_slice(&reg.free);
+            reg.free.save_state(e, self.frames_per_region);
             e.put_u32_slice(&reg.lru.prev);
             e.put_u32_slice(&reg.lru.next);
             e.put_u32(reg.lru.head);
@@ -343,12 +441,14 @@ impl DGroupArray {
     }
 
     /// Restores state written by [`DGroupArray::save_state`] into a
-    /// d-group of identical geometry and policy.
+    /// d-group of identical geometry and policy. A reverse pointer that
+    /// is neither `u64::MAX` nor below `u32::MAX`, or a free frame outside
+    /// its region, is [`SnapshotError::Malformed`].
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-        d.u64_slice_into(&mut self.frames)?;
-        let fpr = self.frames_per_region as usize;
+        d.narrowed_u64_slice_into(&mut self.frames, narrow_owner, widen_owner)?;
+        let fpr = self.frames_per_region;
         for reg in self.regions.iter_mut() {
-            d.u32_vec_into(&mut reg.free, fpr)?;
+            reg.free.load_state(d, fpr)?;
             d.u32_slice_into(&mut reg.lru.prev)?;
             d.u32_slice_into(&mut reg.lru.next)?;
             reg.lru.head = d.u32()?;
@@ -382,7 +482,7 @@ impl DGroupArray {
         assert!(
             self.is_full(region),
             "choose_victim with {} free frames in region {region}",
-            self.regions[region].free.len()
+            self.regions[region].free.len(self.frames_per_region)
         );
         let local = match self.policy {
             DistanceVictimPolicy::Random => {
@@ -414,6 +514,7 @@ impl DGroupArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::prop::{checker, range_u32, range_u8, select, vec_of};
 
     fn tr(set: u32, way: u8) -> TagRef {
         TagRef { set, way }
@@ -665,6 +766,171 @@ mod tests {
             // Victim choice (recency or RNG stream) must continue in step.
             assert_eq!(fresh.choose_victim(0), g.choose_victim(0), "{policy:?}");
         }
+    }
+
+    /// An empty 4-frame, 2-region random-policy d-group.
+    fn two_regions() -> DGroupArray {
+        DGroupArray::with_regions(4, 2, DistanceVictimPolicy::Random, SimRng::seeded(1))
+    }
+
+    /// The payload of [`two_regions`] with `patch` applied: the frame
+    /// slice starts at byte 8, and region 0's free list (2 entries)
+    /// right after it.
+    fn payload(patch: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let mut e = Encoder::new();
+        two_regions().save_state(&mut e);
+        let mut bytes = e.into_bytes();
+        patch(&mut bytes);
+        bytes
+    }
+
+    fn load(bytes: &[u8]) -> Result<DGroupArray, SnapshotError> {
+        let mut g = two_regions();
+        let mut d = Decoder::new(bytes);
+        g.load_state(&mut d)?;
+        d.finish()?;
+        Ok(g)
+    }
+
+    /// Reverse pointers are saved as `u64` words with `u64::MAX` for a
+    /// free frame, and an unfilled d-group saves each region's free list
+    /// as the full countdown `fpr−1, …, 0`.
+    #[test]
+    fn reverse_pointers_and_free_lists_keep_their_wide_encoding() {
+        let mut g = two_regions();
+        let f = g.take_free(1).unwrap();
+        g.install(f, tr((1 << 24) - 1, 254));
+        let mut e = Encoder::new();
+        g.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut want = Encoder::new();
+        want.put_u64_slice(&[u64::MAX, u64::MAX, 0xFFFF_FFFE, u64::MAX]);
+        want.put_u32_slice(&[1, 0]);
+        let want = want.into_bytes();
+        assert_eq!(&bytes[..want.len()], &want[..]);
+        let mut again = Encoder::new();
+        load(&bytes).unwrap().save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    /// A reverse pointer that is neither `u64::MAX` nor below `u32::MAX`
+    /// is malformed; so is a free-list entry outside its region.
+    #[test]
+    fn words_a_frame_or_free_list_cannot_hold_are_malformed() {
+        for word in [1u64 << 32, u64::MAX - 1, 0xFFFF_FFFF] {
+            let bytes = payload(|b| b[8..16].copy_from_slice(&word.to_le_bytes()));
+            let got = load(&bytes).map(|_| ());
+            assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{word:#x}: {got:?}");
+        }
+        let free_at = 8 + 4 * 8 + 8;
+        for entry in [2u32, u32::MAX] {
+            let bytes = payload(|b| b[free_at..free_at + 4].copy_from_slice(&entry.to_le_bytes()));
+            let got = load(&bytes).map(|_| ());
+            assert!(matches!(got, Err(SnapshotError::Malformed(_))), "entry {entry}: {got:?}");
+        }
+        let bytes = payload(|b| b[free_at - 8..free_at].copy_from_slice(&3u64.to_le_bytes()));
+        assert!(matches!(load(&bytes).map(|_| ()), Err(SnapshotError::Malformed(_))));
+    }
+
+    /// The list a free list encodes to: what `put_u32_slice` writes.
+    fn list_bytes(list: &[u32]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u32_slice(list);
+        e.into_bytes()
+    }
+
+    fn free_bytes(free: &FreeList, fpr: u32) -> Vec<u8> {
+        let mut e = Encoder::new();
+        free.save_state(&mut e, fpr);
+        e.into_bytes()
+    }
+
+    /// Pops `free` and the reference list (popped from its end) dry,
+    /// requiring the same frames in the same order.
+    fn drain_in_step(free: &mut FreeList, mut reference: Vec<u32>, fpr: u32) {
+        while let Some(want) = reference.pop() {
+            assert_eq!(free.pop(fpr), Some(want));
+            assert_eq!(free.len(fpr), reference.len());
+        }
+        assert_eq!(free.pop(fpr), None);
+    }
+
+    /// A stack whose bottom frame is `next_fresh−1` decodes into the
+    /// fresh range, and still pops and re-encodes as it was stored.
+    #[test]
+    fn a_stack_bottom_next_to_the_fresh_range_round_trips() {
+        let list = [7, 6, 5, 4, 2];
+        let bytes = list_bytes(&list);
+        let mut free = FreeList::default();
+        free.load_state(&mut Decoder::new(&bytes), 8).unwrap();
+        assert_eq!((free.next_fresh, &free.released[..]), (4, &[2][..]));
+        assert_eq!(free_bytes(&free, 8), bytes);
+        drain_in_step(&mut free, list.to_vec(), 8);
+    }
+
+    /// Random take/release sequences over a two-region d-group against a
+    /// plain `Vec<u32>` free list per region (initialised `fpr−1, …, 0`
+    /// and popped from its end): the same frames come out in the same
+    /// order, `occupied` and `is_full` agree, and each region's list
+    /// encodes to the reference's bytes and decodes back to a list that
+    /// does too. Arbitrary stored lists of at most `fpr` frames decode,
+    /// re-encode to the same bytes and pop in the stored order.
+    #[test]
+    fn free_lists_match_a_vec_reference() {
+        let ops = vec_of((range_u8(0, 3), range_u32(0, 1 << 16)), 0, 200);
+        let stored = vec_of(range_u32(0, 1 << 16), 0, 40);
+        let gen = (select(vec![1u32, 2, 3, 8, 16]), ops, range_u32(0, 17), stored);
+        checker("free_lists_match_a_vec_reference").check(&gen, |(fpr, ops, fresh, stored)| {
+            let fpr = *fpr;
+            let mut g = DGroupArray::with_regions(
+                2 * fpr as usize,
+                2,
+                DistanceVictimPolicy::Random,
+                SimRng::seeded(3),
+            );
+            let mut reference: Vec<Vec<u32>> = vec![(0..fpr).rev().collect(); 2];
+            let mut held: Vec<u32> = Vec::new();
+            for (n, &(op, x)) in ops.iter().enumerate() {
+                let region = (x & 1) as usize;
+                if op < 2 || held.is_empty() {
+                    let want = reference[region].pop().map(|l| region as u32 * fpr + l);
+                    let got = g.take_free(region);
+                    assert_eq!(got, want, "take {n} from region {region}");
+                    if let Some(f) = got {
+                        g.install(f, tr(f, 0));
+                        held.push(f);
+                    }
+                } else {
+                    let f = held.swap_remove(x as usize % held.len());
+                    g.release(f);
+                    reference[g.region_of_frame(f)].push(f % fpr);
+                }
+                let free: usize = reference.iter().map(Vec::len).sum();
+                assert_eq!(g.occupied(), 2 * fpr as usize - free);
+                for (r, list) in reference.iter().enumerate() {
+                    assert_eq!(g.is_full(r), list.is_empty());
+                }
+            }
+            for (reg, want) in g.regions.iter().zip(&reference) {
+                let bytes = free_bytes(&reg.free, fpr);
+                assert_eq!(bytes, list_bytes(want));
+                let mut back = FreeList::default();
+                back.load_state(&mut Decoder::new(&bytes), fpr).unwrap();
+                assert_eq!(free_bytes(&back, fpr), bytes);
+                drain_in_step(&mut back, want.clone(), fpr);
+            }
+
+            // A stored list: a countdown from fpr−1 of `fresh` frames,
+            // then arbitrary frames, cut to at most fpr entries.
+            let mut list: Vec<u32> = (0..fpr).rev().take(*fresh as usize).collect();
+            list.extend(stored.iter().map(|&v| v % fpr));
+            list.truncate(fpr as usize);
+            let bytes = list_bytes(&list);
+            let mut free = FreeList::default();
+            free.load_state(&mut Decoder::new(&bytes), fpr).unwrap();
+            assert_eq!(free_bytes(&free, fpr), bytes);
+            drain_in_step(&mut free, list, fpr);
+        });
     }
 
     #[test]

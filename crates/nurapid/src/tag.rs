@@ -49,38 +49,69 @@ pub struct TagEviction {
     pub freed: FramePtr,
 }
 
-/// Per-entry status and forward pointer packed into one `u64` in the
-/// [`TagArray`] metadata arena: bit 63 = valid, bit 62 = dirty, bits
-/// 48..56 = d-group, bits 0..32 = frame index.
-const META_VALID: u64 = 1 << 63;
-const META_DIRTY: u64 = 1 << 62;
-const META_GROUP_SHIFT: u32 = 48;
-const META_FRAME_MASK: u64 = 0xFFFF_FFFF;
+/// Per-entry status and forward pointer packed into one `u32` in the
+/// [`TagArray`] metadata arena: bit 31 = valid, bit 30 = dirty, bits
+/// 24..30 = d-group, bits 0..24 = frame index.
+const META_VALID: u32 = 1 << 31;
+const META_DIRTY: u32 = 1 << 30;
+const META_GROUP_SHIFT: u32 = 24;
+const META_FRAME_MASK: u32 = (1 << META_GROUP_SHIFT) - 1;
+
+/// D-groups a forward pointer can name.
+pub(crate) const MAX_GROUPS: usize = 1 << (30 - META_GROUP_SHIFT);
+/// Frames per d-group a forward pointer can name.
+pub(crate) const MAX_FRAMES: usize = 1 << META_GROUP_SHIFT;
+
+/// The checkpoint word for the same entry keeps the flags 32 bits
+/// higher (bit 63 = valid, bit 62 = dirty), the d-group in bits 48..56
+/// and the frame index in bits 0..32.
+const META_FLAGS: u32 = META_VALID | META_DIRTY;
+const WORD_FLAGS_SHIFT: u32 = 32;
+const WORD_GROUP_SHIFT: u32 = 48;
 
 #[inline(always)]
-fn pack_ptr(ptr: FramePtr) -> u64 {
-    ((ptr.group as u64) << META_GROUP_SHIFT) | ptr.frame as u64
+fn pack_ptr(ptr: FramePtr) -> u32 {
+    debug_assert!((ptr.group as usize) < MAX_GROUPS && (ptr.frame as usize) < MAX_FRAMES);
+    ((ptr.group as u32) << META_GROUP_SHIFT) | ptr.frame
 }
 
 #[inline(always)]
-fn unpack_ptr(meta: u64) -> FramePtr {
+fn unpack_ptr(meta: u32) -> FramePtr {
     FramePtr {
-        group: (meta >> META_GROUP_SHIFT) as u8,
-        frame: (meta & META_FRAME_MASK) as u32,
+        group: ((meta >> META_GROUP_SHIFT) as usize & (MAX_GROUPS - 1)) as u8,
+        frame: meta & META_FRAME_MASK,
     }
+}
+
+/// Widens a metadata entry to its checkpoint word.
+#[inline(always)]
+fn widen_meta(meta: u32) -> u64 {
+    ((meta & META_FLAGS) as u64) << WORD_FLAGS_SHIFT
+        | ((meta >> META_GROUP_SHIFT) as u64 & (MAX_GROUPS as u64 - 1)) << WORD_GROUP_SHIFT
+        | (meta & META_FRAME_MASK) as u64
+}
+
+/// Narrows a checkpoint word to its metadata entry, dropping any bit the
+/// entry has no room for; [`TagArray::load_state`] refuses a word that
+/// loses one.
+#[inline(always)]
+fn narrow_meta(word: u64) -> u32 {
+    (word >> WORD_FLAGS_SHIFT) as u32 & META_FLAGS
+        | ((word >> WORD_GROUP_SHIFT) as u32 & (MAX_GROUPS as u32 - 1)) << META_GROUP_SHIFT
+        | word as u32 & META_FRAME_MASK
 }
 
 /// The centralized tag array.
 ///
-/// Layout (DESIGN.md §9): struct-of-arrays — a flat `Vec<u64>` of block
-/// indices scanned on probes, a parallel `Vec<u64>` packing
+/// Layout (DESIGN.md §10): struct-of-arrays — a flat `Vec<u64>` of block
+/// indices scanned on probes, a parallel `Vec<u32>` packing
 /// valid/dirty/forward-pointer per entry, and a nibble-packed
 /// [`LruTable`] for per-set data-replacement recency. Set selection is a
 /// mask (set counts are asserted power-of-two).
 #[derive(Debug, Clone)]
 pub struct TagArray {
     blocks: Vec<u64>, // sets * assoc block indices, row-major by set
-    meta: Vec<u64>,   // parallel packed valid/dirty/FramePtr
+    meta: Vec<u32>,   // parallel packed valid/dirty/FramePtr
     lru: LruTable,
     sets: usize,
     assoc: u32,
@@ -251,19 +282,21 @@ impl TagArray {
         self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
     }
 
-    /// Serializes tags, packed metadata (valid/dirty/forward pointers),
-    /// and per-set recency.
+    /// Serializes tags, packed metadata (valid/dirty/forward pointers,
+    /// each widened to its `u64` checkpoint word), and per-set recency.
     pub fn save_state(&self, e: &mut Encoder) {
         e.put_u64_slice(&self.blocks);
-        e.put_u64_slice(&self.meta);
+        e.put_widened_u64_slice(&self.meta, widen_meta);
         self.lru.save_state(e);
     }
 
     /// Restores state written by [`TagArray::save_state`] into an array of
-    /// identical geometry.
+    /// identical geometry. A metadata word with stray bits, a d-group
+    /// of 64 or more, or a frame of 2^24 or more is
+    /// [`SnapshotError::Malformed`].
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), SnapshotError> {
         d.u64_slice_into(&mut self.blocks)?;
-        d.u64_slice_into(&mut self.meta)?;
+        d.narrowed_u64_slice_into(&mut self.meta, narrow_meta, widen_meta)?;
         self.lru.load_state(d)
     }
 }
@@ -371,6 +404,74 @@ mod tests {
     fn set_ptr_on_invalid_panics() {
         let mut t = TagArray::new(4, 2);
         t.set_ptr(TagRef { set: 0, way: 0 }, fp(0, 0));
+    }
+
+    /// A 4-set, 2-way array's payload with `word` as its first entry's
+    /// metadata word: the block slice, then the metadata slice.
+    fn payload_with_meta(word: u64) -> Vec<u8> {
+        let mut e = Encoder::new();
+        TagArray::new(4, 2).save_state(&mut e);
+        let mut bytes = e.into_bytes();
+        let at = 8 + 8 * 8 + 8;
+        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        bytes
+    }
+
+    /// The metadata is saved as the wide `u64` words — bit 63 valid, bit
+    /// 62 dirty, bits 48..56 d-group, low 32 bits frame — and every word
+    /// a `u32` entry can hold loads back and re-saves to the same bytes.
+    #[test]
+    fn metadata_saves_as_wide_words_and_round_trips() {
+        let mut t = TagArray::new(4, 2);
+        t.allocate(blk(0), fp(63, MAX_FRAMES as u32 - 1), true);
+        t.allocate(blk(1), fp(5, 77), false);
+        let mut e = Encoder::new();
+        t.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let meta = |i: usize| {
+            let at = 8 + 8 * 8 + 8 + 8 * i;
+            u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+        };
+        assert_eq!(meta(0), 1 << 63 | 1 << 62 | 63 << 48 | (MAX_FRAMES as u64 - 1));
+        assert_eq!(meta(2), 1 << 63 | 5 << 48 | 77);
+        assert_eq!(meta(1), 0);
+
+        let mut back = TagArray::new(4, 2);
+        let mut d = Decoder::new(&bytes);
+        back.load_state(&mut d).unwrap();
+        d.finish().unwrap();
+        let mut again = Encoder::new();
+        back.save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        assert_eq!(back.probe(blk(0)).map(|(_, p)| p), Some(fp(63, MAX_FRAMES as u32 - 1)));
+
+        // An invalid entry's word round-trips whatever pointer it holds.
+        let bytes = payload_with_meta(1 << 62 | 9 << 48 | 12);
+        let mut d = Decoder::new(&bytes);
+        back.load_state(&mut d).unwrap();
+        let mut again = Encoder::new();
+        back.save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    /// A metadata word with a bit outside its fields, a d-group of 64 or
+    /// more, or a frame of 2^24 or more is malformed.
+    #[test]
+    fn metadata_words_the_entry_cannot_hold_are_malformed() {
+        for word in [
+            1 << 63 | 1 << 61,
+            1 << 32,
+            1 << 47,
+            1 << 56,
+            1 << 63 | 64 << 48,
+            255 << 48,
+            1 << 63 | 1 << 24,
+            0xFFFF_FFFF,
+        ] {
+            let bytes = payload_with_meta(word);
+            let got = TagArray::new(4, 2).load_state(&mut Decoder::new(&bytes));
+            assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{word:#x}: {got:?}");
+        }
     }
 
     #[test]

@@ -482,8 +482,10 @@ impl<'a> Encoder<'a> {
                 continue;
             }
             let (now, later) = rest.split_at(fit.min(rest.len()));
-            for &v in now {
-                self.buf.extend_from_slice(&le(v));
+            let start = self.buf.len();
+            self.buf.resize(start + now.len() * W, 0);
+            for (out, &v) in self.buf[start..].chunks_exact_mut(W).zip(now) {
+                out.copy_from_slice(&le(v));
             }
             rest = later;
         }
@@ -505,6 +507,14 @@ impl<'a> Encoder<'a> {
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.put_len(vs.len());
         self.put_words(vs, u32::to_le_bytes);
+    }
+
+    /// Writes a length-prefixed `u64` slice of values kept narrower in
+    /// memory: `widen` gives each element's stored word, so the bytes are
+    /// those [`Encoder::put_u64_slice`] writes for the widened slice.
+    pub fn put_widened_u64_slice<T: Copy>(&mut self, vs: &[T], widen: impl Fn(T) -> u64) {
+        self.put_len(vs.len());
+        self.put_words(vs, |v| widen(v).to_le_bytes());
     }
 
     /// Writes a length-prefixed *section*: `fill` populates a nested
@@ -750,7 +760,7 @@ impl<'a> Decoder<'a> {
     fn words_into<T, const W: usize>(
         &mut self,
         dst: &mut [T],
-        from: impl Fn([u8; W]) -> T,
+        mut from: impl FnMut([u8; W]) -> T,
     ) -> Result<(), SnapshotError> {
         let mut done = 0;
         while done < dst.len() {
@@ -878,6 +888,31 @@ impl<'a> Decoder<'a> {
     pub fn u64_slice_into(&mut self, dst: &mut [u64]) -> Result<(), SnapshotError> {
         self.slice_len(dst.len())?;
         self.words_into(dst, u64::from_le_bytes)
+    }
+
+    /// Reads a slice written by [`Encoder::put_widened_u64_slice`] into
+    /// `dst`, which must have the stored length: `narrow` converts each
+    /// stored word, and a word that `widen` does not give back from its
+    /// narrowed value makes the slice [`SnapshotError::Malformed`]. So
+    /// every slice read re-encodes to the same bytes.
+    pub fn narrowed_u64_slice_into<T: Copy>(
+        &mut self,
+        dst: &mut [T],
+        narrow: impl Fn(u64) -> T,
+        widen: impl Fn(T) -> u64,
+    ) -> Result<(), SnapshotError> {
+        self.slice_len(dst.len())?;
+        let mut lost = 0;
+        self.words_into(dst, |b| {
+            let word = u64::from_le_bytes(b);
+            let v = narrow(word);
+            lost |= widen(v) ^ word;
+            v
+        })?;
+        if lost != 0 {
+            return Err(SnapshotError::Malformed("stored word does not fit its narrower field"));
+        }
+        Ok(())
     }
 
     /// Reads a length-prefixed `u32` slice of at most `max` elements into
@@ -1156,6 +1191,40 @@ mod tests {
         assert_eq!(v, vec![5, 6, 7]);
     }
 
+    /// A widened slice is written as the `u64` slice of its widened
+    /// values, and a narrowing read gives them back, in memory and through
+    /// a stream that ends mid-word; a word that does not survive the
+    /// narrowing is malformed.
+    #[test]
+    fn widened_slices_round_trip_and_lossy_words_fail() {
+        let narrow = |w: u64| w as u32;
+        let vs: Vec<u32> = (0..20_000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let mut e = Encoder::new();
+        e.put_widened_u64_slice(&vs, u64::from);
+        let bytes = e.into_bytes();
+        let mut wide = Encoder::new();
+        wide.put_u64_slice(&vs.iter().map(|&v| u64::from(v)).collect::<Vec<_>>());
+        assert_eq!(bytes, wide.into_bytes());
+        let mut back = vec![0u32; vs.len()];
+        let mut d = Decoder::new(&bytes);
+        d.narrowed_u64_slice_into(&mut back, narrow, u64::from).unwrap();
+        d.finish().unwrap();
+        assert_eq!(back, vs);
+        let sealed = seal(3, &bytes);
+        let mut src = Trickle { bytes: &sealed, step: 5 };
+        let mut d = Decoder::stream(&mut src, 3).unwrap();
+        back.fill(0);
+        d.narrowed_u64_slice_into(&mut back, narrow, u64::from).unwrap();
+        d.finish().unwrap();
+        assert_eq!(back, vs);
+
+        let mut e = Encoder::new();
+        e.put_u64_slice(&[1, 2, 1 << 32]);
+        let bytes = e.into_bytes();
+        let got = Decoder::new(&bytes).narrowed_u64_slice_into(&mut [0u32; 3], narrow, u64::from);
+        assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
+    }
+
     /// Every in-place reader rejects a stored slice shorter or longer
     /// than its buffer, and one whose bytes were cut off.
     #[test]
@@ -1180,6 +1249,10 @@ mod tests {
         check(|e, n| e.put_u8_slice(&vec![7; n]), |d| d.u8_slice_into(&mut [0; 3]));
         check(|e, n| e.put_u32_slice(&vec![7; n]), |d| d.u32_slice_into(&mut [0; 3]));
         check(|e, n| e.put_u64_slice(&vec![7; n]), |d| d.u64_slice_into(&mut [0; 3]));
+        check(
+            |e, n| e.put_u64_slice(&vec![7; n]),
+            |d| d.narrowed_u64_slice_into(&mut [0u32; 3], |w| w as u32, u64::from),
+        );
         // The refilling reader takes any length up to its bound, so only
         // a slice longer than the bound is malformed.
         let mut v = vec![1, 2, 3, 4];

@@ -19,7 +19,8 @@
 //! * [`experiments`] — the harness that regenerates every table and
 //!   figure of the paper's evaluation;
 //! * [`simsched`] — the deterministic parallel scheduler the harness
-//!   runs on (worker pool, memoizing run store, resumable artifacts).
+//!   runs on (worker pool, single-flight memoizing run store, progress
+//!   events).
 //!
 //! # Quickstart
 //!
