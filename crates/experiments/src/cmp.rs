@@ -200,12 +200,6 @@ impl Checkpointed for CmpSystem {
     }
 }
 
-impl engine::Warm for CmpSystem {
-    fn prefill(&mut self) {
-        CmpSystem::prefill(self);
-    }
-}
-
 /// Builds the CMP system of `cfg` over `kind`, core `i` running
 /// `apps[i]`, and warms it up through the engine's one warm-up path
 /// (`engine::warm_up`, marked and timed under `label`): [`per_core`]
@@ -224,7 +218,11 @@ pub fn warmed(
     let unfilled = || CmpSystem::unfilled(cfg, kind.build(), apps, TRACE_SEED);
     let digest = cmp_warmup_digest(&cfg, apps, kind, scale);
     let ops = per_core(scale.warmup, cfg.cores);
-    engine::warm_up(unfilled, &opts, digest, label, "warmup-cmp", ops, CmpSystem::warm_run)
+    let warm = |sys: &mut CmpSystem, n| {
+        sys.prefill();
+        sys.warm_run(n);
+    };
+    engine::warm_up(unfilled, &opts, digest, label, "warmup-cmp", ops, warm)
 }
 
 /// Runs one CMP scenario: [`warmed`], across the drain barrier with

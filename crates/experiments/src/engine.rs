@@ -20,6 +20,7 @@
 //! the L4 resize cursor.
 
 use crate::checkpoint::{CheckpointStore, Checkpointed, PinGuard, Unserved};
+use crate::frontend::{frontend_digest, FrontEnd};
 use crate::runner::{warmup_digest, L2Kind, RunOptions, Scale, WarmupMode, TRACE_SEED};
 use cpu::uop::TraceSource;
 use cpu::{CoreParams, CoreResult, OooCore};
@@ -27,10 +28,12 @@ use energy::core::CoreEnergyModel;
 use energy::EnergyTally;
 use memsys::dramcache::L4Stats;
 use memsys::l1::CoreMemSystem;
+use memsys::lower::LowerCache;
 use memsys::org::{OrgReport, Organization};
 use simbase::digest::Digest;
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simtel::TelemetrySink;
+use std::sync::Arc;
 use std::time::Instant;
 use workloads::{BenchProfile, TraceGenerator};
 
@@ -84,13 +87,6 @@ fn mark(opts: &RunOptions<'_>, hit: bool, label: &str) {
     }
 }
 
-/// A system the engine warms up: the single-core system with its trace
-/// generator, or a CMP system.
-pub(crate) trait Warm: Checkpointed {
-    /// Fills the organization to steady-state occupancy.
-    fn prefill(&mut self);
-}
-
 impl Checkpointed for (System, TraceGenerator) {
     fn save(&self, e: &mut Encoder<'_>) {
         save_into(&self.0, &self.1, e);
@@ -105,12 +101,6 @@ impl Checkpointed for (System, TraceGenerator) {
     }
 }
 
-impl Warm for (System, TraceGenerator) {
-    fn prefill(&mut self) {
-        self.0.mem_mut().lower_mut().prefill();
-    }
-}
-
 /// The one warm-up path, taken by [`Phase::warmed`] and the CMP driver:
 /// returns a system built by `unfilled` and warmed, ready for its drain
 /// barrier.
@@ -121,24 +111,22 @@ impl Warm for (System, TraceGenerator) {
 /// cold and warm runs both come out of decoded bytes. A stream that fails
 /// part-way leaves the system half-written, so it is dropped for a fresh
 /// unfilled one and warmed again. Without a store, or if the publish
-/// failed, the system stays warmed in place. Warming in place prefills,
-/// then calls `run(sys, ops)`. The store's outcome is marked as `simchk`
-/// `hit/<label>` or `miss/<label>`, and the wall time as a `cat` span
-/// named `<label>/<ops>-ops`.
-pub(crate) fn warm_up<S: Warm>(
+/// failed, the system stays warmed in place. Warming in place calls
+/// `warm(sys, ops)` on an unfilled system, which prefills it and runs the
+/// warm-up. The store's outcome is marked as `simchk` `hit/<label>` or
+/// `miss/<label>`, and the wall time as a `cat` span named
+/// `<label>/<ops>-ops`.
+pub(crate) fn warm_up<S: Checkpointed>(
     unfilled: impl Fn() -> S,
     opts: &RunOptions<'_>,
     digest: Digest,
     label: &str,
     cat: &'static str,
     ops: u64,
-    run: impl Fn(&mut S, u64),
+    warm: impl Fn(&mut S, u64),
 ) -> S {
     let t_warm = Instant::now();
-    let warm = |sys: &mut S| {
-        sys.prefill();
-        run(sys, ops);
-    };
+    let warm = |sys: &mut S| warm(sys, ops);
     let mut sys = unfilled();
     match opts.checkpoints {
         Some(store) => {
@@ -156,6 +144,32 @@ pub(crate) fn warm_up<S: Warm>(
         w.wall_span(cat, &name, t_warm.elapsed().as_nanos() as u64);
     }
     sys
+}
+
+/// The front end of `profile`'s `ops`-op functional warm-up over lower
+/// blocks of `block_bytes`: shared through the claim in `opts` when a
+/// sweep planned the run, recorded for this run alone otherwise. A
+/// recording is timed as a `warmup-frontend` wall span named
+/// `<app>/<ops>-ops`.
+fn front_end(
+    profile: BenchProfile,
+    ops: u64,
+    block_bytes: u64,
+    opts: &RunOptions<'_>,
+) -> Arc<FrontEnd> {
+    let record = || {
+        let t_record = Instant::now();
+        let front = FrontEnd::record(profile, ops, block_bytes);
+        if let Some(w) = opts.wall {
+            let name = format!("{}/{ops}-ops", profile.name);
+            w.wall_span("warmup-frontend", &name, t_record.elapsed().as_nanos() as u64);
+        }
+        front
+    };
+    match opts.frontend {
+        Some(claim) => claim.front_end(frontend_digest(&profile, ops, block_bytes), record),
+        None => Arc::new(record()),
+    }
 }
 
 /// Where a sampled interval's starting state comes from.
@@ -363,16 +377,29 @@ impl<'k> Phase<'k> {
         opts: RunOptions<'_>,
     ) -> Phase<'k> {
         let digest = warmup_digest(&profile, kind, scale);
-        let cat = match opts.mode {
-            WarmupMode::FastForward => "warmup-ff",
-            WarmupMode::Timed => "warmup-timed",
-        };
-        let run = |(core, gen): &mut (System, TraceGenerator), n| match opts.mode {
-            WarmupMode::FastForward => core.warm_run(gen, n),
-            WarmupMode::Timed => core.run(gen, n),
-        };
         let unfilled = || build_unfilled(profile, kind);
-        let (core, gen) = warm_up(unfilled, &opts, digest, profile.name, cat, scale.warmup, run);
+        let (label, ops) = (profile.name, scale.warmup);
+        let (core, gen) = match opts.mode {
+            WarmupMode::FastForward => {
+                let replay = |(core, gen): &mut (System, TraceGenerator), n| {
+                    let block_bytes = core.mem().lower().block_bytes();
+                    let front = front_end(profile, n, block_bytes, &opts);
+                    core.mem_mut().lower_mut().prefill();
+                    front.replay(core, gen);
+                };
+                warm_up(unfilled, &opts, digest, label, "warmup-ff", ops, replay)
+            }
+            WarmupMode::Timed => {
+                let run = |(core, gen): &mut (System, TraceGenerator), n| {
+                    core.mem_mut().lower_mut().prefill();
+                    core.run(gen, n);
+                };
+                warm_up(unfilled, &opts, digest, label, "warmup-timed", ops, run)
+            }
+        };
+        if let Some(claim) = opts.frontend {
+            claim.release();
+        }
         Phase::at_barrier(core, gen, kind.resize_schedule(), sink, snap_every)
     }
 

@@ -9,6 +9,7 @@
 use crate::checkpoint::{CheckpointStore, Finished};
 use crate::cmp::CmpRun;
 use crate::engine::Counters;
+use crate::frontend::{Claim, FrontEnds};
 use crate::report::{f2, pct, rel, TextTable};
 use crate::runner::{
     run_app_opts, run_app_transient, run_digest, AppRun, L2Kind, RunOptions, Scale,
@@ -66,6 +67,7 @@ pub struct Sweep {
     results: Option<CheckpointStore>,
     checkpoints: Option<Arc<CheckpointStore>>,
     warmup: WarmupMode,
+    frontends: FrontEnds,
     observer: Option<Observer>,
     telemetry: Option<Arc<Telemetry>>,
     simulated: AtomicU64,
@@ -95,6 +97,7 @@ impl Sweep {
             results: None,
             checkpoints: None,
             warmup: WarmupMode::default(),
+            frontends: FrontEnds::new(),
             observer: None,
             telemetry: None,
             simulated: AtomicU64::new(0),
@@ -275,6 +278,7 @@ impl Sweep {
                     mode: self.warmup,
                     checkpoints: self.checkpoints.as_deref(),
                     wall: self.telemetry.as_deref(),
+                    frontend: None,
                 });
                 self.simulated.fetch_add(1, Ordering::Relaxed);
                 outcome = Some(Outcome::Simulated);
@@ -334,7 +338,22 @@ impl Sweep {
     /// Runs (or returns the stored run of) `app` on the configuration
     /// named `key`.
     pub fn run(&self, app: BenchProfile, key: &'static str) -> Arc<AppRun> {
-        self.run_kind(app, key, &self.wrap_l4(kind_of(key)))
+        self.run_claimed(app, key, None)
+    }
+
+    /// [`Sweep::run`] for a planned job holding `claim` on its
+    /// application's warm-up front ends.
+    fn run_claimed(
+        &self,
+        app: BenchProfile,
+        key: &'static str,
+        claim: Option<&Claim<'_>>,
+    ) -> Arc<AppRun> {
+        let kind = self.wrap_l4(kind_of(key));
+        match self.sample {
+            Some(spec) => self.run_kind_sampled(app, key, &kind, spec),
+            None => self.run_kind_full(app, key, &kind, claim),
+        }
     }
 
     /// Runs `app` on an explicit organization. `label` is only for
@@ -344,7 +363,7 @@ impl Sweep {
     pub fn run_kind(&self, app: BenchProfile, label: &str, kind: &L2Kind) -> Arc<AppRun> {
         match self.sample {
             Some(spec) => self.run_kind_sampled(app, label, kind, spec),
-            None => self.run_kind_full(app, label, kind),
+            None => self.run_kind_full(app, label, kind, None),
         }
     }
 
@@ -352,13 +371,23 @@ impl Sweep {
     /// regardless of [`Sweep::with_sample`] — the baseline leg of the
     /// sampling error study.
     pub fn run_full(&self, app: BenchProfile, key: &'static str) -> Arc<AppRun> {
-        self.run_kind_full(app, key, &self.wrap_l4(kind_of(key)))
+        self.run_kind_full(app, key, &self.wrap_l4(kind_of(key)), None)
     }
 
-    fn run_kind_full(&self, app: BenchProfile, label: &str, kind: &L2Kind) -> Arc<AppRun> {
+    fn run_kind_full(
+        &self,
+        app: BenchProfile,
+        label: &str,
+        kind: &L2Kind,
+        claim: Option<&Claim<'_>>,
+    ) -> Arc<AppRun> {
         let digest = run_digest(&app, kind, self.scale);
         let label = format!("{label}/{}", app.name);
         self.keyed(&self.store, Some(run_fields), digest, &label, |opts| {
+            let opts = RunOptions {
+                frontend: claim,
+                ..opts
+            };
             self.traced(&label, digest, run_fields, |sink, snap_every| {
                 run_app_opts(app, kind, self.scale, sink, snap_every, opts)
             })
@@ -482,13 +511,20 @@ impl Sweep {
     /// called afterwards hit the warm store. Duplicate pairs — and pairs
     /// racing with figures on other threads — are deduplicated by the
     /// store's single-flight guarantee.
+    ///
+    /// This is the warm-up planner (DESIGN.md §11): the jobs run in
+    /// [`planned`] order, each holding a claim on its application's
+    /// functional warm-up front end. The first job to warm up records
+    /// it, the rest replay the same recording, and it is dropped once
+    /// the application's last job is past its warm-up.
     pub fn prefetch(&self, pairs: &[(BenchProfile, &'static str)]) {
-        for (app, key) in pairs {
-            self.emit(&format!("{key}/{}", app.name), EventKind::Queued);
-        }
-        let jobs: Vec<_> = pairs
-            .iter()
-            .map(|&(app, key)| move || drop(self.run(app, key)))
+        let jobs: Vec<_> = planned(pairs, self.threads)
+            .into_iter()
+            .map(|(app, key)| {
+                self.emit(&format!("{key}/{}", app.name), EventKind::Queued);
+                let claim = self.frontends.claim(app.name);
+                move || drop(self.run_claimed(app, key, Some(&claim)))
+            })
             .collect();
         pool::run_jobs(self.threads, jobs);
     }
@@ -520,6 +556,35 @@ impl Sweep {
     pub fn resumed(&self) -> u64 {
         self.resumed.load(Ordering::Relaxed)
     }
+}
+
+/// `pairs` in the planner's order: applications, in order of first use,
+/// fall into windows of `threads`; the windows run one after another,
+/// each key by key (in order of first use), application by application.
+/// The first `threads` jobs of a window thus record different
+/// applications' front ends side by side, the window's later keys find
+/// them recorded, and only the front ends of about two windows are
+/// resident at once.
+fn planned(
+    pairs: &[(BenchProfile, &'static str)],
+    threads: usize,
+) -> Vec<(BenchProfile, &'static str)> {
+    let (mut apps, mut keys) = (Vec::new(), Vec::new());
+    for &(app, key) in pairs {
+        if !apps.contains(&app.name) {
+            apps.push(app.name);
+        }
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+    let pos = |list: &[&str], x: &str| list.iter().position(|&n| n == x).expect("listed above");
+    let mut order = pairs.to_vec();
+    order.sort_by_key(|&(app, key)| {
+        let a = pos(&apps, app.name);
+        (a / threads, pos(&keys, key), a)
+    });
+    order
 }
 
 impl fmt::Debug for Sweep {
@@ -2005,6 +2070,7 @@ mod tests {
     #[rustfmt::skip]
     fn digests_are_pinned_and_pairwise_distinct() {
         use crate::cmp::{cmp_profiles, cmp_run_digest, cmp_warmup_digest};
+        use crate::frontend::frontend_digest;
         use crate::sampling::{interval_digest, sampled_digest};
         let (app, s) = (by_name("galgel").unwrap(), Scale::quick());
         let (spec, nf4, sa4) = (SampleSpec::for_scale(s), kind_of("nf4"), kind_of("sa4"));
@@ -2035,6 +2101,7 @@ mod tests {
             (interval_digest(&app, &nf4, s, 162_500), "83ad32a6ccbca9e3fc674d2f695bf865"),
             (dram_digest(&app, &dram_kind(s), s, 8), "430853f867fc71171cd793fe79221340"),
             (sampled_study_digest(&app, &sa4, s, sampling_spec(s, 10), 4), "c084bafb2695a5db27ee8b12663438bd"),
+            (frontend_digest(&app, s.warmup, 128), "e839c9271f8f099376d5643471978676"),
         ]);
         for (i, (a, want)) in got.iter().enumerate() {
             assert_eq!(a.hex(), *want, "digest {i} moved");
@@ -2065,6 +2132,40 @@ mod tests {
             assert_eq!(f.render(), fig5(&serial).render(), "threads={threads}");
             // fig5 added no new runs: everything was prefetched.
             assert_eq!(s.runs(), 6);
+        }
+    }
+
+    #[test]
+    fn the_planner_runs_windows_of_threads_applications_key_by_key() {
+        let [a, b, c] = ["galgel", "mcf", "swim"].map(|n| by_name(n).unwrap());
+        let pairs = [(a, "nf4"), (b, "nf4"), (c, "nf4"), (a, "base"), (b, "base"), (c, "base")];
+        let names = |order: Vec<(BenchProfile, &'static str)>| -> Vec<String> {
+            order.iter().map(|(app, key)| format!("{key}/{}", app.name)).collect()
+        };
+        assert_eq!(
+            names(planned(&pairs, 2)),
+            ["nf4/galgel", "nf4/mcf", "base/galgel", "base/mcf", "nf4/swim", "base/swim"]
+        );
+        assert_eq!(
+            names(planned(&pairs, 1)),
+            ["nf4/galgel", "base/galgel", "nf4/mcf", "base/mcf", "nf4/swim", "base/swim"]
+        );
+        assert_eq!(names(planned(&pairs, 8)), names(pairs.to_vec()), "one window");
+    }
+
+    #[test]
+    fn a_prefetch_records_each_front_end_once_and_keeps_none() {
+        for threads in [1, 2] {
+            let tel = Arc::new(Telemetry::with_params(16, 0));
+            let s = tiny_sweep().with_threads(threads).with_telemetry(Arc::clone(&tel));
+            s.prefetch_all(&["nf4", "dm4", "base"]);
+            assert_eq!(tel.wall_events_in("warmup-frontend"), 2, "threads={threads}");
+            assert_eq!(tel.wall_events_in("warmup-ff"), 6, "threads={threads}");
+            assert_eq!(s.frontends.resident(), 0, "threads={threads}");
+            // A run outside any plan records a front end of its own.
+            let _ = s.run(by_name("galgel").unwrap(), "fs4");
+            assert_eq!(tel.wall_events_in("warmup-frontend"), 3);
+            assert_eq!(s.frontends.resident(), 0);
         }
     }
 

@@ -31,6 +31,7 @@ pub mod checkpoint;
 pub mod cmp;
 pub mod engine;
 pub mod exps;
+pub mod frontend;
 pub mod report;
 pub mod repro;
 pub mod runner;

@@ -19,6 +19,7 @@
 
 use crate::checkpoint::{load_app, CheckpointStore, Finished};
 use crate::engine::{Counters, Phase};
+use crate::frontend::Claim;
 use energy::EnergyTally;
 use memsys::dramcache::{L4Config, L4DramCache, L4Stats};
 use memsys::hierarchy::BaseHierarchy;
@@ -115,8 +116,9 @@ pub enum WarmupMode {
     Timed,
 }
 
-/// Optional knobs of a run: warm-up mode, the checkpoint store, and the
-/// wall-clock telemetry channel for phase spans.
+/// Optional knobs of a run: warm-up mode, the checkpoint store, the
+/// wall-clock telemetry channel for phase spans, and the shared warm-up
+/// front ends.
 #[derive(Clone, Copy, Default)]
 pub struct RunOptions<'a> {
     /// How to execute warm-up.
@@ -126,6 +128,10 @@ pub struct RunOptions<'a> {
     /// Record per-phase wall spans and checkpoint hit/miss marks (the
     /// non-deterministic `wall.json` channel only — never metrics).
     pub wall: Option<&'a Telemetry>,
+    /// A planned job's claim on its application's shared warm-up front
+    /// ends, given up once the warm-up is over; without one, a functional
+    /// warm-up records its own front end ([`crate::frontend`]).
+    pub frontend: Option<&'a Claim<'a>>,
 }
 
 impl L2Kind {

@@ -264,6 +264,14 @@ impl<L: LowerCache> CoreMemSystem<L> {
         self.dmshr.clear();
     }
 
+    /// Copies `other`'s L1 architectural state (both directories): what
+    /// [`CoreMemSystem::load_l1_state`] restores from `other`'s
+    /// [`CoreMemSystem::save_l1_state`] bytes. The lower level is untouched.
+    pub fn copy_l1_state_from<M>(&mut self, other: &CoreMemSystem<M>) {
+        self.icache.clone_from(&other.icache);
+        self.dcache.clone_from(&other.dcache);
+    }
+
     /// Serializes the L1 architectural state (both directories). The lower
     /// level serializes itself separately.
     pub fn save_l1_state(&self, e: &mut simbase::snapshot::Encoder) {

@@ -130,6 +130,12 @@ impl<K: Eq + Hash + Clone, V> RunStore<K, V> {
         lock(&self.done).get(key).map(Arc::clone)
     }
 
+    /// Forgets the completed value for `key`, if any. Requesters already
+    /// holding its `Arc` keep it; a later request computes it again.
+    pub fn remove(&self, key: &K) {
+        lock(&self.done).remove(key);
+    }
+
     /// Number of completed entries.
     pub fn completed(&self) -> usize {
         lock(&self.done).len()
@@ -163,6 +169,15 @@ mod tests {
         assert_eq!(store.completed(), 1);
         assert_eq!(store.get(&"a").as_deref(), Some(&1));
         assert_eq!(store.get(&"b"), None);
+    }
+
+    #[test]
+    fn removed_keys_compute_again() {
+        let store: RunStore<&str, u64> = RunStore::new();
+        let held = store.get_or_compute("a", || 1);
+        store.remove(&"a");
+        assert_eq!((store.completed(), *held), (0, 1), "a holder keeps its value");
+        assert_eq!(*store.get_or_compute("a", || 2), 2);
     }
 
     #[test]

@@ -571,6 +571,36 @@ impl Job {
         }
     }
 
+    /// The digest keying a single-core job's warm-up front end.
+    fn frontend_digest(&self) -> Option<Digest> {
+        let Job(apps, _, scale, _, cmp) = self;
+        let block_bytes = cmp.is_none().then(|| self.block_bytes())?;
+        Some(experiments::frontend::frontend_digest(&apps[0], scale.warmup, block_bytes))
+    }
+
+    /// The lower block size of the job's organization.
+    fn block_bytes(&self) -> u64 {
+        self.1.build().block_bytes()
+    }
+
+    /// Which part of the job knob `target` (in visit order) belongs to.
+    fn owner_of(&self, target: usize) -> Owner {
+        let count = |k: &mut dyn Knobs| {
+            let mut n = 0;
+            k.visit_knobs(&mut |_, _: &mut dyn Knob| n += 1);
+            n
+        };
+        let mut job = self.clone();
+        let apps: usize = job.0.iter_mut().map(|a| count(a)).sum();
+        let org = apps + count(&mut job.1);
+        match target {
+            t if t < apps => Owner::Profile,
+            t if t < org => Owner::Org,
+            t if t == org => Owner::Warmup,
+            _ => Owner::Other,
+        }
+    }
+
     /// The checkpoint payload this job's warm-up publishes.
     fn warm_blob(&self) -> Vec<u8> {
         let Job(apps, kind, scale, _, cmp) = self;
@@ -587,13 +617,26 @@ impl Job {
     }
 }
 
+/// The part of a [`Job`] a knob belongs to.
+#[derive(Debug, PartialEq)]
+enum Owner {
+    Profile,
+    Org,
+    /// `Scale::warmup`, the first knob of the budget.
+    Warmup,
+    Other,
+}
+
 /// 21. Cache keys cannot lie.
 ///
 /// Perturbing any one knob of any job (the organization's discriminant
 /// included) moves the run digest; an `Arch` knob moves the warm-up
 /// digest; a `Timing` knob leaves the warm-up digest equal *and* the warm
 /// checkpoint blob byte-identical, so sharing one checkpoint across timing
-/// variants is checked, not asserted.
+/// variants is checked, not asserted. A single-core job's warm-up front
+/// end is keyed apart by an `Arch` knob of its profile or by its warm-up
+/// length, and shared by every organization knob that keeps the lower
+/// block size.
 #[test]
 fn knob_tags_match_digests_and_warm_state() {
     use experiments::exps::{dram_kind, kind_of};
@@ -626,6 +669,7 @@ fn knob_tags_match_digests_and_warm_state() {
                 (cores > 1).then(|| cmp::CmpConfig::micro2003(cores)),
             );
             let (warm, run) = job.digests();
+            let front = job.frontend_digest();
             let mut blob = None;
             for target in 0.. {
                 let (mut mutant, mut seen, mut perturbed) = (job.clone(), 0, None);
@@ -640,6 +684,18 @@ fn knob_tags_match_digests_and_warm_state() {
                 let (mutant_warm, mutant_run) = mutant.digests();
                 let at = format!("knob {target} ({tag:?}) of {job:?}");
                 assert_ne!(mutant_run, run, "{at} is missing from the run digest");
+                if let (Some(front), Some(mutant_front)) = (front, mutant.frontend_digest()) {
+                    match job.owner_of(target) {
+                        Owner::Profile | Owner::Warmup if tag == Tag::Arch => {
+                            let missing = format!("{at} is missing from the front-end digest");
+                            assert_ne!(mutant_front, front, "{missing}");
+                        }
+                        Owner::Org if job.block_bytes() == mutant.block_bytes() => {
+                            assert_eq!(mutant_front, front, "{at} split the front end");
+                        }
+                        _ => {}
+                    }
+                }
                 if tag == Tag::Arch {
                     assert_ne!(mutant_warm, warm, "{at} is missing from the warm-up digest");
                 } else {
@@ -648,5 +704,47 @@ fn knob_tags_match_digests_and_warm_state() {
                     assert!(mutant.warm_blob() == *want, "{at} changed the warm state");
                 }
             }
+        });
+}
+
+/// 22. One front end feeds every organization.
+///
+/// For every organization the report runs, plus NuRAPID over the L4
+/// tier, on a random application and warm-up length (zero included): the
+/// checkpoint payload after recording the warm-up front end once and
+/// replaying it into a prefilled system equals, byte for byte, the payload
+/// after warming the same system up in place.
+#[test]
+fn front_end_replay_matches_an_in_place_warm_up() {
+    use experiments::engine::{build, save_arch};
+    use experiments::exps::kind_of;
+    use experiments::frontend::FrontEnd;
+    use experiments::repro::{prewarm_keys, resolve_ids};
+    use experiments::{L2Kind, L4Config};
+    use workloads::profiles::ROSTER;
+
+    let keys = prewarm_keys(&resolve_ids("all").expect("all"));
+    let mut kinds: Vec<(String, L2Kind)> =
+        keys.into_iter().map(|k| (k.to_string(), kind_of(k))).collect();
+    let nf4_l4 = L2Kind::L4(Box::new(kind_of("nf4")), L4Config::tdram());
+    kinds.push(("nf4+l4".to_string(), nf4_l4));
+    let orgs = select((0..kinds.len()).collect());
+    let gen = (orgs, range_u64(0, ROSTER.len() as u64), any_bool(), range_u64(1, 6_001));
+    prop("front_end_replay_matches_an_in_place_warm_up")
+        .cases(24)
+        .check(&gen, |&(org, app, cold, warmup)| {
+            let (key, kind) = &kinds[org];
+            let (app, warmup) = (ROSTER[app as usize], if cold { 0 } else { warmup });
+            let (mut core, mut gen) = build(app, kind);
+            core.warm_run(&mut gen, warmup);
+            let in_place = save_arch(&core, &gen);
+            let (mut core, mut gen) = build(app, kind);
+            let front = FrontEnd::record(app, warmup, core.mem().lower().block_bytes());
+            front.replay(&mut core, &mut gen);
+            assert!(
+                save_arch(&core, &gen) == in_place,
+                "{key} on {} after {warmup} ops: the replayed payload differs",
+                app.name
+            );
         });
 }
