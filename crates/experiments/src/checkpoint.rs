@@ -123,21 +123,24 @@ pub struct CheckpointStore {
     misses: AtomicU64,
     budget: Option<u64>,
     pruned: AtomicU64,
-    pins: Mutex<HashMap<u128, usize>>,
+    pins: Arc<Mutex<HashMap<u128, usize>>>,
 }
 
 /// Holds a checkpoint file pinned against [`CheckpointStore::prune_to_budget`]
 /// for as long as the guard lives. Every stream from or to a file pins it
 /// for its own duration; long-running consumers (the interval jobs of a
-/// sampled run, seeded from their snapshots' files) pin explicitly.
-pub struct PinGuard<'a> {
-    store: &'a CheckpointStore,
+/// sampled run, seeded from their snapshots' files, and a sweep's shared
+/// snapshot chains until every member has taken its seeds) pin
+/// explicitly. A guard shares the store's pin table rather than borrowing
+/// the store, so it can be kept beside the store it pins.
+pub struct PinGuard {
+    pins: Arc<Mutex<HashMap<u128, usize>>>,
     key: u128,
 }
 
-impl Drop for PinGuard<'_> {
+impl Drop for PinGuard {
     fn drop(&mut self) {
-        let mut pins = self.store.pins.lock().expect("pin table poisoned");
+        let mut pins = self.pins.lock().expect("pin table poisoned");
         if let Some(n) = pins.get_mut(&self.key) {
             *n -= 1;
             if *n == 0 {
@@ -194,7 +197,7 @@ impl CheckpointStore {
             misses: AtomicU64::new(0),
             budget: None,
             pruned: AtomicU64::new(0),
-            pins: Mutex::new(HashMap::new()),
+            pins: Arc::default(),
         })
     }
 
@@ -218,7 +221,7 @@ impl CheckpointStore {
     /// Pins `digest`'s checkpoint file against pruning for the guard's
     /// lifetime. Pinning is advisory bookkeeping in this process — it
     /// does not create the file or keep other processes from touching it.
-    pub fn pin(&self, digest: Digest) -> PinGuard<'_> {
+    pub fn pin(&self, digest: Digest) -> PinGuard {
         *self
             .pins
             .lock()
@@ -226,9 +229,16 @@ impl CheckpointStore {
             .entry(digest.raw())
             .or_insert(0) += 1;
         PinGuard {
-            store: self,
+            pins: Arc::clone(&self.pins),
             key: digest.raw(),
         }
+    }
+
+    /// Whether a file for `digest` is in the store. A file there may
+    /// still fail to open, so this is a hint: [`CheckpointStore::restore`]
+    /// decides.
+    pub(crate) fn holds(&self, digest: Digest) -> bool {
+        self.path_of(digest).exists()
     }
 
     fn path_of(&self, digest: Digest) -> PathBuf {

@@ -373,6 +373,39 @@ pub fn interval_digest(
     h.digest()
 }
 
+/// Interval `i` of `k` begins at window `windows · i / k`: the intervals
+/// tile the windows contiguously and exhaustively.
+fn first_window(windows: u64, k: u64, i: u64) -> u64 {
+    windows * i / k
+}
+
+/// The snapshot chain of a sampled run of `profile` on `kind`: for each
+/// of its intervals (`intervals` clamped to the window count), the
+/// absolute trace offset of the interval's first window and the digest of
+/// the snapshot taken there. Interval 0's point is the warm-up boundary,
+/// keyed by [`warmup_digest`].
+pub fn chain_points(
+    profile: &BenchProfile,
+    kind: &L2Kind,
+    scale: Scale,
+    spec: SampleSpec,
+    intervals: u64,
+) -> Vec<(u64, Digest)> {
+    let windows = spec.windows(scale);
+    let k = intervals.clamp(1, windows);
+    (0..k)
+        .map(|i| {
+            let abs = scale.warmup + first_window(windows, k, i) * spec.period;
+            let digest = if abs == scale.warmup {
+                warmup_digest(profile, kind, scale)
+            } else {
+                interval_digest(profile, kind, scale, abs)
+            };
+            (abs, digest)
+        })
+        .collect()
+}
+
 /// Digest of one sampled job: the plain run digest under a distinct
 /// domain tag, plus every sampling knob. A sampled run can never alias
 /// its unsampled twin (or a different regime) in a store or on disk.
@@ -430,27 +463,19 @@ pub fn run_app_sampled(
     );
     let windows = spec.windows(scale);
     let k = intervals.clamp(1, windows);
-    // Interval i covers windows [w0(i), w0(i+1)) — contiguous, exhaustive.
-    let w0 = |i: u64| windows * i / k;
+    // Interval i covers windows [w0(i), w0(i+1)).
+    let w0 = |i: u64| first_window(windows, k, i);
 
     // --- Phase 1: the snapshot chain (sequential functional prefix).
     // Interval i's snapshot is the architectural state at its first
     // window's absolute trace offset. The chain is built lazily
     // (`engine::snapshots`): a warm store answers every digest without
-    // simulating; the first miss advances one functional system from
-    // wherever it stands — interval k−1's functional prefix, exactly.
+    // simulating; the first miss starts one functional pass that advances
+    // through every later point — interval k−1's functional prefix,
+    // exactly — for this run, or for every run planned on the same
+    // application's chain.
     let t_prefix = Instant::now();
-    let points: Vec<(u64, Digest)> = (0..k)
-        .map(|i| {
-            let abs = scale.warmup + w0(i) * spec.period;
-            let digest = if abs == scale.warmup {
-                warmup_digest(&profile, kind, scale)
-            } else {
-                interval_digest(&profile, kind, scale, abs)
-            };
-            (abs, digest)
-        })
-        .collect();
+    let points = chain_points(&profile, kind, scale, spec, intervals);
     let seeds = engine::snapshots(profile, kind, &points, &opts);
     if let Some(w) = opts.wall {
         // The sampling-overhead track: how much wall time the snapshot

@@ -303,13 +303,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input, and
+                    // each byte is decoded once.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..len.unwrap_or(rest.len())];
+                    s.push_str(std::str::from_utf8(run).map_err(|_| "invalid utf-8")?);
+                    self.pos += run.len();
                 }
             }
         }
@@ -415,5 +417,31 @@ mod tests {
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(parse("\"\\u0041\\u00e9\"").unwrap(), Json::Str("Aé".into()));
+    }
+
+    /// A Chrome trace of several MB parses in time linear in its size, and
+    /// round-trips: long plain runs, multi-byte characters and escapes
+    /// inside strings all come back unchanged.
+    #[test]
+    fn a_multi_megabyte_trace_round_trips() {
+        let events: Vec<Json> = (0..20_000u64)
+            .map(|i| {
+                Json::obj(vec![
+                    ("name", Json::Str(format!("nf4/galgel/d-group {} \"é\"\t→", i % 7))),
+                    ("cat", Json::Str("l2".repeat(40))),
+                    ("ph", Json::Str("X".into())),
+                    ("ts", Json::U64(i * 1_000)),
+                    ("dur", Json::F64(i as f64 + 1.0 / 3.0)),
+                    ("pid", Json::U64(1)),
+                    ("tid", Json::I64(-1 - i as i64 % 4)),
+                    ("args", Json::obj(vec![("path", Json::Str("a\\b/c\n".repeat(10)))])),
+                ])
+            })
+            .collect();
+        let doc = Json::obj(vec![("traceEvents", Json::Arr(events))]);
+        let text = doc.render();
+        assert!(text.len() > 4 << 20, "{} bytes", text.len());
+        // `assert!`, not `assert_eq!`: a mismatch would print the document.
+        assert!(parse(&text).expect("trace parses") == doc, "the trace did not round-trip");
     }
 }

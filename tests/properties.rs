@@ -748,3 +748,107 @@ fn front_end_replay_matches_an_in_place_warm_up() {
             );
         });
 }
+
+/// 23. One functional pass builds every member's snapshot chain.
+///
+/// On a random application, for a random set of members (any
+/// organization the report runs, NuRAPID over the L4 tier, twins allowed)
+/// and random ascending points after a random warm-up: every payload
+/// [`experiments::engine::publish_chain`] leaves in the store equals, byte
+/// for byte, the one a per-run chain builds by warming that member's
+/// system up in place to the point. Some members find their first points
+/// already stored (published from in-place payloads), so the shared pass
+/// must still drive them from the start. Every distinct point missing
+/// from the store is built once, and every other request is a hit.
+#[test]
+fn a_shared_chain_publishes_every_members_in_place_payloads() {
+    use experiments::engine::{build, publish_chain, save_arch, ChainMember};
+    use experiments::exps::kind_of;
+    use experiments::repro::{prewarm_keys, resolve_ids};
+    use experiments::sampling::interval_digest;
+    use experiments::{warmup_digest, CheckpointStore, L2Kind, L4Config, Scale};
+    use std::collections::HashSet;
+    use workloads::profiles::ROSTER;
+
+    let keys = prewarm_keys(&resolve_ids("all").expect("all"));
+    let mut kinds: Vec<(String, L2Kind)> =
+        keys.into_iter().map(|k| (k.to_string(), kind_of(k))).collect();
+    let nf4_l4 = L2Kind::L4(Box::new(kind_of("nf4")), L4Config::tdram());
+    kinds.push(("nf4+l4".to_string(), nf4_l4));
+    // (organization, points already stored) per member.
+    let members = vec_of((select((0..kinds.len()).collect()), range_u64(0, 4)), 1, 4);
+    let offsets = vec_of(range_u64(1, 20_001), 0, 3);
+    let gen = (range_u64(0, ROSTER.len() as u64), range_u64(0, 20_001), offsets, members);
+    let case = std::sync::atomic::AtomicU64::new(0);
+    prop("a_shared_chain_publishes_every_members_in_place_payloads")
+        .cases(16)
+        .check(&gen, |(app, warmup, offsets, members)| {
+            let app = ROSTER[*app as usize];
+            let scale = Scale {
+                warmup: *warmup,
+                measure: 10_000,
+            };
+            let mut abs: Vec<u64> = offsets.iter().map(|o| warmup + o).collect();
+            abs.push(*warmup);
+            abs.sort_unstable();
+            abs.dedup();
+            let chain = |kind: &L2Kind| ChainMember {
+                kind: kind.clone(),
+                points: abs
+                    .iter()
+                    .map(|&a| match a == *warmup {
+                        true => (a, warmup_digest(&app, kind, scale)),
+                        false => (a, interval_digest(&app, kind, scale, a)),
+                    })
+                    .collect(),
+            };
+            let chains: Vec<ChainMember> =
+                members.iter().map(|&(k, _)| chain(&kinds[k].1)).collect();
+            // The per-run chain: each member's system warmed up in place.
+            let in_place: Vec<Vec<Vec<u8>>> = chains
+                .iter()
+                .map(|c| {
+                    let (mut core, mut gen) = build(app, &c.kind);
+                    let payload = |&(a, _): &(u64, Digest)| {
+                        core.warm_run_to(&mut gen, a);
+                        save_arch(&core, &gen)
+                    };
+                    c.points.iter().map(payload).collect()
+                })
+                .collect();
+
+            let n = case.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("simchk-shared-chain-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = CheckpointStore::open(&dir).expect("open store");
+            let mut stored = HashSet::new();
+            for (m, &(_, first)) in members.iter().enumerate() {
+                for (p, &(_, digest)) in chains[m].points.iter().enumerate().take(first as usize) {
+                    let _ = store.get_or_build(digest, || in_place[m][p].clone());
+                    stored.insert(digest);
+                }
+            }
+            let (hits, misses) = (store.hits(), store.misses());
+            publish_chain(app, &chains, &store, None);
+            let requests: u64 = chains.iter().map(|c| c.points.len() as u64).sum();
+            let distinct: HashSet<Digest> =
+                chains.iter().flat_map(|c| c.points.iter().map(|&(_, d)| d)).collect();
+            let built = distinct.difference(&stored).count() as u64;
+            assert_eq!(store.misses() - misses, built, "each missing point built once");
+            assert_eq!(store.hits() - hits, requests - built, "every other request a hit");
+            for (m, c) in chains.iter().enumerate() {
+                for (p, &(a, digest)) in c.points.iter().enumerate() {
+                    let (payload, hit) = store.get_or_build(digest, Vec::new);
+                    assert!(hit, "member {m}'s point at {a} was published");
+                    assert!(
+                        *payload == in_place[m][p],
+                        "member {m} ({}) on {} at {a}: the shared chain's payload differs",
+                        kinds[members[m].0].0,
+                        app.name
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        });
+}
