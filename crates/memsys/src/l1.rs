@@ -303,6 +303,27 @@ impl<L: LowerCache> CoreMemSystem<L> {
         self.lower
     }
 
+    /// Swaps the lower-level cache for `lower`, keeping the L1s, MSHRs and
+    /// counters; returns the system over `lower` and the old cache.
+    pub fn replace_lower<M>(self, lower: M) -> (CoreMemSystem<M>, L) {
+        let mem = CoreMemSystem {
+            icache: self.icache,
+            dcache: self.dcache,
+            dmshr: self.dmshr,
+            lower,
+            l1_geom: self.l1_geom,
+            lower_geom: self.lower_geom,
+            hit_latency: self.hit_latency,
+            i_accesses: self.i_accesses,
+            i_hits: self.i_hits,
+            d_accesses: self.d_accesses,
+            d_hits: self.d_hits,
+            d_writebacks: self.d_writebacks,
+            sink: self.sink,
+        };
+        (mem, self.lower)
+    }
+
     /// Instruction-fetch accesses.
     pub fn i_accesses(&self) -> u64 {
         self.i_accesses.get()
