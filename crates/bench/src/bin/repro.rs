@@ -219,9 +219,7 @@ fn main() {
     }
     if let Some(dir) = &checkpoints {
         sweep = match experiments::checkpoint::CheckpointStore::open(dir) {
-            Ok(store) => {
-                sweep.with_checkpoint_store(Arc::new(store.with_budget(simchk_budget)))
-            }
+            Ok(store) => sweep.with_checkpoint_store(Arc::new(store.with_budget(simchk_budget))),
             Err(e) => usage(&format!("cannot open checkpoint dir {dir:?}: {e}")),
         };
     }
@@ -279,7 +277,9 @@ fn main() {
 /// available parallelism.
 fn default_threads() -> usize {
     env_value("SIMSCHED_THREADS", "a thread count", |v| v.parse().ok()).unwrap_or_else(|| {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
     })
 }
 

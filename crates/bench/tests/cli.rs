@@ -29,7 +29,11 @@ fn assert_refused(args: &[&str], env: &[(&str, &str)]) -> String {
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     let case = format!("{args:?} {env:?}");
     assert_eq!(out.status.code(), Some(2), "{case}: stderr {stderr}");
-    assert!(out.stdout.is_empty(), "{case}: printed {:?}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.stdout.is_empty(),
+        "{case}: printed {:?}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     assert!(stderr.starts_with("error: "), "{case}: stderr {stderr}");
     for status in ["[simsched]", "[repro]", "[simchk]"] {
         assert!(!stderr.contains(status), "{case}: a run started: {stderr}");
@@ -74,7 +78,11 @@ fn well_formed_environment_values_and_help_are_accepted() {
     assert_eq!(help.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&help.stderr).contains("usage: repro"));
 
-    let env = [("SIMSCHED_THREADS", "2"), ("SIMCHK_MAX", "4096"), ("SIMCHK_WARMUP", "timed")];
+    let env = [
+        ("SIMSCHED_THREADS", "2"),
+        ("SIMCHK_MAX", "4096"),
+        ("SIMCHK_WARMUP", "timed"),
+    ];
     let table = repro(&["--exp", "table2", "--quiet"], &env);
     assert_eq!(table.status.code(), Some(0), "{}", String::from_utf8_lossy(&table.stderr));
     assert!(!table.stdout.is_empty(), "table2 printed nothing");

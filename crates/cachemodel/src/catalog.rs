@@ -187,12 +187,7 @@ impl DnucaGeometry {
     /// Section 5.1 says the original NUCA work assumes — bank latencies
     /// come out lower than on the L-shape.
     pub fn micro2003_rectangular(capacity: Capacity) -> Self {
-        Self::new_on(
-            Tech::micro2003_70nm(),
-            &LShapeFloorplan::rectangular(capacity),
-            128,
-            8,
-        )
+        Self::new_on(Tech::micro2003_70nm(), &LShapeFloorplan::rectangular(capacity), 128, 8)
     }
 
     /// Builds a D-NUCA geometry with explicit parameters on the L-shaped
@@ -203,12 +198,7 @@ impl DnucaGeometry {
     /// Panics if the bank count does not evenly divide the floorplan or
     /// `n_bank_positions` does not divide `n_banks`.
     pub fn new(tech: Tech, capacity: Capacity, n_banks: usize, n_bank_positions: usize) -> Self {
-        Self::new_on(
-            tech,
-            &LShapeFloorplan::micro2003(capacity),
-            n_banks,
-            n_bank_positions,
-        )
+        Self::new_on(tech, &LShapeFloorplan::micro2003(capacity), n_banks, n_bank_positions)
     }
 
     /// Builds a D-NUCA geometry over an explicit floorplan.
@@ -433,11 +423,7 @@ mod tests {
         let paper = [7.0, 11.0, 14.0, 17.0, 20.0, 23.0, 26.0, 29.0];
         for (mb, &want) in paper.iter().enumerate() {
             let (_, mean, _) = d.latency_of_mb(mb);
-            assert!(
-                (mean - want).abs() <= 2.0,
-                "MB{}: model {mean:.1} vs paper {want}",
-                mb + 1
-            );
+            assert!((mean - want).abs() <= 2.0, "MB{}: model {mean:.1} vs paper {want}", mb + 1);
         }
     }
 
@@ -447,15 +433,8 @@ mod tests {
         // more aggressive rectangular floorplan.
         let ell = DnucaGeometry::micro2003(Capacity::from_mib(8));
         let rect = DnucaGeometry::micro2003_rectangular(Capacity::from_mib(8));
-        let mean = |d: &DnucaGeometry| {
-            (0..8).map(|mb| d.latency_of_mb(mb).1).sum::<f64>() / 8.0
-        };
-        assert!(
-            mean(&rect) < mean(&ell),
-            "rect {} vs L {}",
-            mean(&rect),
-            mean(&ell)
-        );
+        let mean = |d: &DnucaGeometry| (0..8).map(|mb| d.latency_of_mb(mb).1).sum::<f64>() / 8.0;
+        assert!(mean(&rect) < mean(&ell), "rect {} vs L {}", mean(&rect), mean(&ell));
         // The fastest banks are at least as fast.
         assert!(rect.bank_latency_cycles(0) <= ell.bank_latency_cycles(0));
     }
@@ -493,10 +472,7 @@ mod tests {
             let ge = geo(n);
             let got = (ge.tag_energy() + ge.dgroup_access_energy(g)).nj();
             let rel = (got - want).abs() / want;
-            assert!(
-                rel < 0.30,
-                "{n} d-groups, group {g}: model {got:.2} nJ vs paper {want} nJ"
-            );
+            assert!(rel < 0.30, "{n} d-groups, group {g}: model {got:.2} nJ vs paper {want} nJ");
         }
     }
 

@@ -84,7 +84,9 @@ impl TagArray {
         let sets = (self.entries / self.assoc as u64).max(1) as f64;
         // decode ~ log2(sets); compare ~ log2(assoc); array access grows
         // with the square root of the storage footprint.
-        330.0 + 65.0 * sets.log2() + 120.0 * (self.assoc as f64).log2().max(1.0) / 3.0
+        330.0
+            + 65.0 * sets.log2()
+            + 120.0 * (self.assoc as f64).log2().max(1.0) / 3.0
             + 6.0 * (self.storage_bytes() as f64 / 1024.0).sqrt()
     }
 

@@ -98,10 +98,7 @@ impl Directory {
     ///
     /// Panics if `block` is [`BLOCK_LIMIT`] or more. `f` must not return 0.
     pub(crate) fn update(&mut self, block: u64, f: impl FnOnce(u8) -> u8) -> u8 {
-        assert!(
-            block < BLOCK_LIMIT,
-            "block {block:#x} does not fit a sharer word"
-        );
+        assert!(block < BLOCK_LIMIT, "block {block:#x} does not fit a sharer word");
         if self.slots.is_empty() {
             self.grow();
         }
@@ -193,12 +190,7 @@ mod tests {
         // (op, block, core, write): op 0 clears and re-sizes for the
         // block draw modulo 4096, op 1 restores the reference's dump
         // into a cleared directory as `load_state` does, else an access.
-        let op = (
-            range_u8(0, 255),
-            range_u64(0, 1 << 20),
-            range_u8(0, 8),
-            range_u8(0, 2),
-        );
+        let op = (range_u8(0, 255), range_u64(0, 1 << 20), range_u8(0, 8), range_u8(0, 2));
         checker("directory_matches_a_btreemap")
             .cases(96)
             .check(&vec_of(op, 1, 3000), |ops| {
@@ -237,11 +229,7 @@ mod tests {
     #[test]
     fn the_table_doubles_at_seven_eighths_load() {
         let mut d = Directory::new();
-        assert_eq!(
-            d.slots.capacity(),
-            0,
-            "an empty directory allocates nothing"
-        );
+        assert_eq!(d.slots.capacity(), 0, "an empty directory allocates nothing");
         for b in 0..14 {
             d.update(b, |_| 1);
         }

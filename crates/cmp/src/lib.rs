@@ -385,9 +385,7 @@ impl CmpSystem {
                 self.cores[i].execute(op);
                 issued[i] += 1;
                 self.deliver_invalidations();
-                if issued[i] == per_core
-                    || rival.is_some_and(|r| (self.cores[i].cycles(), i) > r)
-                {
+                if issued[i] == per_core || rival.is_some_and(|r| (self.cores[i].cycles(), i) > r) {
                     break;
                 }
             }
@@ -415,11 +413,7 @@ impl CmpSystem {
 
     /// The shared organization's L4 counters, when an L4 tier is attached.
     pub fn l4_stats(&self) -> Option<L4Stats> {
-        self.shared
-            .borrow()
-            .org
-            .main_memory()
-            .and_then(|m| m.l4_stats())
+        self.shared.borrow().org.main_memory().and_then(|m| m.l4_stats())
     }
 
     /// Emits the per-core counters (`cmp.coreN.*`) and the shared bank /
@@ -532,7 +526,9 @@ mod tests {
     }
 
     fn profiles(n: usize) -> Vec<BenchProfile> {
-        let roster = ["galgel", "applu", "parser", "apsi", "art", "mcf", "mgrid", "swim"];
+        let roster = [
+            "galgel", "applu", "parser", "apsi", "art", "mcf", "mgrid", "swim",
+        ];
         roster[..n].iter().map(|n| by_name(n).expect("rostered")).collect()
     }
 
@@ -655,11 +651,7 @@ mod tests {
         d.finish().expect("no trailing bytes");
         let mut e = Encoder::new();
         bare.save_state(&mut e);
-        assert_eq!(
-            e.into_bytes(),
-            bytes,
-            "an unfilled restore re-saves other bytes"
-        );
+        assert_eq!(e.into_bytes(), bytes, "an unfilled restore re-saves other bytes");
 
         for s in [&mut sys, &mut twin, &mut bare] {
             s.drain_barrier(&TelemetrySink::disabled(), 0);

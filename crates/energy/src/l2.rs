@@ -54,18 +54,14 @@ pub fn base_energy(h: &BaseHierarchy) -> EnergyNj {
 mod tests {
     use super::*;
     use memsys::lower::LowerCache;
-    use nurapid::{NuRapidCache, NuRapidConfig};
     use nuca::{DnucaCache, DnucaConfig, SearchPolicy};
+    use nurapid::{NuRapidCache, NuRapidConfig};
     use simbase::{AccessKind, BlockAddr, Cycle};
 
     fn drive<C: LowerCache>(c: &mut C, n: u64) {
         let mut t = Cycle::ZERO;
         for i in 0..n {
-            let out = c.access(
-                BlockAddr::from_index((i * 13) % 4000),
-                AccessKind::Read,
-                t,
-            );
+            let out = c.access(BlockAddr::from_index((i * 13) % 4000), AccessKind::Read, t);
             t = out.complete_at + 20;
         }
     }
@@ -92,10 +88,7 @@ mod tests {
         };
         let perf = run(SearchPolicy::SsPerformance);
         let energy = run(SearchPolicy::SsEnergy);
-        assert!(
-            perf > 1.5 * energy,
-            "ss-performance {perf} nJ/access vs ss-energy {energy}"
-        );
+        assert!(perf > 1.5 * energy, "ss-performance {perf} nJ/access vs ss-energy {energy}");
     }
 
     #[test]
@@ -108,10 +101,7 @@ mod tests {
         let mut dn = DnucaCache::new(DnucaConfig::micro2003(SearchPolicy::SsEnergy));
         drive(&mut dn, 3000);
         let dn_e = nuca::energy::dynamic_energy(dn.stats(), dn.geometry()).nj() / 3000.0;
-        assert!(
-            nr_e < dn_e,
-            "NuRAPID {nr_e} nJ/access must beat D-NUCA ss-energy {dn_e}"
-        );
+        assert!(nr_e < dn_e, "NuRAPID {nr_e} nJ/access must beat D-NUCA ss-energy {dn_e}");
     }
 
     #[test]
@@ -129,8 +119,7 @@ mod tests {
         assert!(e.nj() > 0.0);
         // At least one L3 access happened (cold misses), so energy must
         // exceed pure-L2 pricing.
-        let just_l2 =
-            EnergyNj::new(BaseLevelEnergies::micro2003().l2_nj) * h.l2_accesses();
+        let just_l2 = EnergyNj::new(BaseLevelEnergies::micro2003().l2_nj) * h.l2_accesses();
         assert!(e.nj() > just_l2.nj());
     }
 }

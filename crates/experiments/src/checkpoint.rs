@@ -222,12 +222,7 @@ impl CheckpointStore {
     /// lifetime. Pinning is advisory bookkeeping in this process — it
     /// does not create the file or keep other processes from touching it.
     pub fn pin(&self, digest: Digest) -> PinGuard {
-        *self
-            .pins
-            .lock()
-            .expect("pin table poisoned")
-            .entry(digest.raw())
-            .or_insert(0) += 1;
+        *self.pins.lock().expect("pin table poisoned").entry(digest.raw()).or_insert(0) += 1;
         PinGuard {
             pins: Arc::clone(&self.pins),
             key: digest.raw(),
@@ -329,9 +324,7 @@ impl CheckpointStore {
         if (d.remaining() + snapshot::OVERHEAD) as u64 != size {
             return Err(Unserved::Absent);
         }
-        sys.restore(&mut d)
-            .and_then(|()| d.finish())
-            .map_err(|_| Unserved::Damaged)?;
+        sys.restore(&mut d).and_then(|()| d.finish()).map_err(|_| Unserved::Damaged)?;
         // Refresh the file's recency so the LRU pruner ranks live
         // checkpoints above abandoned ones (best-effort; a read-only
         // directory just loses recency).
@@ -379,7 +372,9 @@ impl CheckpointStore {
     /// the same survivors.
     pub fn prune_to_budget(&self) -> u64 {
         let Some(budget) = self.budget else { return 0 };
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return 0 };
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return 0;
+        };
         let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = entries
             .filter_map(Result::ok)
             .filter_map(|e| {

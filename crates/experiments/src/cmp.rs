@@ -79,12 +79,7 @@ impl CmpRun {
     /// Fraction of shared-cache accesses hitting the fastest d-group
     /// (0 for organizations without distance groups).
     pub fn fastest_frac(&self) -> f64 {
-        self.result
-            .report
-            .group_fracs()
-            .first()
-            .copied()
-            .unwrap_or(0.0)
+        self.result.report.group_fracs().first().copied().unwrap_or(0.0)
     }
 }
 
@@ -267,10 +262,8 @@ pub struct CmpTable {
 /// Runs the `cmp` experiment over `cores_list` × [`CMP_KEYS`] on the
 /// sweep's worker pool.
 pub fn cmp_table(sweep: &crate::exps::Sweep, cores_list: &[u32]) -> CmpTable {
-    let jobs: Vec<(u32, &'static str)> = cores_list
-        .iter()
-        .flat_map(|&c| CMP_KEYS.iter().map(move |&k| (c, k)))
-        .collect();
+    let jobs: Vec<(u32, &'static str)> =
+        cores_list.iter().flat_map(|&c| CMP_KEYS.iter().map(move |&k| (c, k))).collect();
     sweep.prefetch_cmp(&jobs);
     CmpTable {
         rows: jobs.iter().map(|&(c, k)| (*sweep.run_cmp(c, k)).clone()).collect(),
@@ -399,8 +392,7 @@ mod tests {
         let sink = TelemetrySink::disabled();
         let direct = run_cmp_opts("nf4", 4, &kind, tiny(), &sink, 0, RunOptions::default());
 
-        let dir = std::env::temp_dir()
-            .join(format!("simchk-cmp-exp-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("simchk-cmp-exp-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::open(&dir).expect("open checkpoint store");
         let opts = RunOptions {

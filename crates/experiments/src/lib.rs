@@ -37,8 +37,8 @@ pub mod repro;
 pub mod runner;
 pub mod sampling;
 
+pub use self::cmp::{cmp_run_digest, cmp_warmup_digest, CmpRun};
 pub use checkpoint::CheckpointStore;
 pub use memsys::dramcache::L4Config;
 pub use runner::{run_digest, warmup_digest, AppRun, L2Kind, RunOptions, Scale, WarmupMode};
-pub use self::cmp::{cmp_run_digest, cmp_warmup_digest, CmpRun};
 pub use sampling::{run_app_sampled, SampleSpec, SampledRun, Summary};

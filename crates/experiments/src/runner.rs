@@ -528,10 +528,7 @@ pub(crate) mod tests {
     }
 
     fn temp_store(name: &str) -> (std::path::PathBuf, CheckpointStore) {
-        let dir = std::env::temp_dir().join(format!(
-            "simchk-runner-{name}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("simchk-runner-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::open(&dir).expect("open checkpoint store");
         (dir, store)
@@ -618,22 +615,10 @@ pub(crate) mod tests {
             checkpoints: Some(&store),
             ..Default::default()
         };
-        let dn = run_app_opts(
-            app,
-            &L2Kind::Dnuca(SearchPolicy::SsPerformance),
-            tiny(),
-            &sink,
-            0,
-            opts,
-        );
-        let cn = run_app_opts(
-            app,
-            &L2Kind::Cnuca(CnucaConfig::micro2003()),
-            tiny(),
-            &sink,
-            0,
-            opts,
-        );
+        let dn =
+            run_app_opts(app, &L2Kind::Dnuca(SearchPolicy::SsPerformance), tiny(), &sink, 0, opts);
+        let cn =
+            run_app_opts(app, &L2Kind::Cnuca(CnucaConfig::micro2003()), tiny(), &sink, 0, opts);
         assert_eq!(
             (store.misses(), store.hits()),
             (2, 0),
@@ -651,14 +636,8 @@ pub(crate) mod tests {
             0,
             RunOptions::default(),
         );
-        let memo_warm = run_app_opts(
-            app,
-            &L2Kind::Dnuca(SearchPolicy::WayMemo),
-            tiny(),
-            &sink,
-            0,
-            opts,
-        );
+        let memo_warm =
+            run_app_opts(app, &L2Kind::Dnuca(SearchPolicy::WayMemo), tiny(), &sink, 0, opts);
         assert_eq!(
             (store.misses(), store.hits()),
             (2, 1),

@@ -36,10 +36,7 @@ impl DGroupPlan {
     pub fn partition(fp: &LShapeFloorplan, n: usize) -> Self {
         assert!(n > 0, "need at least one d-group");
         let total = fp.n_subarrays();
-        assert!(
-            total.is_multiple_of(n),
-            "{n} d-groups must evenly divide {total} subarrays"
-        );
+        assert!(total.is_multiple_of(n), "{n} d-groups must evenly divide {total} subarrays");
         let per = total / n;
         let mut ranges = Vec::with_capacity(n);
         let mut route_mm = Vec::with_capacity(n);

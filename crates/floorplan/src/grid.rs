@@ -231,10 +231,7 @@ impl SubarrayGrid {
     /// Panics if the range is empty or out of bounds.
     pub fn max_route_mm(&self, start: usize, end: usize) -> f64 {
         assert!(start < end && end <= self.placements.len(), "bad range {start}..{end}");
-        self.placements[start..end]
-            .iter()
-            .map(|p| p.route_mm)
-            .fold(0.0, f64::max)
+        self.placements[start..end].iter().map(|p| p.route_mm).fold(0.0, f64::max)
     }
 }
 

@@ -264,7 +264,7 @@ mod tests {
         let mut b = q(4, 64);
         assert_eq!(b.occupy(Cycle::new(0)), 0); // [0, 4)
         assert_eq!(b.occupy(Cycle::new(20)), 0); // [20, 24)
-        // Arrives at 8: fits entirely inside the [4, 20) gap.
+                                                 // Arrives at 8: fits entirely inside the [4, 20) gap.
         assert_eq!(b.occupy(Cycle::new(8)), 0);
         assert_eq!(b.conflicts(), 0);
     }

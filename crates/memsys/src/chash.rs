@@ -106,7 +106,11 @@ impl BankMap {
     pub fn lookup(&self, block: u64) -> u32 {
         let h = self.key_hash(block);
         let i = self.ring.partition_point(|&(pos, _)| pos < h);
-        if i == self.ring.len() { self.ring[0].1 } else { self.ring[i].1 }
+        if i == self.ring.len() {
+            self.ring[0].1
+        } else {
+            self.ring[i].1
+        }
     }
 
     /// Number of live banks.
@@ -136,7 +140,10 @@ impl BankMap {
     pub fn resize(&mut self, target: u32) -> ResizeDelta {
         assert!(target > 0, "cannot shrink the L4 to zero banks");
         let n = self.banks.len() as u32;
-        let mut delta = ResizeDelta { added: Vec::new(), retired: Vec::new() };
+        let mut delta = ResizeDelta {
+            added: Vec::new(),
+            retired: Vec::new(),
+        };
         if target > n {
             for _ in n..target {
                 delta.added.push(self.next_bank);

@@ -210,18 +210,8 @@ impl L4Stats {
     pub fn load_state(d: &mut Decoder) -> Result<L4Stats, SnapshotError> {
         let mut w = [0; 10];
         d.u64_slice_into(&mut w)?;
-        let [
-            accesses,
-            hits,
-            misses,
-            fills,
-            dirty_fills,
-            writebacks,
-            tag_probes,
-            tag_cache_hits,
-            resize_writebacks,
-            resizes,
-        ] = w;
+        let [accesses, hits, misses, fills, dirty_fills, writebacks, tag_probes, tag_cache_hits, resize_writebacks, resizes] =
+            w;
         Ok(L4Stats {
             accesses,
             hits,
@@ -302,7 +292,10 @@ struct TagCache {
 impl TagCache {
     fn new(n: u32) -> Self {
         assert!(n.is_power_of_two(), "tag cache entries must be a power of two");
-        TagCache { entries: vec![INVALID; n as usize], mask: n as u64 - 1 }
+        TagCache {
+            entries: vec![INVALID; n as usize],
+            mask: n as u64 - 1,
+        }
     }
 
     /// True on a hit; a miss installs the key (the DRAM probe the miss
@@ -470,7 +463,13 @@ impl L4DramCache {
     /// A block fill requested by the organization's miss path. Returns
     /// when the data reaches the requester (cut-through on an L4 miss:
     /// the install write completes behind the returned cycle).
-    pub fn fill(&mut self, block: BlockAddr, bytes: u64, now: Cycle, dram: &mut MainMemory) -> Cycle {
+    pub fn fill(
+        &mut self,
+        block: BlockAddr,
+        bytes: u64,
+        now: Cycle,
+        dram: &mut MainMemory,
+    ) -> Cycle {
         self.stats.accesses += 1;
         let key = block.index();
         let bank = self.map.lookup(key);
@@ -767,8 +766,7 @@ mod tests {
     fn warm_and_timed_paths_build_identical_state() {
         let (mut timed, mut dram) = tier();
         let mut warm = L4DramCache::new(small());
-        let ops: Vec<(u64, bool)> =
-            (0..600).map(|i| (i * 37 % 512, i % 3 == 0)).collect();
+        let ops: Vec<(u64, bool)> = (0..600).map(|i| (i * 37 % 512, i % 3 == 0)).collect();
         let mut t = Cycle::ZERO;
         for &(b, wb) in &ops {
             if wb {

@@ -88,7 +88,11 @@ impl NaiveL4 {
             next_bank: cfg.n_banks,
             banks: live
                 .iter()
-                .map(|_| Some(NaiveBank { sets: (0..sets).map(|_| NaiveSet::new(cfg.assoc)).collect() }))
+                .map(|_| {
+                    Some(NaiveBank {
+                        sets: (0..sets).map(|_| NaiveSet::new(cfg.assoc)).collect(),
+                    })
+                })
                 .collect(),
             tag_cache: vec![None; cfg.tag_cache_entries as usize],
             free_at: Cycle::ZERO,
@@ -199,7 +203,13 @@ impl NaiveL4 {
     }
 
     /// Reference twin of [`L4DramCache::fill`](super::L4DramCache::fill).
-    pub fn fill(&mut self, block: BlockAddr, bytes: u64, now: Cycle, dram: &mut MainMemory) -> Cycle {
+    pub fn fill(
+        &mut self,
+        block: BlockAddr,
+        bytes: u64,
+        now: Cycle,
+        dram: &mut MainMemory,
+    ) -> Cycle {
         self.stats.accesses += 1;
         let key = block.index();
         let bank = self.lookup(key);

@@ -7,10 +7,10 @@
 
 use crate::lower::{LowerCache, LowerOutcome};
 use crate::memory::MainMemory;
-use crate::org::{Organization, OrgReport};
+use crate::org::{OrgReport, Organization};
 use crate::setassoc::SetAssocCache;
-use simbase::EnergyNj;
 use simbase::stats::Counter;
+use simbase::EnergyNj;
 use simbase::{AccessKind, BlockAddr, Capacity, Cycle};
 use simtel::TelemetrySink;
 
@@ -115,7 +115,11 @@ impl BaseHierarchy {
     /// is emitted every `snap_every` cycles as a counter track.
     pub fn set_telemetry(&mut self, sink: TelemetrySink, snap_every: u64) {
         self.memory.set_telemetry(sink.clone());
-        self.next_snap = if sink.enabled() && snap_every > 0 { snap_every } else { u64::MAX };
+        self.next_snap = if sink.enabled() && snap_every > 0 {
+            snap_every
+        } else {
+            u64::MAX
+        };
         self.snap_every = snap_every;
         self.sink = sink;
     }
@@ -128,7 +132,11 @@ impl BaseHierarchy {
         }
         let hit_milli = 1000 * self.l2_hits.get() / self.l2_accesses.get().max(1);
         self.sink.counter_track("snap", "l2_hit_milli", now.raw(), hit_milli);
-        self.sink.gauge("l2.hit_frac", now.raw(), self.l2_hits.get() as f64 / self.l2_accesses.get().max(1) as f64);
+        self.sink.gauge(
+            "l2.hit_frac",
+            now.raw(),
+            self.l2_hits.get() as f64 / self.l2_accesses.get().max(1) as f64,
+        );
         while self.next_snap <= now.raw() {
             self.next_snap += self.snap_every;
         }
@@ -461,7 +469,14 @@ mod tests {
         let sets = 1024u64;
         let mut addrs = Vec::new();
         for i in 0..12u64 {
-            addrs.push((1 + i * sets, if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read }));
+            addrs.push((
+                1 + i * sets,
+                if i % 3 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+            ));
         }
         addrs.push((1, AccessKind::Read)); // back to the (evicted) first block
         for (i, &(b, k)) in addrs.iter().enumerate() {

@@ -136,9 +136,9 @@ impl<L: LowerCache> CoreMemSystem<L> {
             self.i_hits.inc();
             return now + self.hit_latency;
         }
-        let out = self
-            .lower
-            .access(self.to_lower_block(block), AccessKind::Read, now + self.hit_latency);
+        let out =
+            self.lower
+                .access(self.to_lower_block(block), AccessKind::Read, now + self.hit_latency);
         // Instruction lines are never dirty; evictions are silent.
         let _ = self.icache.fill(block, false);
         out.complete_at
@@ -182,9 +182,7 @@ impl<L: LowerCache> CoreMemSystem<L> {
                 }
             }
         }
-        let out = self
-            .lower
-            .access(self.to_lower_block(block), kind, issue_at);
+        let out = self.lower.access(self.to_lower_block(block), kind, issue_at);
         if merged_fill.is_none() {
             self.dmshr.set_fill_time(block, out.complete_at);
         }
@@ -231,8 +229,7 @@ impl<L: LowerCache> CoreMemSystem<L> {
         self.lower.warm_access(self.to_lower_block(block), kind);
         if let Some(ev) = self.dcache.fill(block, kind.is_write()) {
             if ev.dirty {
-                self.lower
-                    .warm_access(self.to_lower_block(ev.block), AccessKind::Write);
+                self.lower.warm_access(self.to_lower_block(ev.block), AccessKind::Write);
             }
         }
     }

@@ -68,12 +68,8 @@ impl MshrFile {
         }
         if self.entries.len() >= self.capacity {
             self.stalls += 1;
-            let earliest = self
-                .entries
-                .iter()
-                .map(|e| e.fill_at)
-                .min()
-                .expect("full file is non-empty");
+            let earliest =
+                self.entries.iter().map(|e| e.fill_at).min().expect("full file is non-empty");
             return MshrOutcome::Full(earliest);
         }
         self.entries.push(Entry {
@@ -138,10 +134,7 @@ mod tests {
         let mut m = MshrFile::new(8);
         assert_eq!(m.on_miss(blk(1), Cycle::new(0)), MshrOutcome::Allocated);
         m.set_fill_time(blk(1), Cycle::new(100));
-        assert_eq!(
-            m.on_miss(blk(1), Cycle::new(5)),
-            MshrOutcome::Merged(Cycle::new(100))
-        );
+        assert_eq!(m.on_miss(blk(1), Cycle::new(5)), MshrOutcome::Merged(Cycle::new(100)));
         assert_eq!(m.merges(), 1);
         assert_eq!(m.outstanding(), 1);
     }
@@ -164,10 +157,7 @@ mod tests {
         m.set_fill_time(blk(1), Cycle::new(30));
         m.on_miss(blk(2), Cycle::new(0));
         m.set_fill_time(blk(2), Cycle::new(80));
-        assert_eq!(
-            m.on_miss(blk(3), Cycle::new(1)),
-            MshrOutcome::Full(Cycle::new(30))
-        );
+        assert_eq!(m.on_miss(blk(3), Cycle::new(1)), MshrOutcome::Full(Cycle::new(30)));
         assert_eq!(m.stalls(), 1);
         // After the earliest entry expires there is room again.
         assert_eq!(m.on_miss(blk(3), Cycle::new(30)), MshrOutcome::Allocated);
@@ -180,10 +170,7 @@ mod tests {
             assert_eq!(m.on_miss(blk(i), Cycle::new(0)), MshrOutcome::Allocated);
             m.set_fill_time(blk(i), Cycle::new(1000));
         }
-        assert!(matches!(
-            m.on_miss(blk(8), Cycle::new(1)),
-            MshrOutcome::Full(_)
-        ));
+        assert!(matches!(m.on_miss(blk(8), Cycle::new(1)), MshrOutcome::Full(_)));
         assert_eq!(m.outstanding(), 8);
     }
 

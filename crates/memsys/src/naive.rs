@@ -28,7 +28,9 @@ impl NaiveLru {
     /// Every set starts in way order `0, 1, .., assoc-1` (way 0 MRU).
     pub fn new(sets: usize, assoc: u32) -> Self {
         assert!((1..=255).contains(&assoc), "associativity out of range");
-        NaiveLru { order: (0..sets).map(|_| (0..assoc as u8).collect()).collect() }
+        NaiveLru {
+            order: (0..sets).map(|_| (0..assoc as u8).collect()).collect(),
+        }
     }
 
     /// Moves `way` to MRU.
@@ -62,7 +64,11 @@ struct Line {
     dirty: bool,
 }
 
-const INVALID: Line = Line { block: BlockAddr::from_index(u64::MAX), valid: false, dirty: false };
+const INVALID: Line = Line {
+    block: BlockAddr::from_index(u64::MAX),
+    valid: false,
+    dirty: false,
+};
 
 /// The pre-rewrite array-of-structs set-associative directory, preserved
 /// as the oracle for [`crate::setassoc::SetAssocCache`]. Same public
@@ -148,10 +154,21 @@ impl NaiveSetAssocCache {
                 let way = self.lru.victim(set);
                 let r = WayRef { set, way };
                 let old = *self.line(r);
-                (r, Some(Eviction { block: old.block, dirty: old.dirty, from: r }))
+                (
+                    r,
+                    Some(Eviction {
+                        block: old.block,
+                        dirty: old.dirty,
+                        from: r,
+                    }),
+                )
             }
         };
-        *self.line_mut(r) = Line { block, valid: true, dirty };
+        *self.line_mut(r) = Line {
+            block,
+            valid: true,
+            dirty,
+        };
         self.lru.touch(r.set, r.way);
         evicted
     }

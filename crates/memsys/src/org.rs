@@ -53,10 +53,7 @@ impl OrgReport {
     /// Fraction of demand accesses hitting each d-group (the stacked bars
     /// of Figures 4, 5, and 7): `hits / accesses`, 0 with no accesses.
     pub fn group_fracs(&self) -> Vec<f64> {
-        self.group_hits
-            .iter()
-            .map(|&h| frac(h, self.l2_accesses))
-            .collect()
+        self.group_hits.iter().map(|&h| frac(h, self.l2_accesses)).collect()
     }
 
     /// Fraction of demand accesses that missed.
@@ -132,12 +129,7 @@ impl OrgReport {
         OrgReport {
             l2_accesses: f(self.l2_accesses, o.l2_accesses),
             l2_misses: f(self.l2_misses, o.l2_misses),
-            group_hits: self
-                .group_hits
-                .iter()
-                .zip(&o.group_hits)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            group_hits: self.group_hits.iter().zip(&o.group_hits).map(|(&a, &b)| f(a, b)).collect(),
             dgroup_accesses: f(self.dgroup_accesses, o.dgroup_accesses),
             swaps: f(self.swaps, o.swaps),
             memory_accesses: f(self.memory_accesses, o.memory_accesses),
@@ -367,11 +359,7 @@ mod tests {
         assert_eq!(window, r(15, [9, 4], 2.5));
         assert_eq!(window.plus(&early), late);
         assert_eq!(window.group_fracs(), vec![9.0 / 15.0, 4.0 / 15.0]);
-        assert_eq!(
-            r(0, [0, 0], 0.0).group_fracs(),
-            vec![0.0, 0.0],
-            "no accesses, no NaN"
-        );
+        assert_eq!(r(0, [0, 0], 0.0).group_fracs(), vec![0.0, 0.0], "no accesses, no NaN");
     }
 
     #[test]

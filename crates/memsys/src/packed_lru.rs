@@ -70,15 +70,20 @@ impl LruTable {
     /// # Panics
     /// Panics if `assoc` is 0 or exceeds 255.
     pub fn new(sets: usize, assoc: u32) -> Self {
-        assert!(
-            (1..=255).contains(&assoc),
-            "associativity must be in 1..=255, got {assoc}"
-        );
+        assert!((1..=255).contains(&assoc), "associativity must be in 1..=255, got {assoc}");
         let repr = if assoc <= 16 {
-            let mask = if assoc == 16 { u64::MAX } else { (1u64 << (4 * assoc)) - 1 };
-            Repr::Packed { words: vec![IDENTITY & mask; sets] }
+            let mask = if assoc == 16 {
+                u64::MAX
+            } else {
+                (1u64 << (4 * assoc)) - 1
+            };
+            Repr::Packed {
+                words: vec![IDENTITY & mask; sets],
+            }
         } else {
-            Repr::Wide { order: vec![(0..assoc as u8).collect(); sets] }
+            Repr::Wide {
+                order: vec![(0..assoc as u8).collect(); sets],
+            }
         };
         Self { repr, assoc }
     }
@@ -99,10 +104,8 @@ impl LruTable {
             }
             Repr::Wide { order } => {
                 let o = &mut order[set];
-                let pos = o
-                    .iter()
-                    .position(|&w| w as u32 == way)
-                    .expect("way must exist in LRU order");
+                let pos =
+                    o.iter().position(|&w| w as u32 == way).expect("way must exist in LRU order");
                 let w = o.remove(pos);
                 o.insert(0, w);
             }

@@ -80,15 +80,9 @@ impl SetAssocCache {
     pub fn new(capacity: Capacity, block_bytes: u64, assoc: u32) -> Self {
         assert!(assoc > 0, "associativity must be positive");
         let blocks = capacity.bytes() / block_bytes;
-        assert!(
-            blocks.is_multiple_of(assoc as u64),
-            "capacity must divide into whole sets"
-        );
+        assert!(blocks.is_multiple_of(assoc as u64), "capacity must divide into whole sets");
         let sets = (blocks / assoc as u64) as usize;
-        assert!(
-            sets.is_power_of_two(),
-            "set count must be a power of two, got {sets}"
-        );
+        assert!(sets.is_power_of_two(), "set count must be a power of two, got {sets}");
         SetAssocCache {
             blocks: vec![u64::MAX; sets * assoc as usize],
             flags: vec![0; sets * assoc as usize],
@@ -161,10 +155,7 @@ impl SetAssocCache {
     pub fn fill(&mut self, block: BlockAddr, dirty: bool) -> Option<Eviction> {
         // The caller owns the probe-then-fill protocol; re-probing here is
         // redundant work on the hot path, so it is a debug-only guard.
-        debug_assert!(
-            !self.probe(block).is_hit(),
-            "fill of already-present block {block}"
-        );
+        debug_assert!(!self.probe(block).is_hit(), "fill of already-present block {block}");
         let set = self.set_of(block);
         let base = set * self.assoc as usize;
         // Prefer an invalid way (first in way order, matching the scan the
@@ -342,7 +333,13 @@ mod tests {
             Lookup::Miss => panic!("expected hit"),
         };
         assert_eq!(c.block_at(r), Some(blk(9)));
-        assert_eq!(c.block_at(WayRef { set: r.set, way: 1 - r.way }), None);
+        assert_eq!(
+            c.block_at(WayRef {
+                set: r.set,
+                way: 1 - r.way
+            }),
+            None
+        );
     }
 
     #[test]

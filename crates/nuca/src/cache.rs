@@ -672,7 +672,14 @@ impl DnucaCache {
     /// way, accesses its bank, decompresses a compressed position-0
     /// block, promotes, and memoizes the way the block ends up in.
     #[inline]
-    fn serve_hit(&mut self, set: usize, w: u32, p: usize, kind: AccessKind, t: Cycle) -> LowerOutcome {
+    fn serve_hit(
+        &mut self,
+        set: usize,
+        w: u32,
+        p: usize,
+        kind: AccessKind,
+        t: Cycle,
+    ) -> LowerOutcome {
         self.stats.position_hits.record(p);
         self.touch_hit(set, w, kind);
         let bank = self.bank_at(set, p);
@@ -1022,10 +1029,7 @@ mod tests {
         t += 10_000;
         let fast = c.access_block(blk(1), AccessKind::Read, t);
         let fast_lat = fast.complete_at - t;
-        assert!(
-            fast_lat < slow_lat / 2,
-            "position 0 ({fast_lat}) vs position 7 ({slow_lat})"
-        );
+        assert!(fast_lat < slow_lat / 2, "position 0 ({fast_lat}) vs position 7 ({slow_lat})");
     }
 
     #[test]
@@ -1122,8 +1126,8 @@ mod tests {
         c.access_block(blk(1), AccessKind::Read, t); // A at position 6 now
         t += 10_000;
         c.access_block(blk(1 + sets), AccessKind::Read, t); // B at 7 (way LRU order)
-        // B was touched *after* A, so A is the set LRU; but the next two
-        // misses must evict from position 7 (B's position), not A.
+                                                            // B was touched *after* A, so A is the set LRU; but the next two
+                                                            // misses must evict from position 7 (B's position), not A.
         t += 10_000;
         c.access_block(blk(1 + 2 * sets), AccessKind::Read, t);
         t += 10_000;

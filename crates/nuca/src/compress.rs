@@ -55,9 +55,7 @@ impl CompressModel {
     pub fn compressed_bytes(&self, block: BlockAddr) -> u64 {
         // One seeded draw per query; SimRng::seeded runs splitmix64 over
         // the mixed address, so nearby addresses land in unrelated classes.
-        let mut rng = SimRng::seeded(
-            self.seed ^ block.index().wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
+        let mut rng = SimRng::seeded(self.seed ^ block.index().wrapping_mul(0x9e37_79b9_7f4a_7c15));
         match rng.below(100) {
             0..=14 => 16,
             15..=34 => 32,
@@ -110,9 +108,7 @@ mod tests {
     fn about_sixty_percent_compress_to_half() {
         let m = CompressModel::new(0xC0DEC);
         let n = 100_000u64;
-        let hits = (0..n)
-            .filter(|&i| m.is_compressible(BlockAddr::from_index(i)))
-            .count() as f64;
+        let hits = (0..n).filter(|&i| m.is_compressible(BlockAddr::from_index(i))).count() as f64;
         let frac = hits / n as f64;
         assert!((0.55..0.65).contains(&frac), "compressible frac {frac}");
     }

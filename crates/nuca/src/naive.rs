@@ -396,10 +396,8 @@ impl NaiveDnucaCache {
             SearchPolicy::SsEnergy => {
                 self.stats.ss_accesses.inc();
                 // Probe only candidate positions, nearest first, serially.
-                let mut positions: Vec<usize> = candidates
-                    .iter()
-                    .map(|&w| self.position_of_way(w))
-                    .collect();
+                let mut positions: Vec<usize> =
+                    candidates.iter().map(|&w| self.position_of_way(w)).collect();
                 positions.sort_unstable();
                 positions.dedup();
                 let mut t = ss_done;
@@ -474,10 +472,8 @@ impl NaiveDnucaCache {
                 // skipping the position the memo probe already ruled out;
                 // the ss array was read in parallel with the memo probe.
                 self.stats.ss_accesses.inc();
-                let mut positions: Vec<usize> = candidates
-                    .iter()
-                    .map(|&w| self.position_of_way(w))
-                    .collect();
+                let mut positions: Vec<usize> =
+                    candidates.iter().map(|&w| self.position_of_way(w)).collect();
                 positions.sort_unstable();
                 positions.dedup();
                 t = t.max(ss_done);

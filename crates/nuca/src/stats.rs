@@ -106,8 +106,7 @@ mod tests {
             s.accesses.inc();
             s.misses.inc();
         }
-        let sum: f64 =
-            (0..8).map(|p| s.position_access_frac(p)).sum::<f64>() + s.miss_frac();
+        let sum: f64 = (0..8).map(|p| s.position_access_frac(p)).sum::<f64>() + s.miss_frac();
         assert!((sum - 1.0).abs() < 1e-12);
     }
 

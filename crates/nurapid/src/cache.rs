@@ -405,7 +405,12 @@ impl NuRapidCache {
                 };
                 let start = self.port.reserve(now, occupancy);
                 if self.sink.enabled() {
-                    self.sink.span("nurapid", DGROUP_SPAN[g.min(DGROUP_SPAN.len() - 1)], start.raw(), latency);
+                    self.sink.span(
+                        "nurapid",
+                        DGROUP_SPAN[g.min(DGROUP_SPAN.len() - 1)],
+                        start.raw(),
+                        latency,
+                    );
                     if swap_cycles > 0 {
                         self.sink.span("nurapid", "promotion_swap", start.raw(), swap_cycles);
                     }
@@ -513,9 +518,7 @@ impl NuRapidCache {
     ) -> Result<(), simbase::snapshot::SnapshotError> {
         self.tags.load_state(d)?;
         if d.len()? != self.dgroups.len() {
-            return Err(simbase::snapshot::SnapshotError::Malformed(
-                "d-group count mismatch",
-            ));
+            return Err(simbase::snapshot::SnapshotError::Malformed("d-group count mismatch"));
         }
         for g in self.dgroups.iter_mut() {
             g.load_state(d)?;
@@ -550,11 +553,7 @@ impl NuRapidCache {
                 }
             }
         }
-        assert_eq!(
-            occupied,
-            self.tags.occupancy(),
-            "occupied frames must equal valid tag entries"
-        );
+        assert_eq!(occupied, self.tags.occupancy(), "occupied frames must equal valid tag entries");
     }
 }
 
@@ -935,8 +934,7 @@ mod tests {
 
     #[test]
     fn restricted_cache_respects_regions_under_load() {
-        let mut cfg = NuRapidConfig::micro2003(4)
-            .with_frames_per_region(256);
+        let mut cfg = NuRapidConfig::micro2003(4).with_frames_per_region(256);
         cfg.capacity = Capacity::from_mib(1);
         cfg.assoc = 4;
         let mut c = NuRapidCache::new(cfg);
@@ -1004,7 +1002,11 @@ mod tests {
             let sets = timed.tags.sets() as u64;
             for i in 0..30_000u64 {
                 let b = blk((i * 37) % 12_000 + (i % 7) * sets);
-                let k = if i % 5 == 0 { AccessKind::Write } else { AccessKind::Read };
+                let k = if i % 5 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
                 let out = timed.access_block(b, k, t);
                 t = out.complete_at + 3;
                 warm.warm_access_block(b, k);

@@ -71,12 +71,8 @@ impl CoupledCache {
             n_dgroups > 0 && (assoc as usize).is_multiple_of(n_dgroups),
             "{n_dgroups} d-groups must divide {assoc} ways"
         );
-        let geo = NuRapidGeometry::new(
-            cachemodel::Tech::micro2003_70nm(),
-            capacity,
-            assoc,
-            n_dgroups,
-        );
+        let geo =
+            NuRapidGeometry::new(cachemodel::Tech::micro2003_70nm(), capacity, assoc, n_dgroups);
         let blocks = capacity.bytes() / BLOCK_BYTES;
         let sets = (blocks / assoc as u64) as usize;
         CoupledCache {
@@ -198,9 +194,7 @@ impl CoupledCache {
                 cycles += self.geo.array_occupancy_cycles();
                 return cycles;
             }
-            let victim_slot = self
-                .group_lru_slot(set, g)
-                .expect("full group has valid slots");
+            let victim_slot = self.group_lru_slot(set, g).expect("full group has valid slots");
             let victim = *self.slot(set, victim_slot);
             *self.slot_mut(set, victim_slot) = carry;
             cycles += self.count_move(g, g); // read victim + write carry in g
@@ -222,9 +216,7 @@ impl CoupledCache {
             *self.slot_mut(set, s) = EMPTY;
             swap_cycles += self.count_move(g, target);
         } else {
-            let victim_slot = self
-                .group_lru_slot(set, target)
-                .expect("full group");
+            let victim_slot = self.group_lru_slot(set, target).expect("full group");
             let victim = *self.slot(set, victim_slot);
             *self.slot_mut(set, victim_slot) = here;
             *self.slot_mut(set, s) = victim;
@@ -258,8 +250,8 @@ impl CoupledCache {
     pub fn warm_access_block(&mut self, block: BlockAddr, kind: AccessKind) {
         self.use_clock += 1;
         let set = self.set_of(block);
-        let hit_slot = (0..self.assoc)
-            .find(|&s| self.slot(set, s).valid && self.slot(set, s).block == block);
+        let hit_slot =
+            (0..self.assoc).find(|&s| self.slot(set, s).valid && self.slot(set, s).block == block);
         if let Some(s) = hit_slot {
             let clock = self.use_clock;
             {
@@ -340,8 +332,8 @@ impl CoupledCache {
         let set = self.set_of(block);
 
         // Probe all ways.
-        let hit_slot = (0..self.assoc)
-            .find(|&s| self.slot(set, s).valid && self.slot(set, s).block == block);
+        let hit_slot =
+            (0..self.assoc).find(|&s| self.slot(set, s).valid && self.slot(set, s).block == block);
 
         if let Some(s) = hit_slot {
             let g = self.group_of_slot(s);
@@ -360,9 +352,7 @@ impl CoupledCache {
             if g > 0 {
                 swap_cycles = self.promote_within_set(set, s, g);
             }
-            let start = self
-                .port
-                .reserve(now, self.geo.array_occupancy_cycles() + swap_cycles);
+            let start = self.port.reserve(now, self.geo.array_occupancy_cycles() + swap_cycles);
             return LowerOutcome {
                 complete_at: start + latency,
                 hit: true,
@@ -559,10 +549,7 @@ mod tests {
         assert!(!out.hit);
         let hit = c.access_block(blk(5), AccessKind::Read, Cycle::new(2_000));
         assert!(hit.hit);
-        assert_eq!(
-            hit.complete_at - Cycle::new(2_000),
-            c.geometry().dgroup_latency_cycles(0)
-        );
+        assert_eq!(hit.complete_at - Cycle::new(2_000), c.geometry().dgroup_latency_cycles(0));
     }
 
     #[test]

@@ -61,10 +61,7 @@ impl FrameLru {
     }
 
     fn unlink(&mut self, f: u32) {
-        debug_assert!(
-            self.prev[f as usize] != NIL || self.head == f,
-            "frame {f} not linked"
-        );
+        debug_assert!(self.prev[f as usize] != NIL || self.head == f, "frame {f} not linked");
         let (p, n) = (self.prev[f as usize], self.next[f as usize]);
         if p != NIL {
             self.next[p as usize] = n;
@@ -206,7 +203,10 @@ fn pack_owner(owner: TagRef) -> u32 {
 
 #[inline(always)]
 fn unpack_owner(word: u32) -> TagRef {
-    TagRef { set: word >> 8, way: word as u8 }
+    TagRef {
+        set: word >> 8,
+        way: word as u8,
+    }
 }
 
 /// Widens a frame word to its checkpoint word: [`FREE`] is `u64::MAX`.
@@ -525,12 +525,8 @@ impl DGroupArray {
             self.regions[region].free.len(self.frames_per_region)
         );
         let local = match self.policy {
-            DistanceVictimPolicy::Random => {
-                self.rng.below(self.frames_per_region as u64) as u32
-            }
-            DistanceVictimPolicy::Lru => {
-                self.regions[region].lru.lru().expect("non-empty region")
-            }
+            DistanceVictimPolicy::Random => self.rng.below(self.frames_per_region as u64) as u32,
+            DistanceVictimPolicy::Lru => self.regions[region].lru.lru().expect("non-empty region"),
             DistanceVictimPolicy::ClockApprox => {
                 // Second-chance sweep: clear reference bits until an
                 // unreferenced frame is found. Terminates within two laps.
@@ -779,8 +775,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "evenly divide")]
     fn regions_must_divide_frames() {
-        let _ =
-            DGroupArray::with_regions(10, 3, DistanceVictimPolicy::Random, SimRng::seeded(5));
+        let _ = DGroupArray::with_regions(10, 3, DistanceVictimPolicy::Random, SimRng::seeded(5));
     }
 
     #[test]

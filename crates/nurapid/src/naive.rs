@@ -120,10 +120,7 @@ impl NaiveTagArray {
 
     fn touch(&mut self, r: TagRef) {
         let order = &mut self.lru[r.set as usize];
-        let pos = order
-            .iter()
-            .position(|&w| w == r.way)
-            .expect("way in order list");
+        let pos = order.iter().position(|&w| w == r.way).expect("way in order list");
         let w = order.remove(pos);
         order.insert(0, w);
     }
@@ -140,10 +137,7 @@ impl NaiveTagArray {
         ptr: FramePtr,
         dirty: bool,
     ) -> (TagRef, Option<TagEviction>) {
-        assert!(
-            self.probe(block).is_none(),
-            "allocate of already-present block {block}"
-        );
+        assert!(self.probe(block).is_none(), "allocate of already-present block {block}");
         let set = self.set_of(block);
         // Prefer an invalid way.
         let mut target = None;
@@ -405,9 +399,7 @@ impl NaiveDGroupArray {
     ///
     /// Panics if the frame is free.
     pub fn remove(&mut self, frame: u32) -> TagRef {
-        let owner = self.frames[frame as usize]
-            .take()
-            .expect("remove from free frame");
+        let owner = self.frames[frame as usize].take().expect("remove from free frame");
         let (r, l) = (self.region_of_frame(frame), self.local(frame));
         self.regions[r].lru.unlink(l);
         owner
@@ -466,12 +458,8 @@ impl NaiveDGroupArray {
             self.regions[region].free.len()
         );
         let local = match self.policy {
-            DistanceVictimPolicy::Random => {
-                self.rng.below(self.frames_per_region as u64) as u32
-            }
-            DistanceVictimPolicy::Lru => {
-                self.regions[region].lru.lru().expect("non-empty region")
-            }
+            DistanceVictimPolicy::Random => self.rng.below(self.frames_per_region as u64) as u32,
+            DistanceVictimPolicy::Lru => self.regions[region].lru.lru().expect("non-empty region"),
             DistanceVictimPolicy::ClockApprox => {
                 let fpr = self.frames_per_region;
                 let reg = &mut self.regions[region];

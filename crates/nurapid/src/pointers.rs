@@ -107,7 +107,7 @@ mod tests {
         assert_eq!(s.forward_pointer_bits(), 16);
         assert_eq!(s.reverse_pointer_bits(), 16);
         assert_eq!(s.forward_storage_bytes(), 128 * 1024); // per direction
-        // Forward + reverse together: 256 KB, ~3% of 8 MB.
+                                                           // Forward + reverse together: 256 KB, ~3% of 8 MB.
         let both = 2.0 * s.forward_overhead(CAP);
         assert!((both - 0.03).abs() < 0.005, "overhead {both}");
     }

@@ -85,9 +85,6 @@ mod tests {
         assert_eq!(PromotionPolicy::Fastest.to_string(), "fastest");
         assert_eq!(DistanceVictimPolicy::Random.to_string(), "random");
         assert_eq!(DistanceVictimPolicy::Lru.to_string(), "true-LRU");
-        assert_eq!(
-            DistanceVictimPolicy::ClockApprox.to_string(),
-            "approx-LRU (clock)"
-        );
+        assert_eq!(DistanceVictimPolicy::ClockApprox.to_string(), "approx-LRU (clock)");
     }
 }

@@ -49,7 +49,10 @@ impl PortSchedule {
     /// from the first access (`tests/no_alloc.rs`) instead of after a
     /// workload-dependent warm-up.
     pub fn new() -> Self {
-        PortSchedule { busy: Vec::with_capacity(2048), head: 0 }
+        PortSchedule {
+            busy: Vec::with_capacity(2048),
+            head: 0,
+        }
     }
 
     /// Reserves `dur` port cycles at the earliest time ≥ `at` that does

@@ -100,8 +100,7 @@ mod tests {
             s.accesses.inc();
             s.misses.inc();
         }
-        let total: f64 =
-            (0..4).map(|g| s.group_access_frac(g)).sum::<f64>() + s.miss_frac();
+        let total: f64 = (0..4).map(|g| s.group_access_frac(g)).sum::<f64>() + s.miss_frac();
         assert!((total - 1.0).abs() < 1e-12);
         assert_eq!(s.group_access_frac(0), 0.80);
         assert_eq!(s.miss_frac(), 0.05);

@@ -172,7 +172,10 @@ impl TagArray {
                     self.meta[i] |= META_DIRTY;
                 }
                 self.lru.touch(set as usize, way as u32);
-                return TagLookup::Hit { at: TagRef { set, way }, ptr: unpack_ptr(self.meta[i]) };
+                return TagLookup::Hit {
+                    at: TagRef { set, way },
+                    ptr: unpack_ptr(self.meta[i]),
+                };
             }
         }
         TagLookup::Miss
@@ -210,10 +213,7 @@ impl TagArray {
     ) -> (TagRef, Option<TagEviction>) {
         // The miss path probes before allocating, so re-probing here is
         // redundant hot-path work; keep it as a debug-only guard.
-        debug_assert!(
-            self.probe(block).is_none(),
-            "allocate of already-present block {block}"
-        );
+        debug_assert!(self.probe(block).is_none(), "allocate of already-present block {block}");
         let set = self.set_of(block);
         let base = set as usize * self.assoc as usize;
         // Prefer an invalid way (first in way order).
@@ -388,7 +388,13 @@ mod tests {
         let (r, _) = t.allocate(blk(9), fp(0, 1), false);
         assert_eq!(t.block_at(r), Some(blk(9)));
         assert_eq!(t.occupancy(), 1);
-        assert_eq!(t.block_at(TagRef { set: r.set, way: 1 - r.way }), None);
+        assert_eq!(
+            t.block_at(TagRef {
+                set: r.set,
+                way: 1 - r.way
+            }),
+            None
+        );
     }
 
     // The already-present guard in `allocate` is a `debug_assert!`: in a

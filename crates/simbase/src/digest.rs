@@ -318,10 +318,7 @@ mod tests {
         // FNV-1a 128 of "a": well-known published value.
         let mut h = Hasher128::new();
         h.write_bytes(b"a");
-        assert_eq!(
-            h.digest().hex(),
-            "d228cb696f1a8caf78912b704e4a8964"
-        );
+        assert_eq!(h.digest().hex(), "d228cb696f1a8caf78912b704e4a8964");
     }
 
     #[test]

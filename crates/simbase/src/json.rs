@@ -409,7 +409,16 @@ mod tests {
 
     #[test]
     fn malformed_inputs_error() {
-        for bad in ["", "{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "{\"a\":}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "\"open",
+            "{\"a\" 1}",
+            "nul",
+            "1 2",
+            "{\"a\":}",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }

@@ -187,9 +187,7 @@ impl AddAssign<u64> for Cycle {
 impl Sub<Cycle> for Cycle {
     type Output = u64;
     fn sub(self, rhs: Cycle) -> u64 {
-        self.0
-            .checked_sub(rhs.0)
-            .expect("cycle subtraction underflow")
+        self.0.checked_sub(rhs.0).expect("cycle subtraction underflow")
     }
 }
 

@@ -117,9 +117,7 @@ const P4: u64 = 0x85EB_CA77_C2B2_AE63;
 /// for a fixed `word`.
 #[inline(always)]
 fn round(acc: u64, word: u64) -> u64 {
-    acc.wrapping_add(word.wrapping_mul(P2))
-        .rotate_left(31)
-        .wrapping_mul(P1)
+    acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
 }
 
 /// Folds the four lanes into 64 bits, starting from `seed`. Each lane
@@ -217,7 +215,10 @@ fn parse_header(bytes: &[u8], expected_version: u32) -> Result<usize, SnapshotEr
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != expected_version {
-        return Err(SnapshotError::VersionMismatch { found: version, expected: expected_version });
+        return Err(SnapshotError::VersionMismatch {
+            found: version,
+            expected: expected_version,
+        });
     }
     let len = u64::from_le_bytes(bytes[12..HEADER].try_into().expect("8 bytes"));
     match usize::try_from(len).ok().and_then(|n| n.checked_add(OVERHEAD)) {
@@ -271,7 +272,14 @@ pub fn seal_streamed(
     w.write_all(&header)?;
     let mut lanes = Lanes::new();
     lanes.absorb(&header);
-    let mut e = Encoder::chunked(buf, Some(Sink { w, lanes, failed: None }));
+    let mut e = Encoder::chunked(
+        buf,
+        Some(Sink {
+            w,
+            lanes,
+            failed: None,
+        }),
+    );
     fill(&mut e);
     let written = e.len();
     e.spill_all();
@@ -648,7 +656,10 @@ impl fmt::Debug for Decoder<'_> {
 impl<'a> Decoder<'a> {
     /// A decoder over `bytes` (typically the slice [`open`] returned).
     pub fn new(bytes: &'a [u8]) -> Self {
-        Decoder { bytes, stream: None }
+        Decoder {
+            bytes,
+            stream: None,
+        }
     }
 
     /// A decoder over the payload of the container `r` reads, through one
@@ -979,7 +990,10 @@ mod tests {
         let sealed = seal(2, b"x");
         assert_eq!(
             open(&sealed, 5),
-            Err(SnapshotError::VersionMismatch { found: 2, expected: 5 })
+            Err(SnapshotError::VersionMismatch {
+                found: 2,
+                expected: 5
+            })
         );
     }
 
@@ -1211,7 +1225,10 @@ mod tests {
         d.finish().unwrap();
         assert_eq!(back, vs);
         let sealed = seal(3, &bytes);
-        let mut src = Trickle { bytes: &sealed, step: 5 };
+        let mut src = Trickle {
+            bytes: &sealed,
+            step: 5,
+        };
         let mut d = Decoder::stream(&mut src, 3).unwrap();
         back.fill(0);
         d.narrowed_u64_slice_into(&mut back, narrow, u64::from).unwrap();
@@ -1385,7 +1402,10 @@ mod tests {
         let want = read(&mut slice).unwrap();
         slice.finish().unwrap();
         for step in [usize::MAX, 7, 4_099] {
-            let mut src = Trickle { bytes: &sealed, step };
+            let mut src = Trickle {
+                bytes: &sealed,
+                step,
+            };
             let mut d = Decoder::stream(&mut src, 5).unwrap();
             assert_eq!(d.remaining(), payload.len());
             assert_eq!(read(&mut d).unwrap(), want, "reads of {step} bytes");
@@ -1410,7 +1430,10 @@ mod tests {
         }
         assert_eq!(
             stream_open(&sealed, 8),
-            Err(SnapshotError::VersionMismatch { found: 9, expected: 8 })
+            Err(SnapshotError::VersionMismatch {
+                found: 9,
+                expected: 8
+            })
         );
         let mut long = sealed.clone();
         long.push(0);
@@ -1421,7 +1444,17 @@ mod tests {
         // A payload past one chunk fails at cuts and flips on both sides
         // of every refill.
         let sealed = seal(9, &pattern(2 * CHUNK + 100));
-        for at in [0, 19, 20, 21, CHUNK, CHUNK + 20, CHUNK + 21, 2 * CHUNK + 40, sealed.len() - 1] {
+        for at in [
+            0,
+            19,
+            20,
+            21,
+            CHUNK,
+            CHUNK + 20,
+            CHUNK + 21,
+            2 * CHUNK + 40,
+            sealed.len() - 1,
+        ] {
             assert!(stream_open(&sealed[..at], 9).is_err(), "cut at {at} streamed");
             let mut bad = sealed.clone();
             bad[at] ^= 1;

@@ -152,7 +152,11 @@ impl Gen for AnyU64 {
         if *v == 0 {
             return Vec::new();
         }
-        U64Range { lo: 0, hi: u64::MAX }.shrink(v)
+        U64Range {
+            lo: 0,
+            hi: u64::MAX,
+        }
+        .shrink(v)
     }
 }
 
@@ -400,10 +404,7 @@ pub fn checker(name: &str) -> Checker {
 }
 
 fn default_cases() -> u32 {
-    std::env::var("SIMKIT_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
+    std::env::var("SIMKIT_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
 }
 
 impl Checker {
@@ -445,11 +446,7 @@ impl Checker {
     /// # Errors
     ///
     /// Returns the first (shrunk) failing case.
-    pub fn try_check<G: Gen>(
-        &self,
-        gen: &G,
-        prop: &impl Fn(&G::Value),
-    ) -> Result<(), PropError> {
+    pub fn try_check<G: Gen>(&self, gen: &G, prop: &impl Fn(&G::Value)) -> Result<(), PropError> {
         // Replay mode: SIMKIT_SEED runs exactly one case.
         if let Some(seed) = env_seed() {
             return self.run_case(gen, prop, seed, true);
@@ -544,11 +541,12 @@ mod tests {
 
     #[test]
     fn passing_property_passes() {
-        checker("passing_property_passes")
-            .cases(50)
-            .check(&vec_of(range_u64(0, 100), 0, 20), |v| {
+        checker("passing_property_passes").cases(50).check(
+            &vec_of(range_u64(0, 100), 0, 20),
+            |v| {
                 assert!(v.iter().all(|&x| x < 100));
-            });
+            },
+        );
     }
 
     #[test]
@@ -567,21 +565,23 @@ mod tests {
 
     #[test]
     fn tuple_generation_respects_ranges() {
-        checker("tuple_generation_respects_ranges")
-            .cases(100)
-            .check(&(range_u64(5, 10), range_u32(0, 3), any_bool()), |&(a, b, _)| {
+        checker("tuple_generation_respects_ranges").cases(100).check(
+            &(range_u64(5, 10), range_u32(0, 3), any_bool()),
+            |&(a, b, _)| {
                 assert!((5..10).contains(&a));
                 assert!(b < 3);
-            });
+            },
+        );
     }
 
     #[test]
     fn select_draws_only_from_choices() {
-        checker("select_draws_only_from_choices")
-            .cases(60)
-            .check(&select(vec![2usize, 4, 8]), |&n| {
+        checker("select_draws_only_from_choices").cases(60).check(
+            &select(vec![2usize, 4, 8]),
+            |&n| {
                 assert!([2, 4, 8].contains(&n));
-            });
+            },
+        );
     }
 
     #[test]

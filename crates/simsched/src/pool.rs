@@ -200,7 +200,13 @@ mod tests {
     #[test]
     fn job_panic_propagates() {
         let r = std::panic::catch_unwind(|| {
-            run_jobs(2, vec![Box::new(|| 1u32) as Box<dyn FnOnce() -> u32 + Send>, Box::new(|| panic!("boom"))]);
+            run_jobs(
+                2,
+                vec![
+                    Box::new(|| 1u32) as Box<dyn FnOnce() -> u32 + Send>,
+                    Box::new(|| panic!("boom")),
+                ],
+            );
         });
         assert!(r.is_err());
     }
@@ -248,8 +254,10 @@ mod tests {
             let outer = (0..2)
                 .map(|o| {
                     move || {
-                        let inner: Vec<Box<dyn FnOnce() -> u32 + Send>> =
-                            vec![Box::new(|| 1), Box::new(move || if o == 1 { panic!("inner") } else { 2 })];
+                        let inner: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
+                            Box::new(|| 1),
+                            Box::new(move || if o == 1 { panic!("inner") } else { 2 }),
+                        ];
                         run_jobs(2, inner)
                     }
                 })

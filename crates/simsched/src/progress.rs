@@ -174,7 +174,10 @@ mod tests {
         let fire = |label: &str, outcome| {
             obs(&Event {
                 label: label.into(),
-                kind: EventKind::Finished { outcome, wall_ns: 2_000_000 },
+                kind: EventKind::Finished {
+                    outcome,
+                    wall_ns: 2_000_000,
+                },
             })
         };
         fire("nf4/galgel", Outcome::Simulated);

@@ -29,12 +29,18 @@ impl Console {
     /// `SIMTEL_QUIET` environment variable is truthy (anything except
     /// empty, `0`, or `false`).
     pub fn from_env(quiet: bool) -> Self {
-        Console { quiet: quiet || env_quiet(), mirror: None }
+        Console {
+            quiet: quiet || env_quiet(),
+            mirror: None,
+        }
     }
 
     /// An explicitly-configured console (tests).
     pub fn new(quiet: bool) -> Self {
-        Console { quiet, mirror: None }
+        Console {
+            quiet,
+            mirror: None,
+        }
     }
 
     /// Mirrors every status line onto `telemetry`'s wall channel as an

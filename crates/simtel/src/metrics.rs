@@ -130,7 +130,13 @@ mod tests {
         let mut m = MetricSet::new();
         m.gauge("ipc", 100, 1.5);
         m.gauge("ipc", 50, 9.0); // earlier stamp loses
-        assert_eq!(m.gauges["ipc"], Gauge { stamp: 100, value: 1.5 });
+        assert_eq!(
+            m.gauges["ipc"],
+            Gauge {
+                stamp: 100,
+                value: 1.5
+            }
+        );
         m.gauge("ipc", 200, 1.1);
         assert_eq!(m.gauges["ipc"].value, 1.1);
         // Equal stamps break ties on the value bit pattern, both ways.

@@ -194,7 +194,13 @@ impl Telemetry {
     /// against `"sample-measure"` (the detailed windows) shows where a
     /// sampled run's wall time actually went.
     pub fn wall_time_in(&self, cat: &str) -> u64 {
-        self.wall.lock().unwrap().iter().filter(|e| e.cat == cat).map(|e| e.dur_us).sum()
+        self.wall
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|e| e.cat == cat)
+            .map(|e| e.dur_us)
+            .sum()
     }
 
     /// Display labels in export order, disambiguated exactly as the
@@ -336,10 +342,7 @@ fn gauges_json(m: &MetricSet) -> Json {
             .map(|(k, g)| {
                 (
                     k.clone(),
-                    Json::obj(vec![
-                        ("cycle", Json::U64(g.stamp)),
-                        ("value", Json::F64(g.value)),
-                    ]),
+                    Json::obj(vec![("cycle", Json::U64(g.stamp)), ("value", Json::F64(g.value))]),
                 )
             })
             .collect(),
@@ -443,7 +446,9 @@ mod tests {
             ref other => panic!("expected F64, got {other:?}"),
         }
         assert_eq!(
-            run.field("counters").and_then(|c| c.field("l2.accesses")).and_then(Json::as_u64),
+            run.field("counters")
+                .and_then(|c| c.field("l2.accesses"))
+                .and_then(Json::as_u64),
             Some(100)
         );
     }

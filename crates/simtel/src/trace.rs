@@ -117,7 +117,10 @@ mod tests {
             (r#"{"traceEvents":[{"ph":"X","ts":0,"dur":1,"pid":0,"tid":0}]}"#, "name"),
             (r#"{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":0,"tid":0}]}"#, "dur"),
             (r#"{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":1,"tid":0}]}"#, "pid"),
-            (r#"{"traceEvents":[{"name":"a","ph":"Z","ts":0,"pid":0,"tid":0}]}"#, "unknown phase"),
+            (
+                r#"{"traceEvents":[{"name":"a","ph":"Z","ts":0,"pid":0,"tid":0}]}"#,
+                "unknown phase",
+            ),
             (r#"{"traceEvents":[{"name":"a","ph":"C","ts":0,"pid":0,"tid":0}]}"#, "args"),
         ];
         for (src, needle) in cases {

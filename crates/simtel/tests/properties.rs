@@ -93,37 +93,41 @@ fn shard(ops: &[(u64, u64)]) -> MetricSet {
 #[test]
 fn shard_merge_is_associative_and_commutative() {
     let ops = || vec_of((range_u64(0, u64::MAX), range_u64(0, u64::MAX)), 0, 60);
-    checker("shard_merge_assoc_comm").cases(128).check(&(ops(), ops(), ops()), |(xs, ys, zs)| {
-        let (a, b, c) = (shard(xs), shard(ys), shard(zs));
+    checker("shard_merge_assoc_comm")
+        .cases(128)
+        .check(&(ops(), ops(), ops()), |(xs, ys, zs)| {
+            let (a, b, c) = (shard(xs), shard(ys), shard(zs));
 
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
+            let mut ab = a.clone();
+            ab.merge(&b);
+            let mut ba = b.clone();
+            ba.merge(&a);
+            assert_eq!(ab, ba, "merge must be commutative");
 
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "merge must be associative");
-    });
+            let mut ab_c = ab.clone();
+            ab_c.merge(&c);
+            let mut bc = b.clone();
+            bc.merge(&c);
+            let mut a_bc = a.clone();
+            a_bc.merge(&bc);
+            assert_eq!(ab_c, a_bc, "merge must be associative");
+        });
 }
 
 #[test]
 fn merged_shard_equals_single_shard_over_the_union() {
     let ops = || vec_of((range_u64(0, u64::MAX), range_u64(0, u64::MAX)), 0, 60);
-    checker("shard_merge_equals_union").cases(128).check(&(ops(), ops()), |(xs, ys)| {
-        let mut merged = shard(xs);
-        merged.merge(&shard(ys));
-        // Counters and histograms are order-insensitive sums, so the
-        // merged shard must equal one shard fed the concatenation.
-        let mut both = xs.clone();
-        both.extend_from_slice(ys);
-        let union = shard(&both);
-        assert_eq!(merged.counters, union.counters);
-        assert_eq!(merged.hists, union.hists);
-    });
+    checker("shard_merge_equals_union")
+        .cases(128)
+        .check(&(ops(), ops()), |(xs, ys)| {
+            let mut merged = shard(xs);
+            merged.merge(&shard(ys));
+            // Counters and histograms are order-insensitive sums, so the
+            // merged shard must equal one shard fed the concatenation.
+            let mut both = xs.clone();
+            both.extend_from_slice(ys);
+            let union = shard(&both);
+            assert_eq!(merged.counters, union.counters);
+            assert_eq!(merged.hists, union.hists);
+        });
 }

@@ -238,9 +238,7 @@ impl TraceGenerator {
         let stream_pos = d.u64()?;
         // Nothing has streamed yet at 0, even in an empty footprint.
         if stream_pos != 0 && stream_pos >= self.k.stream_bytes {
-            return Err(SnapshotError::Malformed(
-                "streaming position past the footprint",
-            ));
+            return Err(SnapshotError::Malformed("streaming position past the footprint"));
         }
         let burst_left = d.u32()?;
         let chain_next = d.bool()?;
@@ -381,9 +379,7 @@ impl TraceGenerator {
 
 fn fxhash(s: &str) -> u64 {
     s.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        })
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 impl cpu::uop::TraceCursor for TraceGenerator {
@@ -561,9 +557,7 @@ mod tests {
         g.save_state(&mut e);
         let bytes = e.into_bytes();
         let mut restored = TraceGenerator::new(p, TRACE_SEED);
-        restored
-            .load_state(&mut simbase::snapshot::Decoder::new(&bytes))
-            .expect("load");
+        restored.load_state(&mut simbase::snapshot::Decoder::new(&bytes)).expect("load");
         for j in 0..10_000 {
             assert_eq!(
                 g.next_op(),
@@ -599,9 +593,7 @@ mod tests {
                 assert_resumes_at(p, n);
             }
             let mut g = TraceGenerator::new(p, TRACE_SEED);
-            let branches = (0..10_000)
-                .filter(|_| g.next_op().class == OpClass::Branch)
-                .count();
+            let branches = (0..10_000).filter(|_| g.next_op().class == OpClass::Branch).count();
             assert_eq!(branches, if every == 1 { 10_000 } else { 0 });
         }
     }
@@ -638,15 +630,8 @@ mod tests {
         load(&mut g, &fine).expect("a full sweep is a fresh generator");
         let (mut g, bad) = payload(0, g.k.hot_blocks + 5);
         let before = g.clone().next_op();
-        assert!(matches!(
-            load(&mut g, &bad),
-            Err(SnapshotError::Malformed(_))
-        ));
-        assert_eq!(
-            g.next_op(),
-            before,
-            "a rejected payload leaves the generator unchanged"
-        );
+        assert!(matches!(load(&mut g, &bad), Err(SnapshotError::Malformed(_))));
+        assert_eq!(g.next_op(), before, "a rejected payload leaves the generator unchanged");
     }
 
     #[test]
@@ -656,10 +641,7 @@ mod tests {
         load(&mut g, &fine).expect("the last block is in range");
         for pos in [bytes, bytes + 128, u64::MAX] {
             let (mut g, bad) = payload(pos, 0);
-            assert!(
-                matches!(load(&mut g, &bad), Err(SnapshotError::Malformed(_))),
-                "{pos:#x}"
-            );
+            assert!(matches!(load(&mut g, &bad), Err(SnapshotError::Malformed(_))), "{pos:#x}");
         }
     }
 
@@ -717,9 +699,8 @@ mod tests {
                     // eighth over up to 40 set-strides of 8192 blocks.
                     let hot_span = p.hot_footprint.bytes() + 41 * 8192 * 128;
                     let in_hot = (HOT_BASE..HOT_BASE + hot_span).contains(&a);
-                    let in_stream = (STREAM_BASE
-                        ..STREAM_BASE + p.stream_footprint.bytes() + 32)
-                        .contains(&a);
+                    let in_stream =
+                        (STREAM_BASE..STREAM_BASE + p.stream_footprint.bytes() + 32).contains(&a);
                     assert!(in_hot || in_stream, "{}: stray address {a:#x}", p.name);
                 }
             }
@@ -741,16 +722,12 @@ mod tests {
     fn fp_apps_emit_fp_ops() {
         let mut g = gen("swim");
         let fp = (0..10_000)
-            .filter(|_| {
-                matches!(g.next_op().class, OpClass::FpAlu | OpClass::FpMul)
-            })
+            .filter(|_| matches!(g.next_op().class, OpClass::FpAlu | OpClass::FpMul))
             .count();
         assert!(fp > 1000, "fp app must emit fp ops, got {fp}");
         let mut g = gen("mcf");
         let fp = (0..10_000)
-            .filter(|_| {
-                matches!(g.next_op().class, OpClass::FpAlu | OpClass::FpMul)
-            })
+            .filter(|_| matches!(g.next_op().class, OpClass::FpAlu | OpClass::FpMul))
             .count();
         assert_eq!(fp, 0, "int app must not emit fp ops");
     }

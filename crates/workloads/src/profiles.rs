@@ -411,14 +411,8 @@ mod tests {
     fn hot_footprints_straddle_the_dgroup_sizes() {
         // Figures 7/8 need working sets that mostly exceed 1 MB but fit in
         // 2 MB, with a couple overflowing 2 MB.
-        let over_1mb = ROSTER
-            .iter()
-            .filter(|p| p.hot_footprint.bytes() > 1024 * 1024)
-            .count();
-        let over_2mb = ROSTER
-            .iter()
-            .filter(|p| p.hot_footprint.bytes() > 2 * 1024 * 1024)
-            .count();
+        let over_1mb = ROSTER.iter().filter(|p| p.hot_footprint.bytes() > 1024 * 1024).count();
+        let over_2mb = ROSTER.iter().filter(|p| p.hot_footprint.bytes() > 2 * 1024 * 1024).count();
         assert!(over_1mb >= 9, "most hot sets must exceed 1 MB ({over_1mb})");
         assert!((2..=4).contains(&over_2mb), "a few exceed 2 MB ({over_2mb})");
     }

@@ -60,7 +60,5 @@ fn main() {
          the fastest d-group; distance associativity keeps essentially all\n\
          of them there (paper Section 2.1)."
     );
-    assert!(
-        decoupled.stats().group_access_frac(0) > coupled.stats().group_access_frac(0)
-    );
+    assert!(decoupled.stats().group_access_frac(0) > coupled.stats().group_access_frac(0));
 }

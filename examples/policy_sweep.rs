@@ -16,11 +16,7 @@ fn main() {
     let app = profiles::by_name(&name).unwrap_or_else(|| {
         eprintln!(
             "unknown application {name:?}; choose one of: {}",
-            profiles::ROSTER
-                .iter()
-                .map(|p| p.name)
-                .collect::<Vec<_>>()
-                .join(", ")
+            profiles::ROSTER.iter().map(|p| p.name).collect::<Vec<_>>().join(", ")
         );
         std::process::exit(2);
     });

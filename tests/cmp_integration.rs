@@ -106,7 +106,11 @@ fn sampled_sweeps_run_cmp_at_full_detail_under_the_same_digest() {
     // run is the full-detail run, keyed by the same digest, so it
     // resumes from the full-detail sweep's artifact without simulating.
     let scratch = Scratch::new("sampled");
-    let spec = SampleSpec { period: 8_000, warmup: 400, measure: 1_600 };
+    let spec = SampleSpec {
+        period: 8_000,
+        warmup: 400,
+        measure: 1_600,
+    };
     let full = sweep(tiny()).with_artifacts(&scratch.0).expect("artifact dir");
     let want = (*full.run_cmp(4, "nf4")).clone();
     drop(full);

@@ -38,10 +38,9 @@ use simkit::prop::{
 
 /// Replays the differential regression corpus before the random sweep.
 fn dprop(name: &str) -> Checker {
-    checker(name).cases(64).corpus(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/differential-regressions.txt"
-    ))
+    checker(name)
+        .cases(64)
+        .corpus(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/differential-regressions.txt"))
 }
 
 /// A random access trace: (block index, is_write) pairs over a bounded
@@ -180,11 +179,7 @@ fn port_schedule_matches_naive() {
         for &(advance, dur) in ops {
             now += advance;
             let at = Cycle::new(now);
-            assert_eq!(
-                fast.reserve(at, dur),
-                naive.reserve(at, dur),
-                "reserve at {now} for {dur}"
-            );
+            assert_eq!(fast.reserve(at, dur), naive.reserve(at, dur), "reserve at {now} for {dur}");
             assert_eq!(fast.next_free(at), naive.next_free(at), "next_free at {now}");
         }
     });
@@ -214,9 +209,7 @@ fn nurapid_flat_arena_matches_naive_oracle() {
     dprop("nurapid_flat_arena_matches_naive_oracle").check(
         &gen,
         |(ops, n_dgroups, promo, victim, prefill)| {
-            let cfg = small_config(*n_dgroups)
-                .with_promotion(*promo)
-                .with_distance_victim(*victim);
+            let cfg = small_config(*n_dgroups).with_promotion(*promo).with_distance_victim(*victim);
             let mut fast = NuRapidCache::new(cfg.clone());
             let mut naive = NaiveNuRapidCache::new(cfg);
             if *prefill {
@@ -274,11 +267,7 @@ fn dnuca_against_oracle(ops: &[(u64, bool)], cfg: DnucaConfig, prefill: bool) ->
     for &(b, w) in ops {
         let block = BlockAddr::from_index(b);
         let out = fast.access_block(block, kind_of(w), t);
-        assert_eq!(
-            out,
-            naive.access_block(block, kind_of(w), t),
-            "outcome of {block} at {t}"
-        );
+        assert_eq!(out, naive.access_block(block, kind_of(w), t), "outcome of {block} at {t}");
         t = out.complete_at + 1;
     }
     assert_eq!(fast.stats(), naive.stats(), "final stats diverged");
@@ -309,11 +298,7 @@ fn cnuca_against_oracle(ops: &[(u64, bool)], prefill: bool, comp_seed: u64) -> D
             continue;
         }
         let out = fast.access_block(block, kind_of(w), t);
-        assert_eq!(
-            out,
-            naive.access_block(block, kind_of(w), t),
-            "outcome of {block} at {t}"
-        );
+        assert_eq!(out, naive.access_block(block, kind_of(w), t), "outcome of {block} at {t}");
         t = out.complete_at + 1;
     }
     assert_eq!(fast.stats(), naive.stats(), "final stats diverged");
@@ -504,7 +489,12 @@ fn small_hierarchy() -> BaseHierarchy {
 ///   2 MB (L1 misses, MSHR-full stalls), a quarter on eight hot lines
 ///   (MSHR merges), and half in a 16-KB set that stays L1-resident.
 fn micro_ops(drawn: &[(u8, u8, u8, u64, u8)], mem_share: u8) -> Vec<MicroOp> {
-    const ALU: [OpClass; 4] = [OpClass::IntAlu, OpClass::IntMul, OpClass::FpAlu, OpClass::FpMul];
+    const ALU: [OpClass; 4] = [
+        OpClass::IntAlu,
+        OpClass::IntMul,
+        OpClass::FpAlu,
+        OpClass::FpMul,
+    ];
     let mut pc = 0u64;
     drawn
         .iter()
@@ -563,29 +553,31 @@ fn ooo_core_matches_naive_oracle() {
         mem_ports: 1,
         ..CoreParams::micro2003()
     };
-    dprop("ooo_core_matches_naive_oracle").cases(256).check(&gen, |(drawn, mem_share)| {
-        let ops = micro_ops(drawn, *mem_share);
-        for params in [CoreParams::micro2003(), odd] {
-            let mut fast = OooCore::new(params, CoreMemSystem::micro2003(small_hierarchy()));
-            let mut naive =
-                NaiveOooCore::new(params, CoreMemSystem::micro2003(small_hierarchy()));
-            let barrier_at = ops.len() / 2;
-            for (i, op) in ops.iter().enumerate() {
-                if i == barrier_at {
-                    assert_eq!(fast.finish(), naive.finish(), "before the barrier");
-                    let drain = |l: &mut BaseHierarchy| {
-                        l.drain_timing();
-                        l.reset_stats();
-                    };
-                    fast = fast.drain_barrier(drain);
-                    naive = naive.drain_barrier(drain);
-                    assert_eq!(fast.finish(), naive.finish(), "after the barrier");
+    dprop("ooo_core_matches_naive_oracle")
+        .cases(256)
+        .check(&gen, |(drawn, mem_share)| {
+            let ops = micro_ops(drawn, *mem_share);
+            for params in [CoreParams::micro2003(), odd] {
+                let mut fast = OooCore::new(params, CoreMemSystem::micro2003(small_hierarchy()));
+                let mut naive =
+                    NaiveOooCore::new(params, CoreMemSystem::micro2003(small_hierarchy()));
+                let barrier_at = ops.len() / 2;
+                for (i, op) in ops.iter().enumerate() {
+                    if i == barrier_at {
+                        assert_eq!(fast.finish(), naive.finish(), "before the barrier");
+                        let drain = |l: &mut BaseHierarchy| {
+                            l.drain_timing();
+                            l.reset_stats();
+                        };
+                        fast = fast.drain_barrier(drain);
+                        naive = naive.drain_barrier(drain);
+                        assert_eq!(fast.finish(), naive.finish(), "after the barrier");
+                    }
+                    fast.execute(*op);
+                    naive.execute(*op);
+                    assert_eq!(fast.cycles(), naive.cycles(), "{params:?}: op {i} {op:?}");
                 }
-                fast.execute(*op);
-                naive.execute(*op);
-                assert_eq!(fast.cycles(), naive.cycles(), "{params:?}: op {i} {op:?}");
+                assert_eq!(fast.finish(), naive.finish(), "{params:?}: final result");
             }
-            assert_eq!(fast.finish(), naive.finish(), "{params:?}: final result");
-        }
-    });
+        });
 }

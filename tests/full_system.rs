@@ -40,10 +40,7 @@ fn group_fractions_partition_accesses_in_all_nuca_organizations() {
     for key in ["nf2", "nf4", "nf8", "sa4", "dn-perf", "dn-energy"] {
         let r = run_app(app, &kind_of(key), tiny());
         let total: f64 = r.group_fracs().iter().sum::<f64>() + r.miss_frac();
-        assert!(
-            (total - 1.0).abs() < 1e-9,
-            "{key}: fractions sum to {total}"
-        );
+        assert!((total - 1.0).abs() < 1e-9, "{key}: fractions sum to {total}");
     }
 }
 
@@ -162,10 +159,7 @@ fn high_load_apps_exceed_low_load_apps_in_apki() {
     let apki = |s: &Sweep, n: &str| s.run(by_name(n).unwrap(), "base").apki();
     let high = apki(&sweep, "applu").min(apki(&sweep, "swim"));
     let low = apki(&sweep, "lucas").max(apki(&sweep, "wupwise"));
-    assert!(
-        high > 2.0 * low,
-        "high-load {high} must dwarf low-load {low}"
-    );
+    assert!(high > 2.0 * low, "high-load {high} must dwarf low-load {low}");
 }
 
 #[test]

@@ -32,7 +32,10 @@ const GOLDEN_SAMPLING: &str = include_str!("golden/sampling_quick.txt");
 /// is minutes of debug-mode simulation); run it with
 /// `cargo test --release --test golden_repro`.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "full sweep is slow unoptimized; run under --release")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full sweep is slow unoptimized; run under --release"
+)]
 fn quick_report_matches_golden_snapshot() {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let sweep = Sweep::new(Scale::quick()).with_threads(threads);
@@ -85,7 +88,10 @@ fn quick_report_matches_golden_snapshot() {
 /// trace-ordered by construction — DESIGN.md §16), so a diff here means
 /// the estimator, not the schedule, moved.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "full sweep is slow unoptimized; run under --release")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full sweep is slow unoptimized; run under --release"
+)]
 fn sampling_study_report_matches_golden_snapshot() {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let sweep = Sweep::new(Scale::quick()).with_threads(threads);
@@ -100,7 +106,10 @@ fn sampling_study_report_matches_golden_snapshot() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "full sweep is slow unoptimized; run under --release")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full sweep is slow unoptimized; run under --release"
+)]
 fn dram_transient_report_matches_golden_snapshot() {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let sweep = Sweep::new(Scale::quick()).with_threads(threads);

@@ -165,10 +165,7 @@ fn restoring_into_an_unprefilled_instance_resaves_the_same_bytes() {
             .unwrap_or_else(|err| panic!("{name}: trailing snapshot bytes: {err:?}"));
         let mut e = Encoder::new();
         bare.save_state(&mut e);
-        assert!(
-            e.into_bytes() == bytes,
-            "{name}: an unprefilled restore re-saves other bytes"
-        );
+        assert!(e.into_bytes() == bytes, "{name}: an unprefilled restore re-saves other bytes");
     }
 }
 
@@ -252,10 +249,7 @@ fn snapshots_do_not_load_across_organizations() {
             let mut org = kind.build();
             let mut d = Decoder::new(bytes);
             let outcome = org.load_state(&mut d).and_then(|()| d.finish());
-            assert!(
-                outcome.is_err(),
-                "{to_name} silently accepted a {from_name} snapshot"
-            );
+            assert!(outcome.is_err(), "{to_name} silently accepted a {from_name} snapshot");
         }
     }
 }
@@ -294,10 +288,7 @@ fn stats_are_monotone_and_reports_coherent() {
             "{name}: group fractions + miss fraction exceed 1 ({frac_sum} + {})",
             rep.miss_frac()
         );
-        assert!(
-            rep.group_fracs().iter().all(|f| (0.0..=1.0).contains(f)),
-            "{name}"
-        );
+        assert!(rep.group_fracs().iter().all(|f| (0.0..=1.0).contains(f)), "{name}");
         assert!(rep.l2_energy.nj() >= 0.0, "{name}: negative energy");
     }
 }
@@ -349,8 +340,7 @@ fn every_organization_conforms_under_the_cmp_front_end() {
         .collect();
     for (name, kind) in roster() {
         let run = || {
-            let mut sys =
-                CmpSystem::new(CmpConfig::micro2003(2), kind.build(), &profiles, 0x5eed);
+            let mut sys = CmpSystem::new(CmpConfig::micro2003(2), kind.build(), &profiles, 0x5eed);
             sys.warm_run(3_000);
             sys.drain_barrier(&TelemetrySink::disabled(), 0);
             sys.run(6_000);
@@ -377,7 +367,10 @@ fn every_organization_conforms_under_the_cmp_front_end() {
             "{name}: conflicts and stall cycles must agree on zero"
         );
         let fairness = a.fairness();
-        assert!((0.0..=1.0 + 1e-9).contains(&fairness), "{name}: fairness {fairness} out of range");
+        assert!(
+            (0.0..=1.0 + 1e-9).contains(&fairness),
+            "{name}: fairness {fairness} out of range"
+        );
     }
 }
 
@@ -426,10 +419,8 @@ fn the_drain_barrier_zeroes_every_counter_in_every_mode() {
         app,
         workloads::profiles::by_name("wupwise").expect("in roster"),
     ];
-    let mut kinds: Vec<(String, L2Kind)> = roster()
-        .into_iter()
-        .map(|(n, k)| (n.to_string(), k))
-        .collect();
+    let mut kinds: Vec<(String, L2Kind)> =
+        roster().into_iter().map(|(n, k)| (n.to_string(), k)).collect();
     kinds.extend(l4_roster().into_iter().filter(|(n, _)| n == "nurapid+l4"));
     assert_eq!(kinds.len(), 8);
     for (name, kind) in &kinds {
@@ -454,18 +445,10 @@ fn the_drain_barrier_zeroes_every_counter_in_every_mode() {
         sys.run(2_000);
         sys.drain_barrier(&TelemetrySink::disabled(), 0);
         let r = sys.finish();
-        assert_eq!(
-            r.per_core,
-            vec![cpu::CoreResult::default(); 2],
-            "{name}: CMP cores"
-        );
+        assert_eq!(r.per_core, vec![cpu::CoreResult::default(); 2], "{name}: CMP cores");
         assert_eq!(r.report, zero_report(&r.report), "{name}: CMP report");
         assert_eq!(sys.l1_accesses(), vec![0, 0], "{name}: CMP L1s");
-        assert_eq!(
-            sys.l4_stats(),
-            sys.l4_stats().map(|_| L4Stats::default()),
-            "{name}: CMP L4"
-        );
+        assert_eq!(sys.l4_stats(), sys.l4_stats().map(|_| L4Stats::default()), "{name}: CMP L4");
     }
 }
 
@@ -638,23 +621,45 @@ fn organization_state_is_pinned() {
     const DETAILED: u64 = 30_000;
     const PINNED: [(&str, &str, &str); 8] = [
         ("base", "c30acc37ed6bb065a801cbc6f6f0ac10", "90947883af051aba2d34a2217d08d144"),
-        ("nurapid", "27640433c1d04516880611b445212490", "5a8b6be5b70db3ccb913dc4e5e3d2197"),
-        ("coupled", "7a0e5c390275857ba94ea89958aa2ea2", "a8f074c6e4dfdcde44e076b7edc2ee9d"),
-        ("dnuca-ss-performance", "7ecb9106efc38f1a16274486836591ac", "09f1ddae7b4af5f20055595e013ca3fe"),
-        ("dnuca-ss-energy", "7ecb9106efc38f1a16274486836591ac", "5aa5e9e7d137468ba6d5b206e44598e2"),
-        ("dnuca-way-memo", "7ecb9106efc38f1a16274486836591ac", "9d6143c8fda3aa6693498d9f3dc824cd"),
+        (
+            "nurapid",
+            "27640433c1d04516880611b445212490",
+            "5a8b6be5b70db3ccb913dc4e5e3d2197",
+        ),
+        (
+            "coupled",
+            "7a0e5c390275857ba94ea89958aa2ea2",
+            "a8f074c6e4dfdcde44e076b7edc2ee9d",
+        ),
+        (
+            "dnuca-ss-performance",
+            "7ecb9106efc38f1a16274486836591ac",
+            "09f1ddae7b4af5f20055595e013ca3fe",
+        ),
+        (
+            "dnuca-ss-energy",
+            "7ecb9106efc38f1a16274486836591ac",
+            "5aa5e9e7d137468ba6d5b206e44598e2",
+        ),
+        (
+            "dnuca-way-memo",
+            "7ecb9106efc38f1a16274486836591ac",
+            "9d6143c8fda3aa6693498d9f3dc824cd",
+        ),
         ("cnuca", "3ea94a8ee109a6fc6e202e584014c362", "fd59affcb731d119339c79f5f9233d64"),
-        ("nurapid+l4", "a9c5b81ce8896ccceee91ec8e5ce14b6", "5a8b6be5b70db3ccb913dc4e5e3d2197"),
+        (
+            "nurapid+l4",
+            "a9c5b81ce8896ccceee91ec8e5ce14b6",
+            "5a8b6be5b70db3ccb913dc4e5e3d2197",
+        ),
     ];
     let digest = |bytes: Vec<u8>| {
         let mut h = Hasher128::new();
         h.write_bytes(&bytes);
         h.digest().hex()
     };
-    let mut kinds: Vec<(String, L2Kind)> = roster()
-        .into_iter()
-        .map(|(n, k)| (n.to_string(), k))
-        .collect();
+    let mut kinds: Vec<(String, L2Kind)> =
+        roster().into_iter().map(|(n, k)| (n.to_string(), k)).collect();
     kinds.extend(l4_roster().into_iter().filter(|(n, _)| n == "nurapid+l4"));
     let app = workloads::profiles::by_name("mcf").expect("in roster");
     let mut got = Vec::new();

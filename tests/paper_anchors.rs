@@ -30,10 +30,7 @@ fn table2_and_table4_reproduce_paper_anchor_cells() {
     // Paper Table 2: 0.42 / 3.3 / 0.40 / 4.6 nJ for the NuRAPID rows.
     for (i, want) in [(0, 0.42), (1, 3.3), (2, 0.40), (3, 4.6)] {
         let got = t2.rows[i].1;
-        assert!(
-            (got - want).abs() / want < 0.30,
-            "Table 2 row {i}: {got:.2} vs paper {want}"
-        );
+        assert!((got - want).abs() / want < 0.30, "Table 2 row {i}: {got:.2} vs paper {want}");
     }
     let t4 = exps::table4();
     // Paper Table 4: fastest MB at 19 / 14 / 12 cycles; D-NUCA averages
@@ -81,11 +78,7 @@ fn figure6_ideal_bounds_the_policies() {
 fn figure7_dgroup_capacity_crossover() {
     let mut s = sweep();
     let f = exps::fig7(&mut s);
-    let (g2, g4, g8) = (
-        f.avg_first_group(0),
-        f.avg_first_group(1),
-        f.avg_first_group(2),
-    );
+    let (g2, g4, g8) = (f.avg_first_group(0), f.avg_first_group(1), f.avg_first_group(2));
     // Paper: 90% / 85% / 77%, with a bigger drop from 4 to 8 d-groups
     // than from 2 to 4 (working sets fit 2-MB but not 1-MB d-groups).
     assert!(g2 > g4 && g4 > g8, "{g2} {g4} {g8}");
@@ -113,10 +106,7 @@ fn section_532_eight_dgroups_swap_about_twice_as_much() {
         s8 += s.run(p, "nf8").counters.org.swaps;
     }
     let ratio = s8 as f64 / s4 as f64;
-    assert!(
-        (1.4..=3.5).contains(&ratio),
-        "8-d-group swap ratio {ratio} vs paper's 2.2x"
-    );
+    assert!((1.4..=3.5).contains(&ratio), "8-d-group swap ratio {ratio} vs paper's 2.2x");
 }
 
 #[test]
@@ -125,10 +115,7 @@ fn figure9_nurapid_outperforms_dnuca() {
     let f = exps::fig9(&mut s);
     let dnuca = f.overall(0);
     let nr4 = f.overall(1);
-    assert!(
-        nr4 > dnuca + 0.01,
-        "NuRAPID {nr4} must beat D-NUCA {dnuca}"
-    );
+    assert!(nr4 > dnuca + 0.01, "NuRAPID {nr4} must beat D-NUCA {dnuca}");
 }
 
 #[test]
@@ -202,10 +189,7 @@ fn section531_promotion_compensates_for_random_replacement() {
     assert!(dm_lru > dm_rand, "LRU must beat random under demotion-only");
     let dm_gap = dm_lru - dm_rand;
     let nf_gap = (nf_lru - nf_rand).abs();
-    assert!(
-        nf_gap < dm_gap,
-        "promotion must shrink the gap: dm {dm_gap} nf {nf_gap}"
-    );
+    assert!(nf_gap < dm_gap, "promotion must shrink the gap: dm {dm_gap} nf {nf_gap}");
     // Paper: next-fastest with random replacement (84%) beats
     // demotion-only even with perfect LRU (64%). At this reduced scale we
     // assert the weaker ordering against demotion-only with random.

@@ -13,7 +13,10 @@ use std::time::Instant;
 use workloads::profiles::by_name;
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "1B functional instructions need an optimized build")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "1B functional instructions need an optimized build"
+)]
 fn billion_instruction_sampled_run_completes_in_minutes() {
     let scale = Scale::huge();
     let spec = SampleSpec::for_scale(scale);
@@ -44,11 +47,7 @@ fn billion_instruction_sampled_run_completes_in_minutes() {
     // slice of the 1B instructions), at a detailed-instruction reduction
     // far past the ≥20× target, with a sane, tight estimate.
     assert_eq!(run.windows.len() as u64, spec.windows(scale));
-    let measured: u64 = run
-        .windows
-        .iter()
-        .map(|w| w.counters.core.instructions)
-        .sum();
+    let measured: u64 = run.windows.iter().map(|w| w.counters.core.instructions).sum();
     assert_eq!(measured, spec.windows(scale) * spec.measure);
     assert!(run.speedup() >= 20.0, "speedup {:.1}x below the 20x target", run.speedup());
     let ipc = run.ipc();

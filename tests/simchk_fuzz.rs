@@ -15,15 +15,12 @@
 //! damaged finished-run file in a results store is simulated again.
 
 use simbase::snapshot::{open, seal, Decoder, Encoder, SnapshotError, MAGIC, OVERHEAD};
-use simkit::prop::{
-    any_u64, any_u8, checker, range_u32, range_u64, select, vec_of, Checker, Gen,
-};
+use simkit::prop::{any_u64, any_u8, checker, range_u32, range_u64, select, vec_of, Checker, Gen};
 
 fn fprop(name: &str) -> Checker {
-    checker(name).cases(64).corpus(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/differential-regressions.txt"
-    ))
+    checker(name)
+        .cases(64)
+        .corpus(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/differential-regressions.txt"))
 }
 
 fn any_u32() -> impl Gen<Value = u32> {
@@ -168,11 +165,7 @@ fn simchk_previous_revision_file_is_rebuilt_not_decoded() {
         ..Default::default()
     };
     let run = run_app_opts(app, &kind, scale, &sink, 0, opts);
-    assert_eq!(
-        (store.hits(), store.misses()),
-        (0, 1),
-        "an old revision must miss"
-    );
+    assert_eq!((store.hits(), store.misses()), (0, 1), "an old revision must miss");
     assert_eq!(run, direct, "the rebuilt run changed its result");
     let rewritten = std::fs::read(&path).expect("checkpoint republished");
     assert_eq!(&rewritten[..8], &MAGIC, "the file was not overwritten");
@@ -220,7 +213,21 @@ fn simchk_damaged_files_are_rebuilt_not_reused() {
             .into_iter()
             .map(|cut| (format!("cut at {cut}"), good[..cut].to_vec()))
             .collect();
-        for at in [0, 9, 13, 20, 21, 60, 100, n / 3, n / 2, 2 * n / 3, n - 40, n - 17, n - 1] {
+        for at in [
+            0,
+            9,
+            13,
+            20,
+            21,
+            60,
+            100,
+            n / 3,
+            n / 2,
+            2 * n / 3,
+            n - 40,
+            n - 17,
+            n - 1,
+        ] {
             let mut bad = good.clone();
             bad[at] ^= 0x40;
             damaged.push((format!("byte {at} flipped"), bad));
@@ -283,8 +290,8 @@ fn simchk_damaged_result_files_are_resimulated_not_trusted() {
         ("SampledRun", &|s| assert_eq!(*s.run_sampled(app, "nf4", spec), want_sampled)),
     ];
     for (family, run) in families {
-        let dir = std::env::temp_dir()
-            .join(format!("simres-damaged-{family}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("simres-damaged-{family}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let open = || sweep().with_artifacts(&dir).expect("open results");
         let first = open();
@@ -590,19 +597,16 @@ fn l4_section_header_corruption_never_loads() {
         range_u64(0, 11),
         select((1u8..=255).collect::<Vec<_>>()),
     );
-    fprop("l4_section_header_corruption_never_loads").check(
-        &gen,
-        |(ops, target, victim, flip)| {
-            let (cfg, mut bytes) = l4_section(ops, *target);
-            bytes[*victim as usize] ^= *flip;
-            let mut fresh = memsys::dramcache::L4DramCache::new(cfg);
-            let err = fresh.load_state(&mut Decoder::new(&bytes));
-            assert!(
-                matches!(err, Err(SnapshotError::Malformed(_))),
-                "header byte {victim} flipped by {flip:#x}: got {err:?}"
-            );
-        },
-    );
+    fprop("l4_section_header_corruption_never_loads").check(&gen, |(ops, target, victim, flip)| {
+        let (cfg, mut bytes) = l4_section(ops, *target);
+        bytes[*victim as usize] ^= *flip;
+        let mut fresh = memsys::dramcache::L4DramCache::new(cfg);
+        let err = fresh.load_state(&mut Decoder::new(&bytes));
+        assert!(
+            matches!(err, Err(SnapshotError::Malformed(_))),
+            "header byte {victim} flipped by {flip:#x}: got {err:?}"
+        );
+    });
 }
 
 /// 11. Version skew on `L4_SNAPSHOT_VERSION` is rejected for every other

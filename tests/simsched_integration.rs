@@ -17,7 +17,10 @@ fn tiny() -> Scale {
 }
 
 fn apps() -> Vec<workloads::profiles::BenchProfile> {
-    vec![by_name("art").expect("in roster"), by_name("wupwise").expect("in roster")]
+    vec![
+        by_name("art").expect("in roster"),
+        by_name("wupwise").expect("in roster"),
+    ]
 }
 
 /// One configuration per organization family: the base hierarchy,
@@ -30,8 +33,7 @@ struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir()
-            .join(format!("simsched-it-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("simsched-it-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         Scratch(dir)
     }
@@ -48,7 +50,12 @@ fn sweep_is_deterministic_across_thread_counts() {
     // Same sweep on 1, 2, and 8 worker threads: every AppRun must be
     // bit-identical and every rendered table byte-identical.
     let render = |s: &Sweep| {
-        format!("{}\n{}\n{}", exps::fig5(s).render(), exps::fig8(s).render(), exps::fig10(s).render())
+        format!(
+            "{}\n{}\n{}",
+            exps::fig5(s).render(),
+            exps::fig8(s).render(),
+            exps::fig10(s).render()
+        )
     };
     let runs_of = |s: &Sweep| -> Vec<experiments::runner::AppRun> {
         apps()
@@ -68,16 +75,8 @@ fn sweep_is_deterministic_across_thread_counts() {
         // The parallel prefetch simulated each (app, key) pair exactly
         // once — single-flight, no duplicated work across workers.
         assert_eq!(s.simulated() as usize, apps().len() * KEYS.len());
-        assert_eq!(
-            runs_of(&s),
-            baseline_runs,
-            "{threads}-thread AppRuns differ from serial"
-        );
-        assert_eq!(
-            render(&s),
-            baseline_tables,
-            "{threads}-thread tables differ from serial"
-        );
+        assert_eq!(runs_of(&s), baseline_runs, "{threads}-thread AppRuns differ from serial");
+        assert_eq!(render(&s), baseline_tables, "{threads}-thread tables differ from serial");
     }
 }
 
@@ -138,7 +137,11 @@ fn distinct_renderings_share_underlying_runs() {
     assert_eq!(after_text as usize, apps().len() * 2, "fig4 simulates sa4 and nf4");
     let tsv = render_selection(&["fig4"], &sweep, true);
     assert_ne!(text, tsv, "the TSV rendering must differ from the text one");
-    assert_eq!(sweep.simulated(), after_text, "the TSV rendering must reuse the text one's runs");
+    assert_eq!(
+        sweep.simulated(),
+        after_text,
+        "the TSV rendering must reuse the text one's runs"
+    );
 
     // fig9 shares base, nf4 and nf8 with fig8; only dn-perf is new.
     render_selection(&["fig8"], &sweep, false);

@@ -26,7 +26,10 @@ fn tiny() -> Scale {
 }
 
 fn apps() -> Vec<workloads::profiles::BenchProfile> {
-    vec![by_name("art").expect("in roster"), by_name("wupwise").expect("in roster")]
+    vec![
+        by_name("art").expect("in roster"),
+        by_name("wupwise").expect("in roster"),
+    ]
 }
 
 const KEYS: [&str; 3] = ["base", "nf4", "dn-perf"];
@@ -62,10 +65,7 @@ fn metrics_fields_are_bit_exact_against_the_app_run() {
     sweep.prefetch_all(&KEYS);
 
     let parsed = json::parse(&tel.render_metrics()).expect("metrics.json parses");
-    assert_eq!(
-        parsed.field("schema").and_then(Json::as_str),
-        Some("simtel-metrics-v1")
-    );
+    assert_eq!(parsed.field("schema").and_then(Json::as_str), Some("simtel-metrics-v1"));
 
     let bits = |j: &Json| match *j {
         Json::F64(v) => v.to_bits(),
@@ -111,7 +111,11 @@ fn trace_exports_validate_as_chrome_traces() {
 #[test]
 fn sampled_sweeps_populate_the_sampling_overhead_track() {
     let tel = Arc::new(Telemetry::with_params(512, 10_000));
-    let spec = experiments::SampleSpec { period: 5_000, warmup: 200, measure: 800 };
+    let spec = experiments::SampleSpec {
+        period: 5_000,
+        warmup: 200,
+        measure: 800,
+    };
     let sweep = Sweep::with_apps(tiny(), apps())
         .with_threads(2)
         .with_sample(Some(spec))
@@ -205,9 +209,8 @@ fn disabled_sink_costs_no_more_than_no_sink() {
     };
     timed(&mut detached);
     timed(&mut disabled);
-    let (mut base, mut dis): (Vec<Duration>, Vec<Duration>) = (0..ITERS)
-        .map(|_| (timed(&mut detached), timed(&mut disabled)))
-        .unzip();
+    let (mut base, mut dis): (Vec<Duration>, Vec<Duration>) =
+        (0..ITERS).map(|_| (timed(&mut detached), timed(&mut disabled))).unzip();
     base.sort();
     dis.sort();
     let (b, d) = (base[ITERS / 2], dis[ITERS / 2]);
