@@ -123,6 +123,18 @@ impl HybridPredictor {
         self.mispredictions = 0;
     }
 
+    /// Copies `other`'s trained state (the three counter tables and the
+    /// global history), keeping this predictor's counters: what
+    /// [`Self::load_state`] restores from `other`'s [`Self::save_state`]
+    /// bytes.
+    pub fn copy_tables_from(&mut self, other: &HybridPredictor) {
+        self.gshare.clone_from(&other.gshare);
+        self.bimodal.clone_from(&other.bimodal);
+        self.chooser.clone_from(&other.chooser);
+        self.history = other.history;
+        self.history_bits = other.history_bits;
+    }
+
     /// Serialises the trained state (all three counter tables and the
     /// global history); the prediction counters are statistics and are not
     /// part of the snapshot.
