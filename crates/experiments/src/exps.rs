@@ -28,7 +28,7 @@ use simsched::pool;
 use simsched::progress::{Event, EventKind, Observer, Outcome};
 use simsched::store::RunStore;
 use simtel::{Telemetry, TelemetrySink, Value};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -255,13 +255,16 @@ impl Sweep {
     /// `store`, loaded from the results store when its file there is
     /// whole, otherwise simulated by `simulate` and sealed into it. A
     /// loaded run records its `fields`, when given, as its telemetry
-    /// summary. Progress events bracket the job under `label` either way.
+    /// summary. Progress events bracket the job under `label` either way;
+    /// a simulated member of a lockstep group reports its `group` share of
+    /// the group's wall time as its own.
     fn keyed<T: Finished>(
         &self,
         store: &RunStore<u128, T>,
         fields: Option<Fields<T>>,
         digest: Digest,
         label: &str,
+        group: Option<GroupRun<'_>>,
         simulate: impl FnOnce(RunOptions<'_>) -> T,
     ) -> Arc<T> {
         self.emit(label, EventKind::Started);
@@ -306,13 +309,12 @@ impl Sweep {
             run
         });
 
-        self.emit(
-            label,
-            EventKind::Finished {
-                outcome: outcome.unwrap_or(Outcome::Shared),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            },
-        );
+        let wall_ns = match (outcome, group) {
+            (Some(Outcome::Simulated), Some(group)) => group.share_ns.get(),
+            _ => t0.elapsed().as_nanos() as u64,
+        };
+        let outcome = outcome.unwrap_or(Outcome::Shared);
+        self.emit(label, EventKind::Finished { outcome, wall_ns });
         run
     }
 
@@ -386,7 +388,7 @@ impl Sweep {
     ) -> Arc<AppRun> {
         let digest = run_digest(&app, kind, self.scale);
         let label = format!("{label}/{}", app.name);
-        self.keyed(&self.store, Some(run_fields), digest, &label, |opts| {
+        self.keyed(&self.store, Some(run_fields), digest, &label, None, |opts| {
             let opts = RunOptions {
                 frontend: claim,
                 ..opts
@@ -416,7 +418,7 @@ impl Sweep {
     ) -> Arc<AppRun> {
         let digest = sampling::sampled_digest(&app, kind, self.scale, spec, self.intervals);
         let label = format!("{label}/{}", app.name);
-        self.keyed(&self.store, Some(run_fields), digest, &label, |opts| {
+        self.keyed(&self.store, Some(run_fields), digest, &label, group, |opts| {
             let run = self.sampled(app, kind, spec, group, opts).run;
             if let Some(tel) = &self.telemetry {
                 let sink = TelemetrySink::disabled();
@@ -438,7 +440,7 @@ impl Sweep {
         let apps = crate::cmp::cmp_profiles(cores);
         let digest = crate::cmp::cmp_run_digest(&cfg, &apps, &kind, self.scale);
         let label = format!("cmp{cores}x/{key}");
-        self.keyed(&self.cmp_store, Some(cmp_run_fields), digest, &label, |opts| {
+        self.keyed(&self.cmp_store, Some(cmp_run_fields), digest, &label, None, |opts| {
             self.traced(&label, digest, cmp_run_fields, |sink, snap| {
                 crate::cmp::run_cmp_opts(key, cores, &kind, self.scale, sink, snap, opts)
             })
@@ -468,7 +470,7 @@ impl Sweep {
         let kind = dram_kind(self.scale);
         let digest = dram_digest(&app, &kind, self.scale, DRAM_WINDOWS);
         let label = format!("dram/{}", app.name);
-        self.keyed(&self.dram_store, None, digest, &label, |opts| {
+        self.keyed(&self.dram_store, None, digest, &label, None, |opts| {
             let (run, windows) = run_app_transient(app, &kind, self.scale, DRAM_WINDOWS, opts);
             DramRun { run, windows }
         })
@@ -514,7 +516,7 @@ impl Sweep {
         let kind = self.wrap_l4(kind_of(key));
         let digest = sampled_study_digest(&app, &kind, self.scale, spec, self.intervals);
         let label = format!("sampled-{key}/{}", app.name);
-        self.keyed(&self.sampled_store, None, digest, &label, |opts| {
+        self.keyed(&self.sampled_store, None, digest, &label, group, |opts| {
             self.sampled(app, &kind, spec, group, opts)
         })
     }
@@ -532,43 +534,66 @@ impl Sweep {
     ) -> SampledRun {
         let (scale, intervals, threads) = (self.scale, self.intervals, self.threads);
         match group {
-            Some(run) => run(),
+            Some(group) => (group.run)(),
             None => sampling::run_app_sampled(app, kind, scale, spec, intervals, threads, opts),
         }
     }
 
-    /// Whether a planned sampled run under run digest `run` in `store`
-    /// joins a lockstep group: only with a checkpoint store to seed the
-    /// group from, and only for a run that will simulate — one neither
-    /// finished in this sweep nor held by the results store, since a group
-    /// counts every member's points in `[simchk]`.
-    fn joins_group<T>(&self, store: &RunStore<u128, T>, run: Digest) -> bool {
-        self.checkpoints.is_some()
+    /// Plans the sampled run `member` of `app`, kept in `store`, into
+    /// `jobs`: into one of `app`'s lockstep groups when it joins one, or
+    /// else as a job of its own. A run joins a group only with a
+    /// checkpoint store to seed the group from, and only when it will
+    /// simulate — neither finished in this sweep nor held by the results
+    /// store, since a group counts every member's points in `[simchk]`.
+    /// Returns whether it was planned.
+    fn plan_sampled<'s, T>(
+        &self,
+        jobs: &mut Jobs<'s>,
+        store: &RunStore<u128, T>,
+        app: BenchProfile,
+        member: Member<'s>,
+    ) -> bool {
+        let run = member.run;
+        let joins = self.checkpoints.is_some()
             && store.get(&run.raw()).is_none()
-            && !self.results.as_ref().is_some_and(|r| r.holds(run))
+            && !self.results.as_ref().is_some_and(|r| r.holds(run));
+        if joins {
+            jobs.join(app, member)
+        } else {
+            jobs.run(move || (member.finish)(None))
+        }
     }
 
     /// Runs a lockstep group of `app`'s planned sampled runs
     /// ([`sampling::run_group`]) and stores each member's result as the
     /// member's own run would. The group runs when the first member that
-    /// still has to simulate asks for its result, so that member's
-    /// progress events time the whole group.
+    /// still has to simulate asks for its result, and each member that
+    /// simulated reports an equal share of the group's wall time.
     fn run_group(&self, app: BenchProfile, members: Vec<Member<'_>>) {
         let (specs, finish): (Vec<_>, Vec<_>) =
             members.into_iter().map(|m| ((m.kind, m.spec), m.finish)).unzip();
         let runs: RefCell<Vec<Option<SampledRun>>> = RefCell::new(Vec::new());
+        let share_ns = Cell::new(0);
         for (m, finish) in finish.into_iter().enumerate() {
             let run = || {
                 if runs.borrow().is_empty() {
-                    let store = self.checkpoints().expect("a lockstep group needs a store");
-                    let wall = self.telemetry.as_deref();
-                    let group =
-                        sampling::run_group(app, self.scale, self.intervals, &specs, store, wall);
+                    let t_group = Instant::now();
+                    let opts = RunOptions {
+                        checkpoints: self.checkpoints(),
+                        wall: self.telemetry.as_deref(),
+                        ..RunOptions::default()
+                    };
+                    let (scale, intervals, threads) = (self.scale, self.intervals, self.threads);
+                    let group = sampling::run_group(app, scale, intervals, &specs, threads, opts);
                     *runs.borrow_mut() = group.into_iter().map(Some).collect();
+                    share_ns.set(t_group.elapsed().as_nanos() as u64 / specs.len() as u64);
                 }
                 runs.borrow_mut()[m].take().expect("a member's run is taken once")
             };
-            finish(&run);
+            finish(Some(GroupRun {
+                run: &run,
+                share_ns: &share_ns,
+            }));
         }
     }
 
@@ -596,23 +621,17 @@ impl Sweep {
                     let kind = self.wrap_l4(kind_of(key));
                     let run =
                         sampling::sampled_digest(&app, &kind, self.scale, spec, self.intervals);
-                    if self.joins_group(&self.store, run) {
-                        let finish = Box::new(move |group: GroupRun<'_>| {
-                            let kind = self.wrap_l4(kind_of(key));
-                            drop(self.run_kind_sampled(app, key, &kind, spec, Some(group)));
-                        });
-                        jobs.join(
-                            app,
-                            Member {
-                                run,
-                                kind,
-                                spec,
-                                finish,
-                            },
-                        )
-                    } else {
-                        jobs.run(move || drop(self.run(app, key)))
-                    }
+                    let finish = Box::new(move |group: Option<GroupRun<'_>>| {
+                        let kind = self.wrap_l4(kind_of(key));
+                        drop(self.run_kind_sampled(app, key, &kind, spec, group));
+                    });
+                    let member = Member {
+                        run,
+                        kind,
+                        spec,
+                        finish,
+                    };
+                    self.plan_sampled(&mut jobs, &self.store, app, member)
                 }
                 None => {
                     let claim = self.frontends.claim(app.name);
@@ -653,18 +672,27 @@ impl Sweep {
     }
 }
 
-/// A lockstep group member's result, simulated with the whole group on
-/// the group's first request.
-type GroupRun<'a> = &'a dyn Fn() -> SampledRun;
+/// A lockstep group member's hold on its group.
+#[derive(Clone, Copy)]
+struct GroupRun<'a> {
+    /// The member's result, simulated with the whole group on the group's
+    /// first request.
+    run: &'a dyn Fn() -> SampledRun,
+    /// Each member's equal share of the group's wall time, once it ran.
+    share_ns: &'a Cell<u64>,
+}
 
-/// A planned sampled run in a lockstep group: its run digest,
-/// organization and regime, and how it is stored as its own run, given
-/// its result.
+/// How a planned sampled run is run and stored as its own run, given its
+/// lockstep group when it joined one.
+type Finish<'s> = Box<dyn FnOnce(Option<GroupRun<'_>>) + Send + 's>;
+
+/// A planned sampled run: its run digest, organization and regime, and
+/// how it finishes.
 struct Member<'s> {
     run: Digest,
     kind: L2Kind,
     spec: SampleSpec,
-    finish: Box<dyn FnOnce(GroupRun<'_>) + Send + 's>,
+    finish: Finish<'s>,
 }
 
 /// One job of a plan: a run of its own, or a lockstep group of one
@@ -1954,23 +1982,16 @@ pub fn sampling(sweep: &Sweep) -> SamplingStudy {
             for &app in &apps {
                 let kind = sweep.wrap_l4(kind_of(key));
                 let run = sampled_study_digest(&app, &kind, sweep.scale, spec, sweep.intervals);
-                let queued = if sweep.joins_group(&sweep.sampled_store, run) {
-                    let finish = Box::new(move |group: GroupRun<'_>| {
-                        drop(sweep.run_sampled_as(app, key, spec, Some(group)));
-                    });
-                    jobs.join(
-                        app,
-                        Member {
-                            run,
-                            kind,
-                            spec,
-                            finish,
-                        },
-                    )
-                } else {
-                    jobs.run(move || drop(sweep.run_sampled(app, key, spec)))
+                let finish = Box::new(move |group: Option<GroupRun<'_>>| {
+                    drop(sweep.run_sampled_as(app, key, spec, group));
+                });
+                let member = Member {
+                    run,
+                    kind,
+                    spec,
+                    finish,
                 };
-                if queued {
+                if sweep.plan_sampled(&mut jobs, &sweep.sampled_store, app, member) {
                     sweep.emit(&format!("sampled-{key}/{}", app.name), EventKind::Queued);
                 }
             }
@@ -2337,7 +2358,7 @@ mod tests {
             run: digest(i),
             kind: L2Kind::Base,
             spec: tiny_spec(),
-            finish: Box::new(|_: GroupRun<'_>| {}),
+            finish: Box::new(|_: Option<GroupRun<'_>>| {}),
         };
         let mut jobs = Jobs::default();
         let planned: Vec<bool> = [(a, 0), (b, 10), (a, 1), (a, 2), (a, 0), (a, 3), (a, 4)]
@@ -2429,6 +2450,41 @@ mod tests {
             let _ = std::fs::remove_dir_all(&shared);
         }
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Each member of a stored sampled sweep's lockstep group reports an
+    /// equal share of the group's wall time as its own, not the member
+    /// that ran the group all of it and the others none.
+    #[test]
+    fn a_lockstep_groups_members_share_its_wall_time() {
+        let events = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&events);
+        let observer: Observer = Arc::new(move |e: &Event| log.lock().unwrap().push(e.clone()));
+        let dir = std::env::temp_dir().join(format!("simchk-exps-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = (tiny_sweep().with_sample(Some(tiny_spec())).with_intervals(2))
+            .with_threads(2)
+            .with_observer(observer)
+            .with_checkpoints(&dir)
+            .expect("open store");
+        s.prefetch_all(&["nf4", "base"]);
+        let finished = |label: String| {
+            let events = events.lock().unwrap();
+            let done = events.iter().filter(|e| e.label == label).filter_map(|e| match e.kind {
+                EventKind::Finished { outcome, wall_ns } => Some((outcome, wall_ns)),
+                _ => None,
+            });
+            done.collect::<Vec<_>>()
+        };
+        for app in s.apps() {
+            let nf4 = finished(format!("nf4/{}", app.name));
+            let base = finished(format!("base/{}", app.name));
+            assert_eq!(nf4.len(), 1, "{}", app.name);
+            assert_eq!(nf4, base, "{}: the group's two members", app.name);
+            assert_eq!(nf4[0].0, Outcome::Simulated, "{}", app.name);
+            assert!(nf4[0].1 > 0, "{}", app.name);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

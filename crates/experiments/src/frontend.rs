@@ -27,9 +27,11 @@
 //! group of sampled runs ([`crate::sampling::run_group`]) is a third such
 //! pass: between detailed windows the front end fast-forwards for every
 //! member at once, feeding each member's organization from the end of
-//! its own window on, and at each window start every member takes up the
-//! front end's state (`Lockstep::windows`). Recording and lockstep
-//! passes run the same core over the same lower level, `FanOut`.
+//! its own window on. At each window start every member takes up the
+//! front end's state (`Lockstep::windows`), and after the windows the
+//! front end takes up the state of the member whose window ended first
+//! (`Lockstep::resume`), so no window's ops run twice. Recording and
+//! lockstep passes run the same core over the same lower level, `FanOut`.
 
 use crate::engine::{self, Phase, System};
 use crate::runner::TRACE_SEED;
@@ -273,14 +275,10 @@ impl Lockstep {
             block_bytes,
             stream: None,
             orgs: Vec::new(),
-            members: Vec::new(),
+            members: phases.into_iter().map(|phase| Member { phase, live: false }).collect(),
         };
         let mut front = Lockstep::over(profile, lower);
-        let (core, gen) = phases[0].front();
-        front.core.copy_front_end_from(core);
-        front.gen.clone_from(gen);
-        let members = phases.into_iter().map(|phase| Member { phase, live: false });
-        front.core.mem_mut().lower_mut().members = members.collect();
+        front.take_up(0);
         front
     }
 
@@ -306,9 +304,9 @@ impl Lockstep {
     /// Starts a detailed window of every member at the front end's trace
     /// position: each member takes up the front end's state
     /// ([`Phase::take_front_end`]) and runs `window(m, phase)`, and from
-    /// then on the warm stream no longer reaches it, until
-    /// [`Lockstep::join`] passes the window's end. Returns the windows'
-    /// results in member order.
+    /// then on the warm stream no longer reaches it, until the front end
+    /// resumes from it ([`Lockstep::resume`]) or [`Lockstep::join`] passes
+    /// the window's end. Returns the windows' results in member order.
     pub(crate) fn windows<T>(&mut self, mut window: impl FnMut(usize, &mut Phase) -> T) -> Vec<T> {
         // Lent out of the fan-out while they read the front end's core.
         let mut members = std::mem::take(&mut self.core.mem_mut().lower_mut().members);
@@ -323,11 +321,31 @@ impl Lockstep {
         results
     }
 
+    /// Takes up member `m`'s trace position and front-end state (its
+    /// core's predictor tables, L1 contents and last fetched block), where
+    /// its detailed window has just ended, and from then on presents the
+    /// warm stream to it.
+    pub(crate) fn resume(&mut self, m: usize) {
+        self.take_up(m);
+        self.core.mem_mut().lower_mut().members[m].live = true;
+    }
+
     /// Warm-runs to `end`, the trace offset where member `m`'s detailed
     /// window ended, and from then on presents the warm stream to it.
     pub(crate) fn join(&mut self, m: usize, end: u64) {
         self.advance_to(end);
         self.core.mem_mut().lower_mut().members[m].live = true;
+    }
+
+    /// Copies member `m`'s generator and front-end state into the front
+    /// end.
+    fn take_up(&mut self, m: usize) {
+        // Lent out of the fan-out while the front end's core reads them.
+        let members = std::mem::take(&mut self.core.mem_mut().lower_mut().members);
+        let (core, gen) = members[m].phase.front();
+        self.core.copy_front_end_from(core);
+        self.gen.clone_from(gen);
+        self.core.mem_mut().lower_mut().members = members;
     }
 }
 

@@ -189,10 +189,10 @@ impl Telemetry {
     }
 
     /// Total duration (µs) of wall spans recorded in category `cat`.
-    /// This is the sampling-overhead track: comparing
-    /// `"sample-prefix"` (functional fast-forward and snapshot seeding)
-    /// against `"sample-measure"` (the detailed windows) shows where a
-    /// sampled run's wall time actually went.
+    /// This is the sampling-overhead track: comparing `"sample-chain"`
+    /// (the functional pass that seeds a lockstep group's intervals)
+    /// against `"sample-group"` (the whole group, seeds and windows) shows
+    /// where sampled runs' wall time actually went.
     pub fn wall_time_in(&self, cat: &str) -> u64 {
         self.wall
             .lock()
@@ -508,18 +508,18 @@ mod tests {
     #[test]
     fn wall_category_views_partition_the_channel() {
         let t = Telemetry::with_params(64, 0);
-        t.wall_span("sample-prefix", "nf4/galgel", 3_000_000);
-        t.wall_span("sample-measure", "nf4/galgel", 1_000_000);
-        t.wall_span("sample-measure", "nf4/galgel", 2_000_000);
-        t.wall_mark("sample-window", "nf4/galgel/w0");
-        t.wall_mark("sample-window", "nf4/galgel/w1");
+        t.wall_span("sample-chain", "galgel/1-members", 3_000_000);
+        t.wall_span("sample-group", "galgel/1-members", 1_000_000);
+        t.wall_span("sample-group", "galgel/2-members", 2_000_000);
+        t.wall_mark("sample-window", "galgel/w0");
+        t.wall_mark("sample-window", "galgel/w1");
         assert_eq!(t.wall_events(), 5);
-        assert_eq!(t.wall_events_in("sample-prefix"), 1);
-        assert_eq!(t.wall_events_in("sample-measure"), 2);
+        assert_eq!(t.wall_events_in("sample-chain"), 1);
+        assert_eq!(t.wall_events_in("sample-group"), 2);
         assert_eq!(t.wall_events_in("sample-window"), 2);
         assert_eq!(t.wall_events_in("absent"), 0);
-        assert_eq!(t.wall_time_in("sample-prefix"), 3_000);
-        assert_eq!(t.wall_time_in("sample-measure"), 3_000);
+        assert_eq!(t.wall_time_in("sample-chain"), 3_000);
+        assert_eq!(t.wall_time_in("sample-group"), 3_000);
         // Marks are instantaneous: a track of marks has zero duration.
         assert_eq!(t.wall_time_in("sample-window"), 0);
     }

@@ -863,23 +863,31 @@ fn a_shared_chain_publishes_every_members_in_place_payloads() {
         });
 }
 
-/// One lockstep group's windows are each member's own: for members from
-/// every report key plus nf4 over the L4 tier, each sampling under the
-/// default regime, one of the sampling study's divisors, or a regime that
-/// observes its windows from their first op (equal window starts,
-/// unequal window lengths), split into 1–3 intervals,
-/// `sampling::run_group` returns for every member the run
-/// `run_app_sampled` returns for it alone, every window's counters equal
-/// bit for bit. Two fixed groups come first: timing-only twins (nf4 and
-/// id4, and one key twice) at mixed divisors, and three families with the
-/// L4 tier over three intervals; then random groups.
+/// 24. One lockstep group's windows are each member's own.
+///
+/// For members from every report key plus nf4 over the L4 tier, each
+/// sampling under the default regime, one of the sampling study's
+/// divisors, or a regime that observes its windows from their first op
+/// (equal window starts, unequal window lengths), split into 1–3
+/// intervals: `sampling::run_group` returns for every member the windows
+/// of an in-place run of that member alone, every window's counters equal
+/// bit for bit, whether the group is seeded from a cold store on one
+/// thread, from held snapshots without a store, or from the warm store on
+/// two threads. The in-place run warms its system up functionally to
+/// each interval's first window, crosses the drain barrier, and then
+/// fast-forwards the same system to each window start before timing the
+/// window. Two fixed groups come first: timing-only twins (nf4 and id4,
+/// and one key twice) at mixed divisors, and three families with the L4
+/// tier over three intervals; then random groups.
 #[test]
 fn a_lockstep_group_observes_what_each_member_does_alone() {
+    use cpu::uop::TraceSource;
+    use experiments::engine::{build, Counters, System};
     use experiments::exps::{kind_of, sampling_spec, SAMPLING_DIVISORS};
     use experiments::repro::{prewarm_keys, resolve_ids};
-    use experiments::sampling::run_group;
-    use experiments::Scale;
-    use experiments::{run_app_sampled, CheckpointStore, L2Kind, L4Config, RunOptions, SampleSpec};
+    use experiments::sampling::{chain_points, run_group, WindowObs};
+    use experiments::{CheckpointStore, L2Kind, L4Config, RunOptions, SampleSpec, Scale};
+    use simtel::TelemetrySink;
     use workloads::profiles::{by_name, ROSTER};
 
     let keys = prewarm_keys(&resolve_ids("all").expect("all"));
@@ -887,6 +895,42 @@ fn a_lockstep_group_observes_what_each_member_does_alone() {
         keys.into_iter().map(|k| (k.to_string(), kind_of(k))).collect();
     let nf4_l4 = L2Kind::L4(Box::new(kind_of("nf4")), L4Config::tdram());
     kinds.push(("nf4+l4".to_string(), nf4_l4));
+    let counters = |core: &System| {
+        let lower = core.mem().lower();
+        Counters {
+            core: core.finish(),
+            l1_accesses: core.mem().l1_accesses(),
+            org: lower.report(),
+            l4: lower.main_memory().and_then(|m| m.l4_stats()),
+        }
+    };
+    // The member's windows from an in-place run of it alone.
+    let in_place = |app, kind: &L2Kind, scale: Scale, spec: SampleSpec, intervals| {
+        let points = chain_points(&app, kind, scale, spec, intervals);
+        let first = |&(abs, _): &(u64, _)| (abs - scale.warmup) / spec.period;
+        let ends = points.iter().skip(1).map(first).chain([spec.windows(scale)]);
+        let mut observed = Vec::new();
+        for (point, end) in points.iter().zip(ends) {
+            let (mut core, mut gen) = build(app, kind);
+            core.warm_run_to(&mut gen, point.0);
+            let sink = TelemetrySink::disabled();
+            let mut core = core.drain_barrier(|org| org.drain_barrier(&sink, 0));
+            for w in first(point)..end {
+                let start = w * spec.period;
+                core.warm_run_to(&mut gen, scale.warmup + start);
+                (0..spec.warmup).for_each(|_| core.execute(gen.next_op()));
+                let before = counters(&core);
+                (0..spec.measure).for_each(|_| core.execute(gen.next_op()));
+                let counters = counters(&core).minus(&before);
+                observed.push(WindowObs {
+                    index: w,
+                    start,
+                    counters,
+                });
+            }
+        }
+        observed
+    };
     let case = std::sync::atomic::AtomicU64::new(0);
     // `members` are (organization, regime) pairs; regime 0 is the default
     // one, regime d the study's d-th divisor, and the last regime has no
@@ -909,22 +953,34 @@ fn a_lockstep_group_observes_what_each_member_does_alone() {
             };
             let group: Vec<(L2Kind, SampleSpec)> =
                 members.iter().map(|&(k, r)| (kinds[k].1.clone(), spec(r))).collect();
+            let alone: Vec<Vec<WindowObs>> = (group.iter())
+                .map(|(kind, spec)| in_place(app, kind, scale, *spec, intervals))
+                .collect();
             let n = case.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let dir = std::env::temp_dir()
                 .join(format!("simchk-lockstep-group-{}-{n}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let store = CheckpointStore::open(&dir).expect("open store");
-            let runs = run_group(app, scale, intervals, &group, &store, None);
-            assert_eq!(runs.len(), group.len());
-            for (m, ((kind, spec), run)) in group.iter().zip(&runs).enumerate() {
-                let alone =
-                    run_app_sampled(app, kind, scale, *spec, intervals, 1, RunOptions::default());
-                assert!(
-                    *run == alone,
-                    "member {m} ({}, {spec:?}) on {}: the group's run differs from its own",
-                    kinds[members[m].0].0,
-                    app.name
-                );
+            for (leg, checkpoints, threads) in [
+                ("cold store", Some(&store), 1),
+                ("no store", None, 1),
+                ("warm store", Some(&store), 2),
+            ] {
+                let opts = RunOptions {
+                    checkpoints,
+                    ..RunOptions::default()
+                };
+                let runs = run_group(app, scale, intervals, &group, threads, opts);
+                assert_eq!(runs.len(), group.len());
+                for (m, ((_, spec), run)) in group.iter().zip(&runs).enumerate() {
+                    assert!(
+                        run.windows == alone[m],
+                        "{leg}, threads={threads}: member {m} ({}, {spec:?}) on {}: \
+                         the group's windows differ from its own",
+                        kinds[members[m].0].0,
+                        app.name
+                    );
+                }
             }
             let _ = std::fs::remove_dir_all(&dir);
         };

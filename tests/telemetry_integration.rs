@@ -123,10 +123,16 @@ fn sampled_sweeps_populate_the_sampling_overhead_track() {
         .with_telemetry(Arc::clone(&tel));
     sweep.prefetch_all(&["nf4"]);
 
-    // Two apps, each sampled: one prefix span and one measure span per
-    // run, plus one mark per detailed window (10 windows at this scale).
-    assert_eq!(tel.wall_events_in("sample-prefix"), 2, "one snapshot-chain span per run");
-    assert_eq!(tel.wall_events_in("sample-measure"), 2, "one window-execution span per run");
+    // Two apps, each sampled alone (no store, so no shared groups): one
+    // group of one member and its chain span per run, plus one mark per
+    // detailed window (10 windows at this scale).
+    assert_eq!(tel.wall_events_in("sample-chain"), 2, "one snapshot-chain span per run");
+    assert_eq!(tel.wall_events_in("sample-group"), 2, "one group span per run");
+    let rendered = tel.render_wall();
+    for app in apps() {
+        let group = format!("\"{}/1-members\"", app.name);
+        assert_eq!(rendered.matches(&group).count(), 2, "{group}: its chain and its group");
+    }
     let windows = (tiny().measure / spec.period) as usize;
     assert_eq!(tel.wall_events_in("sample-window"), 2 * windows, "one mark per window");
     // Every sampled run still lands in metrics.json like a full run.
